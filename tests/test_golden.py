@@ -1,0 +1,77 @@
+"""Golden-output guard: the bundled fixture's outputs keep pinned contents.
+
+The byte-identical-rerun criterion only compares a run with another run of
+the same code, so a refactor that changes output bytes would still pass it.
+This test pins the sha256 of the CSV and SVG outputs for the default
+fixture (seed 10, n=2741) and compares the JSON outputs numerically at a
+relative tolerance of 1e-12, because their last bits may differ between
+BLAS builds.  Entries that are zero up to rounding (the orthogonal CDS
+components' correlation, ~5e-16) are compared with an absolute floor of
+1e-12 instead.
+
+To re-pin after an intended output change, regenerate
+``golden/default_fixture.json`` from a run of the new code and say why in
+the change log.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from di_decomp.fixture import EXPECTATIONS_FILE, MARKET_FILE, generate_fixture
+from di_decomp.pipeline import MODELS_FILE, REPORT_FILE, PipelineConfig, run_pipeline
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "default_fixture.json").read_text(encoding="utf-8")
+)
+# report.json echoes input and output paths, which differ per run
+PATH_KEYS = ("market_csv", "expectations_csv", "focus_panel_csv", "factor_csv",
+             "components_csv", "out_dir")
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    fixture = GOLDEN["fixture"]
+    generate_fixture(fixture["seed"], fixture["n"], path=root / "fixture")
+    config = PipelineConfig(
+        market_csv=root / "fixture" / MARKET_FILE,
+        expectations_csv=root / "fixture" / EXPECTATIONS_FILE,
+        out_dir=root / "out",
+    )
+    run_pipeline(config)
+    return root / "out"
+
+
+def _assert_close(actual, expected, where="$"):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), where
+        for key in expected:
+            _assert_close(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_close(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-12, abs=1e-12), where
+    else:
+        assert actual == expected, where
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["sha256"]))
+def test_output_digest(golden_run, name):
+    digest = hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN["sha256"][name], name
+
+
+def test_models_json(golden_run):
+    models = json.loads((golden_run / MODELS_FILE).read_text(encoding="utf-8"))
+    _assert_close(models, GOLDEN["models"])
+
+
+def test_report_json(golden_run):
+    report = json.loads((golden_run / REPORT_FILE).read_text(encoding="utf-8"))
+    report["config"] = {k: v for k, v in report["config"].items() if k not in PATH_KEYS}
+    _assert_close(report, GOLDEN["report"])
