@@ -34,7 +34,7 @@ rate = DailySeries("DI5Y", dates, np.array([11.80, 11.95, 11.90, 12.10, 12.02]))
 print("rate levels (%):", rate.values)
 print("daily change (bps):", to_bps_change(rate).values)
 # 11.80 -> 11.95 is +15 bps; the change is dated at the later observation
-print("change dates:", [d.isoformat() for d in to_bps_change(rate).dates])
+print("change dates:", [d.isoformat() for d in to_bps_change(rate).dates.tolist()])
 
 # Price-like series use log returns instead of differences.
 cds = DailySeries("CDS", dates, np.array([155.0, 158.0, 157.0, 163.0, 161.0]))
@@ -47,7 +47,7 @@ ust10 = DailySeries(
     np.array([4.22, 4.18, 4.10, 4.09]),
 )
 joined = inner_join([diff(cds), diff(ust10)])
-print("\njoined rows:", joined.n_rows, "on", [d.isoformat() for d in joined.dates])
+print("\njoined rows:", joined.n_rows, "on", [d.isoformat() for d in joined.dates.tolist()])
 
 # Standardization returns the parameters needed to reproduce or undo it.
 z, params = standardize(joined)

@@ -26,7 +26,7 @@ from .errors import DegenerateColumnError, InsufficientDataError, NumericalError
 from .pls import FACTOR_NAME
 from .cds import DOMESTIC_NAME, GLOBAL_NAME
 from .regression import OlsFit, ols_fit
-from .series import DailySeries, Frame, TradingDate, inner_join
+from .series import DailySeries, Frame, date_index, inner_join
 
 TARGET_NAME = "d_di5y_bps"
 FACTOR_ORDER = (FACTOR_NAME, DOMESTIC_NAME, GLOBAL_NAME)
@@ -110,7 +110,7 @@ class DecompositionModel:
 class ContributionFrame:
     """Per-day bps attribution; every row satisfies the additive identity."""
 
-    dates: tuple[TradingDate, ...]
+    dates: np.ndarray  # datetime64[D], read-only
     d_di5y: np.ndarray
     const: np.ndarray
     macro_contrib: np.ndarray
@@ -119,6 +119,7 @@ class ContributionFrame:
     residual: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dates", date_index(self.dates))
         for field in ("d_di5y", "const", "macro_contrib", "riscobr_contrib",
                       "global_contrib", "residual"):
             arr = np.asarray(getattr(self, field), dtype=float)
@@ -134,7 +135,7 @@ class ContributionFrame:
 class CumulativeFrame:
     """Running sums of the contribution columns."""
 
-    dates: tuple[TradingDate, ...]
+    dates: np.ndarray  # datetime64[D], read-only
     di5y_change_cum: np.ndarray
     const_cum: np.ndarray
     macro_cum: np.ndarray
@@ -143,6 +144,7 @@ class CumulativeFrame:
     residual_cum: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dates", date_index(self.dates))
         for field in ("di5y_change_cum", "const_cum", "macro_cum",
                       "riscobr_cum", "global_cum", "residual_cum"):
             arr = np.asarray(getattr(self, field), dtype=float)

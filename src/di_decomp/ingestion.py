@@ -8,11 +8,12 @@ failures are retried with exponential backoff.  All tests run against
 recorded payloads through the injectable ``transport`` callable, never the
 live service.
 
-Market data arrives as CSV only: header row, first column ``date`` in
-ISO-8601, remaining columns point-decimal reals.  An empty cell means "no
-observation for that series on that date" (series keep independent
-calendars); any non-empty cell that does not parse rejects the row, fatally
-in strict mode.
+Market data arrives as CSV only: header row, first column ``date`` as
+YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
+above ``_read_table``).  An empty cell means "no observation for that
+series on that date" (series keep independent calendars); any non-empty
+cell that does not parse rejects the row, fatally in strict mode.  Each
+file is parsed in one pass of line blocks, whole columns at a time.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ import csv
 import datetime as dt
 import json
 import logging
+import math
+import re
 import time
 import urllib.parse
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -70,6 +74,7 @@ __all__ = [
     "write_market_csv",
     "frame_to_csv",
     "read_frame_csv",
+    "write_columns_csv",
     "write_focus_panel_csv",
     "read_focus_panel_csv",
 ]
@@ -357,76 +362,249 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
 # ---------------------------------------------------------------------------
 
 
-def _parse_cell(raw: str, line_no: int, column: str) -> float | None:
-    text = raw.strip()
-    if text == "":
-        return None
+# Every data row of a market or frame CSV follows one grammar, the same on
+# every Python version:
+#
+#   date   YYYY-MM-DD naming a real calendar day (years 0001-9999);
+#   value  a point-decimal real: optional sign, ASCII digits with at most one
+#          decimal point, optional exponent -- so not "nan", "inf", "1_000",
+#          "12,50" or non-ASCII digits;
+#   empty  a cell of only spaces or tabs: no observation.
+#
+# Spaces and tabs around a cell are ignored.  CSV quoting is accepted: a
+# quoted cell loses its quotes and then follows the same grammar, so
+# '"12.50"' reads as 12.5 and '"12,50"' is rejected.
+
+_REAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# Every character a block of valid data lines may contain.  In text made of
+# these alone, float() and np.loadtxt accept a cell exactly when it matches
+# _REAL.
+_DATA_CHARS = b"0123456789eE+-. \t,\n"
+_EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
+_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
+# Rows parsed or formatted at a time, which bounds the transient strings.
+_BLOCK_ROWS = 1024
+
+
+class _RowError(ValueError):
+    """Why one record is rejected, with its date when that parsed."""
+
+    def __init__(self, message: str, date: np.datetime64 | None = None):
+        super().__init__(message)
+        self.date = date
+
+
+def _to_dates(texts: Sequence[str]) -> np.ndarray:
+    """Each text as ``datetime64[D]``; NaT where it is not a YYYY-MM-DD day."""
     try:
+        dates = np.array(texts, dtype="datetime64[D]")
+    except ValueError:
+        dates = np.array([_one_date(t) for t in texts], dtype="datetime64[D]")
+    # numpy also reads forms such as 20150113 or 2015-01-13T10; only a text
+    # that is its date's own YYYY-MM-DD spelling is a date here
+    exact = np.datetime_as_string(dates) == np.array(texts, dtype=str)
+    ok = exact & (dates >= _FIRST_DAY) & (dates <= _LAST_DAY)
+    return np.where(ok, dates, np.datetime64("NaT"))
+
+
+def _foreign(text: str) -> bool:
+    """Whether the text holds a character outside ``_DATA_CHARS``."""
+    return bool(text.encode("utf-8").translate(None, _DATA_CHARS))
+
+
+def _read_date(text: str) -> dt.date:
+    """One YYYY-MM-DD cell as a ``datetime.date``; ValueError otherwise."""
+    date = _to_dates([text.strip(" \t")])[0]
+    if np.isnat(date):
+        raise ValueError(f"cannot parse date {text!r} as YYYY-MM-DD")
+    return date.item()
+
+
+def _one_date(text: str) -> np.datetime64:
+    try:
+        return np.datetime64(text, "D")
+    except ValueError:
+        return np.datetime64("NaT")
+
+
+def _parse_row(cells: Sequence[str], names: Sequence[str]) -> tuple[np.datetime64, list[float]]:
+    """One record checked cell by cell: (date, values), NaN for empty cells."""
+    if len(cells) != len(names) + 1:
+        raise _RowError(f"expected {len(names) + 1} cells, got {len(cells)}")
+    date = _to_dates([cells[0].strip(" \t")])[0]
+    if np.isnat(date):
+        raise _RowError(f"cannot parse date {cells[0]!r} as ISO-8601")
+    values = []
+    for name, raw in zip(names, cells[1:]):
+        text = raw.strip(" \t")
+        if not text:
+            values.append(math.nan)
+            continue
+        if not _REAL.fullmatch(text):
+            raise _RowError(
+                f"column '{name}': cannot parse {raw!r} as a point-decimal real", date
+            )
         value = float(text)
-    except ValueError as exc:
-        raise ParseError(
-            f"line {line_no}: column '{column}': cannot parse {raw!r} "
-            f"as a point-decimal real"
-        ) from exc
-    if not np.isfinite(value):
-        raise ParseError(f"line {line_no}: column '{column}': non-finite value {raw!r}")
-    return value
+        if not math.isfinite(value):
+            raise _RowError(f"column '{name}': non-finite value {raw!r}", date)
+        values.append(value)
+    return date, values
 
 
-def _read_rows(
+def _to_values(lines: list[str], k: int) -> np.ndarray | None:
+    """Cells 1..k of every line as floats, NaN for empty cells.
+
+    None if some cell is not a real.  The grammar has no "nan", so filling
+    empty cells with it first marks exactly the missing observations.
+    """
+    if not k or not lines:
+        return np.empty((len(lines), k))
+    body = _EMPTY_CELL.sub(",nan", "\n".join(lines)).split("\n")
+    try:
+        values = np.loadtxt(body, delimiter=",", usecols=range(1, k + 1),
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(lines), k) else None
+
+
+def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]] | None]]:
+    """Blocks of non-blank data records: line numbers, lines and cells.
+
+    A record's line is its cells joined by commas.  Unquoted text is split
+    by line alone (cells None); from the first block holding a double quote
+    on, the csv module splits the records and their cells come along.
+    """
+    line_no = 2
+    while chunk := list(islice(fh, _BLOCK_ROWS)):
+        text = "".join(chunk)
+        if '"' in text:
+            break
+        lines = text.split("\n")[: len(chunk)]
+        nos = [no for no, line in enumerate(lines, line_no) if line.strip(" \t,")]
+        yield nos, [lines[no - line_no] for no in nos], None
+        line_no += len(chunk)
+    else:
+        return
+    reader = csv.reader(chain(chunk, fh))
+    while records := list(islice(reader, _BLOCK_ROWS)):
+        nos = [no for no, rec in enumerate(records, line_no)
+               if any(c.strip(" \t") for c in rec)]
+        cells = [records[no - line_no] for no in nos]
+        yield nos, [",".join(rec) for rec in cells], cells
+        line_no += len(records)
+
+
+def _split_off(rows: list[int], bad: np.ndarray, suspect: list[int], *arrays):
+    """Move the rows flagged ``bad`` to ``suspect``; return the rest and their entries."""
+    flags = bad.tolist()
+    suspect += [i for i, b in zip(rows, flags) if b]
+    return ([i for i, b in zip(rows, flags) if not b], *(a[~bad] for a in arrays))
+
+
+def _parse_block(nos, lines, cells, names):
+    """Accepted (line numbers, dates, values) and rejected (line, message, date).
+
+    Whole columns are checked and converted at once; only records that
+    fail a column check are taken apart cell by cell, which also words
+    their error messages.
+    """
+    k = len(names)
+    foreign = _foreign("\n".join(lines))
+    suspect, fast = [], []
+    for i, line in enumerate(lines):
+        bad = (
+            line.count(",") != k
+            or (cells is not None and len(cells[i]) != k + 1)  # a quoted comma
+            or (foreign and _foreign(line))
+        )
+        (suspect if bad else fast).append(i)
+    dates = _to_dates([lines[i].partition(",")[0].strip(" \t") for i in fast])
+    fast, dates = _split_off(fast, np.isnat(dates), suspect, dates)
+    values = _to_values([lines[i] for i in fast], k)
+    if values is None:
+        suspect += fast
+        fast, dates, values = [], dates[:0], np.empty((0, k))
+    else:
+        inf = np.isinf(values).any(axis=1)
+        fast, dates, values = _split_off(fast, inf, suspect, dates, values)
+
+    good_nos, good_dates, good_values = [nos[i] for i in fast], [dates], [values]
+    rejected = []
+    for i in suspect:
+        try:
+            date, row = _parse_row(cells[i] if cells else lines[i].split(","), names)
+        except _RowError as exc:
+            rejected.append((nos[i], str(exc), exc.date))
+            continue
+        good_nos.append(nos[i])
+        good_dates.append(np.array([date]))
+        good_values.append(np.array([row]).reshape(1, k))
+    return (np.array(good_nos, dtype=np.int64), np.concatenate(good_dates),
+            np.concatenate(good_values), rejected)
+
+
+def _read_table(
     path: Path | str,
-    expected_header: Sequence[str],
+    columns: Sequence[str] | None,
     strict: bool,
     report: LoadReport | None,
-) -> list[tuple[TradingDate, list[float | None]]]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Parse a date-indexed CSV into (column names, dates, values).
+
+    ``columns`` are the expected value columns, or None to take them from
+    the header.  Dates come back sorted; ``values`` has one column per name
+    and NaN for empty cells.  A row that breaks the grammar, or repeats the
+    date of an earlier accepted row, is rejected: fatally in strict mode,
+    otherwise counted and logged.  Blank lines are skipped.
+    """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != list(expected_header):
-            raise SchemaError(
-                f"{path}: header {header} does not match expected {list(expected_header)}"
-            )
-        rows: list[tuple[TradingDate, list[float | None]]] = []
-        seen_dates: set[TradingDate] = set()
-        rejected = 0
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            try:
-                if len(raw) != len(expected_header):
-                    raise ParseError(
-                        f"line {line_no}: expected {len(expected_header)} cells, got {len(raw)}"
-                    )
-                try:
-                    date = dt.date.fromisoformat(raw[0].strip())
-                except ValueError as exc:
-                    raise ParseError(
-                        f"line {line_no}: cannot parse date {raw[0]!r} as ISO-8601"
-                    ) from exc
-                if date in seen_dates:
-                    raise ParseError(f"line {line_no}: duplicate date {date}")
-                values = [
-                    _parse_cell(cell, line_no, expected_header[i + 1])
-                    for i, cell in enumerate(raw[1:])
-                ]
-            except ParseError as exc:
-                if strict:
-                    raise ParseError(f"{path}: {exc}") from exc
-                rejected += 1
-                log.warning("%s: rejected row: %s", path, exc)
-                continue
-            seen_dates.add(date)
-            rows.append((date, values))
+    with path.open(encoding="utf-8") as fh:  # universal newlines, as csv reads them
+        first = fh.readline()
+        header = next(csv.reader([first]), []) if first else None
+        if columns is None:
+            if not header or header[0].strip() != "date":
+                raise SchemaError(f"{path}: first header column must be 'date', got {header}")
+            names = tuple(h.strip() for h in header[1:])
+        else:
+            names = tuple(columns)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            if [h.strip() for h in header] != ["date", *names]:
+                raise SchemaError(
+                    f"{path}: header {header} does not match expected {['date', *names]}"
+                )
+        parts = [_parse_block(*block, names) for block in _blocks(fh)]
+
+    nos = np.concatenate([np.empty(0, np.int64), *(p[0] for p in parts)])
+    dates = np.concatenate([np.empty(0, "datetime64[D]"), *(p[1] for p in parts)])
+    values = np.concatenate([np.empty((0, len(names))), *(p[2] for p in parts)])
+    rejected = [r for p in parts for r in p[3]]
+    del parts
+    in_file_order = np.argsort(nos, kind="stable")
+    nos, dates = nos[in_file_order], dates[in_file_order]
+    # the first accepted row of each date wins, as if read line by line
+    unique, first = np.unique(dates, return_index=True)
+    repeat = np.ones(len(dates), dtype=bool)
+    repeat[first] = False
+    errors = [(no, f"duplicate date {d}") for no, d in zip(nos[repeat].tolist(), dates[repeat])]
+    for no, message, date in rejected:
+        if date is not None:  # its date was read before its cells failed
+            at = int(np.searchsorted(unique, date))
+            if at < len(unique) and unique[at] == date and nos[first[at]] < no:
+                message = f"duplicate date {date}"
+        errors.append((no, message))
+    errors.sort()
+    if errors and strict:
+        no, message = errors[0]
+        raise ParseError(f"{path}: line {no}: {message}")
+    for no, message in errors:
+        log.warning("%s: rejected row: %s", path, f"line {no}: {message}")
     if report is not None:
-        report.rejected_rows += rejected
-    rows.sort(key=lambda r: r[0])
-    return rows
+        report.rejected_rows += len(errors)
+    return names, unique, values[in_file_order[first]]
 
 
 def load_market_csv(
@@ -443,18 +621,36 @@ def load_market_csv(
     error in strict mode, a counted warning otherwise); empty cells simply
     omit that date from the affected series.
     """
-    rows = _read_rows(path, ["date", *columns], strict, report)
+    names, dates, values = _read_table(path, columns, strict, report)
     series = []
-    for j, name in enumerate(columns):
-        pairs = [(d, vals[j]) for d, vals in rows if vals[j] is not None]
-        series.append(
-            DailySeries(
-                name,
-                tuple(d for d, _ in pairs),
-                np.array([v for _, v in pairs], dtype=float),
-            )
-        )
+    for j, name in enumerate(names):
+        present = ~np.isnan(values[:, j])
+        series.append(DailySeries(name, dates[present], values[present, j]))
     return MarketDataset(tuple(series))
+
+
+def write_columns_csv(
+    path: Path | str,
+    names: Sequence[str],
+    dates: np.ndarray,
+    data: np.ndarray,
+    cell: str = "{!r}",
+) -> None:
+    """Write ``date`` and ``names`` as the header, then one row per date.
+
+    ``data`` has one column per name.  Every value goes through the format
+    field ``cell``: the default ``repr`` round-trips floats exactly, and
+    ``"{:.4f}"`` gives the 4-decimal report files.  NaN is written as an
+    empty cell, the missing observation.
+    """
+    row = "{}" + f",{cell}" * len(names) + "\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["date", *names])
+        for lo in range(0, len(dates), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            days = np.datetime_as_string(dates[block]).tolist()
+            text = "".join(map(row.format, days, *data[block].T.tolist()))
+            fh.write(text.replace("nan", ""))
 
 
 def _format_value(v: float) -> str:
@@ -463,45 +659,30 @@ def _format_value(v: float) -> str:
 
 def write_market_csv(dataset: MarketDataset, path: Path | str) -> None:
     """Serialize a dataset to the market CSV contract (exact float round trip)."""
-    all_dates = sorted({d for s in dataset.series for d in s.dates})
-    index = [{d: i for i, d in enumerate(s.dates)} for s in dataset.series]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", *dataset.names])
-        for d in all_dates:
-            row: list[str] = [d.isoformat()]
-            for s, idx in zip(dataset.series, index):
-                row.append(_format_value(s.values[idx[d]]) if d in idx else "")
-            writer.writerow(row)
+    dates = np.unique(
+        np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in dataset.series)])
+    )
+    data = np.full((len(dates), len(dataset.series)), np.nan)
+    for j, s in enumerate(dataset.series):
+        data[np.searchsorted(dates, s.dates), j] = s.values
+    write_columns_csv(path, dataset.names, dates, data)
 
 
 def frame_to_csv(frame: Frame, path: Path | str) -> None:
     """Write a frame as date + point-decimal columns (exact float round trip)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", *frame.names])
-        for i, d in enumerate(frame.dates):
-            writer.writerow([d.isoformat(), *(_format_value(v) for v in frame.data[i])])
+    write_columns_csv(path, frame.names, frame.dates, frame.data)
 
 
 def read_frame_csv(path: Path | str, *, strict: bool = True,
                    report: LoadReport | None = None) -> Frame:
     """Read a frame written by :func:`frame_to_csv` (all cells required)."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if not header or header[0].strip() != "date":
-        raise SchemaError(f"{path}: first header column must be 'date', got {header}")
-    names = tuple(h.strip() for h in header[1:])
-    rows = _read_rows(path, ["date", *names], strict, report)
-    for d, vals in rows:
-        if any(v is None for v in vals):
-            raise ParseError(f"{path}: missing cell on {d}; frame files allow no gaps")
-    dates = tuple(d for d, _ in rows)
-    data = np.array([vals for _, vals in rows], dtype=float) if rows else np.empty((0, len(names)))
-    return Frame(dates, names, data)
+    names, dates, values = _read_table(path, None, strict, report)
+    gaps = np.flatnonzero(np.isnan(values).any(axis=1))
+    if gaps.size:
+        raise ParseError(
+            f"{path}: missing cell on {dates[gaps[0]]}; frame files allow no gaps"
+        )
+    return Frame(dates, names, values)
 
 
 def write_focus_panel_csv(panel: FocusPanel, path: Path | str) -> None:
@@ -531,7 +712,7 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
             try:
                 records.append(
                     FocusRecord(
-                        dt.date.fromisoformat(raw[0].strip()),
+                        _read_date(raw[0]),
                         raw[1].strip(),
                         int(raw[2]),
                         float(raw[3]),

@@ -64,6 +64,7 @@ from .ingestion import (
     read_focus_panel_csv,
     read_frame_csv,
     reshape_horizons,
+    write_columns_csv,
     write_focus_panel_csv,
 )
 from .pls import FACTOR_NAME, PlsModel, macro_factor, pls1_fit
@@ -469,28 +470,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+CONTRIBUTION_COLUMNS = (
+    "d_di5y_bps", "const_bps", "macro_bps", "riscobr_bps", "global_bps", "residual_bps",
+)
+CUMULATIVE_COLUMNS = (
+    "di5y_change_cum", "const_cum", "macro_cum", "riscobr_cum", "global_cum", "residual_cum",
+)
+
+
 def _write_contributions_csv(path: Path, c: ContributionFrame) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("date,d_di5y_bps,const_bps,macro_bps,riscobr_bps,global_bps,residual_bps\n")
-        for i, d in enumerate(c.dates):
-            fh.write(
-                f"{d.isoformat()},{c.d_di5y[i]:.4f},{c.const[i]:.4f},"
-                f"{c.macro_contrib[i]:.4f},{c.riscobr_contrib[i]:.4f},"
-                f"{c.global_contrib[i]:.4f},{c.residual[i]:.4f}\n"
-            )
+    data = np.column_stack([c.d_di5y, c.const, c.macro_contrib, c.riscobr_contrib,
+                            c.global_contrib, c.residual])
+    write_columns_csv(path, CONTRIBUTION_COLUMNS, c.dates, data, "{:.4f}")
 
 
 def _write_cumulative_csv(path: Path, c: CumulativeFrame) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            "date,di5y_change_cum,const_cum,macro_cum,riscobr_cum,global_cum,residual_cum\n"
-        )
-        for i, d in enumerate(c.dates):
-            fh.write(
-                f"{d.isoformat()},{c.di5y_change_cum[i]:.4f},{c.const_cum[i]:.4f},"
-                f"{c.macro_cum[i]:.4f},{c.riscobr_cum[i]:.4f},"
-                f"{c.global_cum[i]:.4f},{c.residual_cum[i]:.4f}\n"
-            )
+    data = np.column_stack([getattr(c, name) for name in CUMULATIVE_COLUMNS])
+    write_columns_csv(path, CUMULATIVE_COLUMNS, c.dates, data, "{:.4f}")
 
 
 def _std_dev_table(c: ContributionFrame, fit_fitted: np.ndarray) -> dict:
@@ -512,8 +508,8 @@ def _build_report(
 ) -> RunReport:
     shares = variance_shares(contribs)
     return RunReport(
-        sample_start=contribs.dates[0],
-        sample_end=contribs.dates[-1],
+        sample_start=contribs.dates[0].item(),
+        sample_end=contribs.dates[-1].item(),
         n_observations=contribs.n_rows,
         regression=model.to_dict(config.significance_cuts),
         std_dev_bps=_std_dev_table(contribs, model.fit.fitted),

@@ -1,10 +1,13 @@
 """Calendar-aligned daily series, frames, and the standard transforms.
 
-Dates are plain ``datetime.date`` values (end-of-day stamps, no timezone).
-Series sit on irregular business-day calendars; differences and log returns
-always span consecutive *available* observations, with no adjustment for
-calendar gaps.  All containers are immutable after construction and every
-operation is a pure function, so values can be shared freely across threads.
+Dates are end-of-day stamps with no timezone.  Every date index is stored as
+a sorted, read-only ``datetime64[D]`` array; constructors also accept any
+sequence of ``datetime.date``, and ``dates.tolist()`` gives the dates back
+as ``datetime.date`` objects.  Series sit on irregular business-day
+calendars; differences and log returns always span consecutive *available*
+observations, with no adjustment for calendar gaps.  All containers are
+immutable after construction and every operation is a pure function, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ TradingDate = dt.date
 
 __all__ = [
     "TradingDate",
+    "date_index",
     "DailySeries",
     "Frame",
     "StandardizationParams",
@@ -44,12 +48,34 @@ def _readonly(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
-def _check_dates(dates: Sequence[dt.date], context: str) -> None:
-    for a, b in zip(dates, dates[1:]):
-        if a >= b:
-            raise SchemaError(
-                f"{context}: dates must be strictly increasing, got {a} then {b}"
-            )
+def date_index(dates: Iterable[TradingDate] | np.ndarray) -> np.ndarray:
+    """A read-only ``datetime64[D]`` copy of a date sequence."""
+    arr = np.array(dates, dtype="datetime64[D]")
+    if arr.ndim != 1:
+        raise SchemaError(f"dates must be 1-dimensional, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_dates(dates: np.ndarray, context: str) -> None:
+    bad = np.flatnonzero(~(np.diff(dates) > np.timedelta64(0, "D")))
+    if bad.size:
+        a, b = dates[bad[0]], dates[bad[0] + 1]
+        raise SchemaError(
+            f"{context}: dates must be strictly increasing, got {a} then {b}"
+        )
+
+
+def _window_slice(
+    dates: np.ndarray, start: TradingDate | None, end: TradingDate | None
+) -> slice:
+    """Positions of the dates in the closed interval [start, end]."""
+    lo = 0 if start is None else int(np.searchsorted(dates, np.datetime64(start, "D")))
+    hi = (
+        len(dates) if end is None
+        else int(np.searchsorted(dates, np.datetime64(end, "D"), side="right"))
+    )
+    return slice(lo, max(lo, hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +87,11 @@ class DailySeries:
     """
 
     name: str
-    dates: tuple[TradingDate, ...]
+    dates: np.ndarray  # datetime64[D], read-only
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", date_index(self.dates))
         object.__setattr__(self, "values", _readonly(self.values))
         if self.values.ndim != 1:
             raise SchemaError(f"series '{self.name}': values must be 1-dimensional")
@@ -86,7 +112,7 @@ class DailySeries:
         cls, name: str, pairs: Iterable[tuple[TradingDate, float]]
     ) -> "DailySeries":
         items = list(pairs)
-        return cls(name, tuple(d for d, _ in items), np.array([v for _, v in items]))
+        return cls(name, [d for d, _ in items], np.array([v for _, v in items]))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -97,29 +123,24 @@ class DailySeries:
     def window(
         self, start: TradingDate | None = None, end: TradingDate | None = None
     ) -> "DailySeries":
-        """Restrict to dates in the closed interval [start, end]."""
-        keep = [
-            i
-            for i, d in enumerate(self.dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
-        return DailySeries(
-            self.name,
-            tuple(self.dates[i] for i in keep),
-            self.values[keep] if keep else np.empty(0),
-        )
+        """Restrict to dates in the closed interval [start, end].
+
+        Bounds may be ``datetime.date`` or ``numpy.datetime64`` values.
+        """
+        keep = _window_slice(self.dates, start, end)
+        return DailySeries(self.name, self.dates[keep], self.values[keep])
 
 
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Named columns of equal length on a shared, strictly increasing date index."""
 
-    dates: tuple[TradingDate, ...]
+    dates: np.ndarray  # datetime64[D], read-only
     names: tuple[str, ...]
     data: np.ndarray  # shape (n_rows, n_cols)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", date_index(self.dates))
         object.__setattr__(self, "names", tuple(self.names))
         arr = np.array(self.data, dtype=np.float64, copy=True)
         if arr.ndim != 2:
@@ -164,16 +185,9 @@ class Frame:
     def window(
         self, start: TradingDate | None = None, end: TradingDate | None = None
     ) -> "Frame":
-        keep = [
-            i
-            for i, d in enumerate(self.dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
-        return Frame(
-            tuple(self.dates[i] for i in keep),
-            self.names,
-            self.data[keep, :] if keep else np.empty((0, self.n_cols)),
-        )
+        """Restrict to dates in the closed interval [start, end]."""
+        keep = _window_slice(self.dates, start, end)
+        return Frame(self.dates[keep], self.names, self.data[keep])
 
     @classmethod
     def from_columns(
@@ -184,7 +198,7 @@ class Frame:
             data = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
         else:
             data = np.empty((len(dates), 0))
-        return cls(tuple(dates), names, data)
+        return cls(dates, names, data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,17 +294,15 @@ def inner_join(series: Sequence[DailySeries]) -> Frame:
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise SchemaError(f"inner_join: duplicate series names: {dupes}")
-    common = set(series[0].dates)
+    common = series[0].dates
     for s in series[1:]:
-        common &= set(s.dates)
-    dates = tuple(sorted(common))
-    if not dates:
-        return Frame((), tuple(names), np.empty((0, len(names))))
-    cols = []
-    for s in series:
-        index = {d: i for i, d in enumerate(s.dates)}
-        cols.append(s.values[[index[d] for d in dates]])
-    return Frame(dates, tuple(names), np.column_stack(cols))
+        # both indexes are sorted and unique: keep the dates s also has
+        at = np.searchsorted(s.dates, common)
+        hit = at < len(s)
+        hit[hit] = s.dates[at[hit]] == common[hit]
+        common = common[hit]
+    cols = [s.values[np.searchsorted(s.dates, common)] for s in series]
+    return Frame(common, tuple(names), np.column_stack(cols))
 
 
 def standardize(frame: Frame) -> tuple[Frame, StandardizationParams]:

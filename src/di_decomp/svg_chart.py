@@ -11,6 +11,8 @@ import math
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .decomposition import CumulativeFrame, validate_cumulative
 from .errors import InsufficientDataError
 
@@ -62,9 +64,8 @@ def emit_svg(cum: CumulativeFrame, path: Path | str, title: str = "Cumulative de
         )
     validate_cumulative(cum)
 
-    x0 = cum.dates[0].toordinal()
-    x1 = cum.dates[-1].toordinal()
-    xspan = max(x1 - x0, 1)
+    day_offset = (cum.dates - cum.dates[0]).astype(np.int64)
+    xspan = max(int(day_offset[-1]), 1)
     values = [getattr(cum, name) for name, *_ in SERIES_STYLE]
     lo = min(float(v.min()) for v in values)
     hi = max(float(v.max()) for v in values)
@@ -74,10 +75,11 @@ def emit_svg(cum: CumulativeFrame, path: Path | str, title: str = "Cumulative de
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(d) -> float:
-        return MARGIN_L + plot_w * (d.toordinal() - x0) / xspan
+    # Whole columns, in the same operation order as the scalar formulas, so
+    # every coordinate rounds to the same string.
+    xs = (MARGIN_L + plot_w * day_offset / xspan).tolist()
 
-    def sy(v: float) -> float:
+    def sy(v):
         return MARGIN_T + plot_h * (hi - v) / (hi - lo)
 
     parts: list[str] = []
@@ -111,15 +113,14 @@ def emit_svg(cum: CumulativeFrame, path: Path | str, title: str = "Cumulative de
     n_ticks = min(8, cum.n_rows)
     for i in range(n_ticks):
         idx = round(i * (cum.n_rows - 1) / max(n_ticks - 1, 1))
-        d = cum.dates[idx]
-        x = sx(d)
+        x = xs[idx]
         parts.append(
             f'<line x1="{x:.2f}" y1="{HEIGHT - MARGIN_B:.1f}" x2="{x:.2f}" '
             f'y2="{HEIGHT - MARGIN_B + 5:.1f}" stroke="#444444" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{HEIGHT - MARGIN_B + 20:.1f}" font-family="sans-serif" '
-            f'font-size="11" fill="#444444" text-anchor="middle">{d.isoformat()}</text>'
+            f'font-size="11" fill="#444444" text-anchor="middle">{cum.dates[idx]}</text>'
         )
     parts.append(
         f'<line x1="{MARGIN_L:.1f}" y1="{HEIGHT - MARGIN_B:.1f}" '
@@ -127,11 +128,10 @@ def emit_svg(cum: CumulativeFrame, path: Path | str, title: str = "Cumulative de
         f'stroke="#444444" stroke-width="1"/>'
     )
 
+    x_text = [f"{x:.2f}," for x in xs]
     for name, label, color, width in SERIES_STYLE:
-        pts = " ".join(
-            f"{sx(d):.2f},{sy(float(v)):.2f}"
-            for d, v in zip(cum.dates, getattr(cum, name))
-        )
+        y_text = map("{:.2f}".format, sy(getattr(cum, name)).tolist())
+        pts = " ".join(map(str.__add__, x_text, y_text))
         parts.append(
             f'<polyline id="series-{name}" fill="none" stroke="{color}" '
             f'stroke-width="{width:g}" points="{pts}"/>'

@@ -259,7 +259,7 @@ def test_criterion_8_ingestion_recorded_fixture(tmp_path):
         transport=transport,
     )
     frame = reshape_horizons(panel)
-    assert frame.dates == (dt.date(2004, 1, 2),)
+    assert frame.dates.tolist() == [dt.date(2004, 1, 2)]
     assert frame.column("IPCA_year")[0] == 6.00
     assert frame.column("IPCA_year_1")[0] == 5.00
     assert frame.column("IPCA_year_2")[0] == 4.50

@@ -87,9 +87,9 @@ class TestSplitCds:
             "dxy", days(50, dt.date(2015, 1, 15)), np.asarray(series["dxy"].values)
         )
         _, comp = run_split(cds, {**series, "dxy": shifted})
-        expected = tuple(sorted(set(cds.dates) & set(shifted.dates)))
-        assert comp.glob.dates == expected
-        assert comp.dom.dates == expected
+        expected = sorted(set(cds.dates.tolist()) & set(shifted.dates.tolist()))
+        assert comp.glob.dates.tolist() == expected
+        assert comp.dom.dates.tolist() == expected
 
     def test_permuting_regressors_only_relabels(self):
         cds, series = make_inputs(200, seed=4)

@@ -236,7 +236,7 @@ class TestReshapeHorizons:
         )
         frame = reshape_horizons(FocusPanel(tuple(records)))
         assert frame.names == HORIZON_COLUMNS
-        assert frame.dates == (D0,)
+        assert frame.dates.tolist() == [D0]
         for col, expected in (
             ("IPCA_year", 6.00), ("IPCA_year_1", 5.00),
             ("IPCA_year_2", 4.50), ("IPCA_year_3", 4.00),
@@ -274,7 +274,7 @@ class TestReshapeHorizons:
         partial = [r for r in partial if not (r.indicator == "PIB" and r.reference_year == 2007)]
         report = LoadReport()
         frame = reshape_horizons(FocusPanel(tuple(complete + partial)), report)
-        assert frame.dates == (D0,)
+        assert frame.dates.tolist() == [D0]
         assert report.dropped_dates == 1
 
     def test_empty_panel_rejected(self):
@@ -336,6 +336,25 @@ class TestMarketCsv:
         with pytest.raises(ParseError, match="duplicate date"):
             load_market_csv(path, columns=("DI5Y",))
 
+    def test_repeated_date_is_reported_before_a_bad_cell(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "date,DI5Y\n2015-01-13,12.50\n2015-01-13,oops\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError, match="line 3: duplicate date 2015-01-13"):
+            load_market_csv(path, columns=("DI5Y",))
+
+    def test_rejected_row_does_not_claim_its_date(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "date,DI5Y\n2015-01-13,oops\n2015-01-13,12.50\n2015-01-13,12.60\n",
+            encoding="utf-8",
+        )
+        report = LoadReport()
+        s = load_market_csv(path, columns=("DI5Y",), strict=False, report=report)["DI5Y"]
+        assert report.rejected_rows == 2
+        np.testing.assert_array_equal(s.values, [12.50])
+
     def test_empty_cells_mean_missing_observation(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
@@ -358,7 +377,7 @@ class TestMarketCsv:
         back = load_market_csv(path, columns=("DI5Y", "CDS"))
         np.testing.assert_array_equal(back["DI5Y"].values, a.values)
         np.testing.assert_array_equal(back["CDS"].values, b.values)
-        assert back["CDS"].dates == b.dates
+        np.testing.assert_array_equal(back["CDS"].dates, b.dates)
 
     def test_frame_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -195,7 +195,7 @@ class TestFocusPanelSource:
         generate_fixture(6, 300, path=fixture_dir)
         horizon = read_frame_csv(fixture_dir / EXPECTATIONS_FILE)
         records = []
-        for i, d in enumerate(horizon.dates):
+        for i, d in enumerate(horizon.dates.tolist()):
             for ind in INDICATORS:
                 for k in range(4):
                     col = f"{ind}_year" if k == 0 else f"{ind}_year_{k}"

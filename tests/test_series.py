@@ -58,7 +58,7 @@ class TestDailySeries:
     def test_window(self):
         s = series([1.0, 2.0, 3.0, 4.0])
         w = s.window(start=s.dates[1], end=s.dates[2])
-        assert w.dates == s.dates[1:3]
+        np.testing.assert_array_equal(w.dates, s.dates[1:3])
         np.testing.assert_array_equal(w.values, [2.0, 3.0])
 
 
@@ -88,7 +88,7 @@ class TestLogReturn:
         dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 10))
         s = DailySeries("s", dates, np.array([100.0, 110.0, 121.0]))
         out = log_return(s)
-        assert out.dates == dates[1:]
+        assert out.dates.tolist() == list(dates[1:])
         np.testing.assert_allclose(out.values, [LN_1_1, LN_1_1], atol=1e-15)
 
 
@@ -127,7 +127,7 @@ class TestInnerJoin:
         a = series([1.0, 2.0, 3.0], "a", dt.date(2020, 1, 1))
         b = series([4.0, 5.0, 6.0], "b", dt.date(2020, 1, 2))
         f = inner_join([a, b])
-        assert f.dates == days(2, dt.date(2020, 1, 2))
+        assert f.dates.tolist() == list(days(2, dt.date(2020, 1, 2)))
         np.testing.assert_array_equal(f.column("a"), [2.0, 3.0])
         np.testing.assert_array_equal(f.column("b"), [4.0, 5.0])
 
@@ -159,7 +159,7 @@ class TestInnerJoin:
             )
         f1 = inner_join(built)
         f2 = inner_join(built[::-1])
-        assert f1.dates == f2.dates
+        np.testing.assert_array_equal(f1.dates, f2.dates)
         for s in built:
             np.testing.assert_array_equal(f1.column(s.name), f2.column(s.name))
 
