@@ -495,13 +495,6 @@ def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]] 
         line_no += len(records)
 
 
-def _split_off(rows: list[int], bad: np.ndarray, suspect: list[int], *arrays):
-    """Move the rows flagged ``bad`` to ``suspect``; return the rest and their entries."""
-    flags = bad.tolist()
-    suspect += [i for i, b in zip(rows, flags) if b]
-    return ([i for i, b in zip(rows, flags) if not b], *(a[~bad] for a in arrays))
-
-
 def _parse_block(nos, lines, cells, names):
     """Accepted (line numbers, dates, values) and rejected (line, message, date).
 
@@ -511,36 +504,37 @@ def _parse_block(nos, lines, cells, names):
     """
     k = len(names)
     foreign = _foreign("\n".join(lines))
-    suspect, fast = [], []
-    for i, line in enumerate(lines):
-        bad = (
-            line.count(",") != k
-            or (cells is not None and len(cells[i]) != k + 1)  # a quoted comma
-            or (foreign and _foreign(line))
-        )
-        (suspect if bad else fast).append(i)
-    dates = _to_dates([lines[i].partition(",")[0].strip(" \t") for i in fast])
-    fast, dates = _split_off(fast, np.isnat(dates), suspect, dates)
+    suspect = np.array([
+        line.count(",") != k
+        or (cells is not None and len(cells[i]) != k + 1)  # a quoted comma
+        or (foreign and _foreign(line))
+        for i, line in enumerate(lines)
+    ], dtype=bool)
+    dates = _to_dates([line.partition(",")[0].strip(" \t") for line in lines])
+    suspect |= np.isnat(dates)
+    fast = np.flatnonzero(~suspect)
     values = _to_values([lines[i] for i in fast], k)
-    if values is None:
-        suspect += fast
-        fast, dates, values = [], dates[:0], np.empty((0, k))
+    if values is None:  # some cell is not a real: check every record
+        suspect[:] = True
+        values = np.empty((0, k))
     else:
         inf = np.isinf(values).any(axis=1)
-        fast, dates, values = _split_off(fast, inf, suspect, dates, values)
+        suspect[fast[inf]] = True
+        values = values[~inf]
+    fast = np.flatnonzero(~suspect)
 
-    good_nos, good_dates, good_values = [nos[i] for i in fast], [dates], [values]
+    good_nos, good_dates, good_values = [np.asarray(nos)[fast]], [dates[fast]], [values]
     rejected = []
-    for i in suspect:
+    for i in np.flatnonzero(suspect).tolist():
         try:
             date, row = _parse_row(cells[i] if cells else lines[i].split(","), names)
         except _RowError as exc:
             rejected.append((nos[i], str(exc), exc.date))
             continue
-        good_nos.append(nos[i])
+        good_nos.append(np.array([nos[i]]))
         good_dates.append(np.array([date]))
         good_values.append(np.array([row]).reshape(1, k))
-    return (np.array(good_nos, dtype=np.int64), np.concatenate(good_dates),
+    return (np.concatenate(good_nos).astype(np.int64), np.concatenate(good_dates),
             np.concatenate(good_values), rejected)
 
 
