@@ -13,7 +13,7 @@ YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
 above ``_read_table``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
 cell that does not parse rejects the row, fatally in strict mode.  Each
-file is parsed in one pass of line blocks, whole columns at a time.
+file is parsed in one pass of record blocks, whole columns at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import re
 import time
 import urllib.parse
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
@@ -74,7 +74,6 @@ __all__ = [
     "write_market_csv",
     "frame_to_csv",
     "read_frame_csv",
-    "write_columns_csv",
     "write_focus_panel_csv",
     "read_focus_panel_csv",
 ]
@@ -376,10 +375,10 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
 # '"12.50"' reads as 12.5 and '"12,50"' is rejected.
 
 _REAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# Every character a block of valid data lines may contain.  In text made of
-# these alone, float() and np.loadtxt accept a cell exactly when it matches
-# _REAL.
-_DATA_CHARS = b"0123456789eE+-. \t,\n"
+# Every character a valid data line may contain.  In lines made of these
+# alone, float() and np.loadtxt accept a cell exactly when it matches _REAL.
+# A newline, which a quoted cell may hold, is not one of them.
+_DATA_CHARS = b"0123456789eE+-. \t,"
 _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
 _FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 # Rows parsed or formatted at a time, which bounds the transient strings.
@@ -468,30 +467,17 @@ def _to_values(lines: list[str], k: int) -> np.ndarray | None:
     return values if values.shape == (len(lines), k) else None
 
 
-def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]] | None]]:
+def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]]]]:
     """Blocks of non-blank data records: line numbers, lines and cells.
 
-    A record's line is its cells joined by commas.  Unquoted text is split
-    by line alone (cells None); from the first block holding a double quote
-    on, the csv module splits the records and their cells come along.
+    A record's line is its cells joined by commas.
     """
+    reader = csv.reader(fh)
     line_no = 2
-    while chunk := list(islice(fh, _BLOCK_ROWS)):
-        text = "".join(chunk)
-        if '"' in text:
-            break
-        lines = text.split("\n")[: len(chunk)]
-        nos = [no for no, line in enumerate(lines, line_no) if line.strip(" \t,")]
-        yield nos, [lines[no - line_no] for no in nos], None
-        line_no += len(chunk)
-    else:
-        return
-    reader = csv.reader(chain(chunk, fh))
     while records := list(islice(reader, _BLOCK_ROWS)):
-        nos = [no for no, rec in enumerate(records, line_no)
-               if any(c.strip(" \t") for c in rec)]
+        nos = [no for no, rec in enumerate(records, line_no) if "".join(rec).strip(" \t")]
         cells = [records[no - line_no] for no in nos]
-        yield nos, [",".join(rec) for rec in cells], cells
+        yield nos, list(map(",".join, cells)), cells
         line_no += len(records)
 
 
@@ -503,14 +489,14 @@ def _parse_block(nos, lines, cells, names):
     their error messages.
     """
     k = len(names)
-    foreign = _foreign("\n".join(lines))
+    foreign = _foreign("".join(lines))
     suspect = np.array([
-        line.count(",") != k
-        or (cells is not None and len(cells[i]) != k + 1)  # a quoted comma
+        len(rec) != k + 1
+        or line.count(",") != k  # a quoted comma
         or (foreign and _foreign(line))
-        for i, line in enumerate(lines)
+        for rec, line in zip(cells, lines)
     ], dtype=bool)
-    dates = _to_dates([line.partition(",")[0].strip(" \t") for line in lines])
+    dates = _to_dates([rec[0].strip(" \t") for rec in cells])
     suspect |= np.isnat(dates)
     fast = np.flatnonzero(~suspect)
     values = _to_values([lines[i] for i in fast], k)
@@ -527,7 +513,7 @@ def _parse_block(nos, lines, cells, names):
     rejected = []
     for i in np.flatnonzero(suspect).tolist():
         try:
-            date, row = _parse_row(cells[i] if cells else lines[i].split(","), names)
+            date, row = _parse_row(cells[i], names)
         except _RowError as exc:
             rejected.append((nos[i], str(exc), exc.date))
             continue
@@ -623,7 +609,7 @@ def load_market_csv(
     return MarketDataset(tuple(series))
 
 
-def write_columns_csv(
+def _write_columns_csv(
     path: Path | str,
     names: Sequence[str],
     dates: np.ndarray,
@@ -659,12 +645,12 @@ def write_market_csv(dataset: MarketDataset, path: Path | str) -> None:
     data = np.full((len(dates), len(dataset.series)), np.nan)
     for j, s in enumerate(dataset.series):
         data[np.searchsorted(dates, s.dates), j] = s.values
-    write_columns_csv(path, dataset.names, dates, data)
+    _write_columns_csv(path, dataset.names, dates, data)
 
 
 def frame_to_csv(frame: Frame, path: Path | str) -> None:
     """Write a frame as date + point-decimal columns (exact float round trip)."""
-    write_columns_csv(path, frame.names, frame.dates, frame.data)
+    _write_columns_csv(path, frame.names, frame.dates, frame.data)
 
 
 def read_frame_csv(path: Path | str, *, strict: bool = True,

@@ -64,7 +64,7 @@ from .ingestion import (
     read_focus_panel_csv,
     read_frame_csv,
     reshape_horizons,
-    write_columns_csv,
+    _write_columns_csv,
     write_focus_panel_csv,
 )
 from .pls import FACTOR_NAME, PlsModel, macro_factor, pls1_fit
@@ -481,12 +481,12 @@ CUMULATIVE_COLUMNS = (
 def _write_contributions_csv(path: Path, c: ContributionFrame) -> None:
     data = np.column_stack([c.d_di5y, c.const, c.macro_contrib, c.riscobr_contrib,
                             c.global_contrib, c.residual])
-    write_columns_csv(path, CONTRIBUTION_COLUMNS, c.dates, data, "{:.4f}")
+    _write_columns_csv(path, CONTRIBUTION_COLUMNS, c.dates, data, "{:.4f}")
 
 
 def _write_cumulative_csv(path: Path, c: CumulativeFrame) -> None:
     data = np.column_stack([getattr(c, name) for name in CUMULATIVE_COLUMNS])
-    write_columns_csv(path, CUMULATIVE_COLUMNS, c.dates, data, "{:.4f}")
+    _write_columns_csv(path, CUMULATIVE_COLUMNS, c.dates, data, "{:.4f}")
 
 
 def _std_dev_table(c: ContributionFrame, fit_fitted: np.ndarray) -> dict:

@@ -36,6 +36,7 @@ REJECTED_VALUES = [
     "-Infinity",
     "1e999",  # overflows to infinity
     '"12,50"',  # decimal comma, quoted so it stays one cell
+    '"12.5\n"',  # a quoted newline is not a space or tab
     "12.5.1",
     "0x10",
     "1e",

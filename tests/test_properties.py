@@ -114,7 +114,8 @@ def test_window_matches_filter_oracle(series, start, end):
     assert _same_bits(fw.data, frame.data[[inside(d) for d in frame.dates.tolist()]])
 
 
-CELLS = ["1.5", " 2 ", "", "+.5", "1e-3", "1.2.3", "x", "nan", "1e999", '"4"', '"4,5"']
+CELLS = ["1.5", " 2 ", "", "+.5", "1e-3", "1.2.3", "x", "nan", "1e999", '"4"', '"4,5"',
+         '"4\n"']
 ROW_DATES = ["2015-01-13", "2015-01-14", "1950-06-30", "2015-02-30", "bad", ""]
 
 
