@@ -382,7 +382,7 @@ _DATA_CHARS = b"0123456789eE+-. \t,"
 _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
 _FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 # Rows parsed or formatted at a time, which bounds the transient strings.
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 256
 
 
 class _RowError(ValueError):
