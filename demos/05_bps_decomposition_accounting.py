@@ -43,26 +43,25 @@ print("R-squared:", round(model.fit.r_squared, 4))
 joined = join_decomposition_inputs(*series)
 c = contributions(model, joined)
 
-# per-day identity: change = const + macro + riscobr + global + residual
-gap = np.max(
-    np.abs(c.d_di5y - (c.const + c.macro_contrib + c.riscobr_contrib
-                       + c.global_contrib + c.residual))
-)
+# per-day identity: change = const + macro + riscobr + global + residual,
+# the six columns of the contribution frame in order
+change, *parts = (c.column(name) for name in c.names)
+gap = np.max(np.abs(change - sum(parts)))
 print("max per-day identity gap (bps):", gap)
 
 print("\ndaily standard deviations (bps):")
-for label, col in (
-    ("change", c.d_di5y), ("macro", c.macro_contrib),
-    ("riscobr", c.riscobr_contrib), ("global", c.global_contrib),
-    ("residual", c.residual),
+for label, name in (
+    ("change", "d_di5y_bps"), ("macro", "macro_bps"),
+    ("riscobr", "riscobr_bps"), ("global", "global_bps"),
+    ("residual", "residual_bps"),
 ):
-    print(f"  {label:<9} {np.std(col, ddof=1):7.4f}")
+    print(f"  {label:<9} {np.std(c.column(name), ddof=1):7.4f}")
 
 cum = accumulate(c)
 validate_cumulative(cum)  # raises if any cumulative row fails to add up
 print("\nfinal cumulative change: "
-      f"{cum.di5y_change_cum[-1]:+.1f} bps "
-      f"(residual path closes at {cum.residual_cum[-1]:+.4f})")
+      f"{cum.column('di5y_change_cum')[-1]:+.1f} bps "
+      f"(residual path closes at {cum.column('residual_cum')[-1]:+.4f})")
 
 shares = variance_shares(c)
 print("\nexplained-variance shares:")

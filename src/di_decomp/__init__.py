@@ -23,8 +23,6 @@ from .regression import OlsFit, ols_fit, student_t_two_sided_p  # noqa: F401
 from .pls import PlsModel, anchor_sign, macro_factor, pls1_fit  # noqa: F401
 from .cds import CdsComponents, CdsSplitModel, split_cds  # noqa: F401
 from .decomposition import (  # noqa: F401
-    ContributionFrame,
-    CumulativeFrame,
     DecompositionModel,
     VarianceShares,
     accumulate,

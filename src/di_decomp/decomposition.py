@@ -26,18 +26,25 @@ from .errors import DegenerateColumnError, InsufficientDataError, NumericalError
 from .pls import FACTOR_NAME
 from .cds import DOMESTIC_NAME, GLOBAL_NAME
 from .regression import OlsFit, ols_fit
-from .series import DailySeries, Frame, date_index, inner_join
+from .series import DailySeries, Frame, inner_join
 
 TARGET_NAME = "d_di5y_bps"
 FACTOR_ORDER = (FACTOR_NAME, DOMESTIC_NAME, GLOBAL_NAME)
 CONTRIBUTION_LABELS = ("macro", "riscobr", "global")
+# Every row of a contribution frame, and of its running sums, satisfies
+# first column = sum of the other five.
+CONTRIBUTION_COLUMNS = (
+    TARGET_NAME, "const_bps", "macro_bps", "riscobr_bps", "global_bps", "residual_bps",
+)
+CUMULATIVE_COLUMNS = (
+    "di5y_change_cum", "const_cum", "macro_cum", "riscobr_cum", "global_cum", "residual_cum",
+)
+EXPLAINED_COLUMNS = CONTRIBUTION_COLUMNS[2:5]  # in CONTRIBUTION_LABELS order
 
 DEFAULT_SIGNIFICANCE_CUTS = (0.001, 0.01, 0.05)
 
 __all__ = [
     "DecompositionModel",
-    "ContributionFrame",
-    "CumulativeFrame",
     "VarianceShares",
     "fit_decomposition",
     "contributions",
@@ -49,6 +56,8 @@ __all__ = [
     "TARGET_NAME",
     "FACTOR_ORDER",
     "CONTRIBUTION_LABELS",
+    "CONTRIBUTION_COLUMNS",
+    "CUMULATIVE_COLUMNS",
     "DEFAULT_SIGNIFICANCE_CUTS",
 ]
 
@@ -69,12 +78,8 @@ def significance_label(
 
 @dataclass(frozen=True)
 class DecompositionModel:
-    """Intercept (bps/day) and the three bps-per-factor-unit slopes."""
+    """The final regression: intercept (bps/day) and the three bps-per-factor-unit slopes."""
 
-    beta0: float
-    beta_macro: float
-    beta_dom: float
-    beta_glob: float
     fit: OlsFit
 
     def report_rows(
@@ -82,8 +87,7 @@ class DecompositionModel:
     ) -> list[dict]:
         """Coefficient table: estimate, stderr, t, p, significance per row."""
         rows = []
-        for name in self.fit.column_names:
-            i = self.fit.column_names.index(name)
+        for i, name in enumerate(self.fit.column_names):
             p = float(self.fit.p_values[i])
             rows.append(
                 {
@@ -104,56 +108,6 @@ class DecompositionModel:
             "adj_r_squared": self.fit.adj_r_squared,
             "n_observations": self.fit.n_observations,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class ContributionFrame:
-    """Per-day bps attribution; every row satisfies the additive identity."""
-
-    dates: np.ndarray  # datetime64[D], read-only
-    d_di5y: np.ndarray
-    const: np.ndarray
-    macro_contrib: np.ndarray
-    riscobr_contrib: np.ndarray
-    global_contrib: np.ndarray
-    residual: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", date_index(self.dates))
-        for field in ("d_di5y", "const", "macro_contrib", "riscobr_contrib",
-                      "global_contrib", "residual"):
-            arr = np.asarray(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True, eq=False)
-class CumulativeFrame:
-    """Running sums of the contribution columns."""
-
-    dates: np.ndarray  # datetime64[D], read-only
-    di5y_change_cum: np.ndarray
-    const_cum: np.ndarray
-    macro_cum: np.ndarray
-    riscobr_cum: np.ndarray
-    global_cum: np.ndarray
-    residual_cum: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", date_index(self.dates))
-        for field in ("di5y_change_cum", "const_cum", "macro_cum",
-                      "riscobr_cum", "global_cum", "residual_cum"):
-            arr = np.asarray(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.dates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,64 +164,57 @@ def join_decomposition_inputs(
     )
 
 
+def _require_columns(frame: Frame, names: Sequence[str], context: str) -> None:
+    for name in names:
+        if name not in frame.names:
+            raise SchemaError(f"{context}: frame lacks column '{name}'")
+
+
 def fit_decomposition_frame(joined: Frame) -> DecompositionModel:
-    for name in (TARGET_NAME,) + FACTOR_ORDER:
-        if name not in joined.names:
-            raise SchemaError(f"joined frame lacks column '{name}'")
+    _require_columns(joined, (TARGET_NAME,) + FACTOR_ORDER, "fit_decomposition")
     if joined.n_rows == 0:
         raise InsufficientDataError("fit_decomposition: joined sample is empty")
     fit = ols_fit(joined.column(TARGET_NAME), joined.select(list(FACTOR_ORDER)))
-    return DecompositionModel(
-        beta0=float(fit.coefficients[0]),
-        beta_macro=float(fit.coefficient(FACTOR_NAME)),
-        beta_dom=float(fit.coefficient(DOMESTIC_NAME)),
-        beta_glob=float(fit.coefficient(GLOBAL_NAME)),
-        fit=fit,
-    )
+    return DecompositionModel(fit)
 
 
-def contributions(model: DecompositionModel, joined: Frame) -> ContributionFrame:
+def contributions(model: DecompositionModel, joined: Frame) -> Frame:
     """Per-day bps contributions of each block, residual closing the identity.
 
     ``joined`` must contain the target column and the three factor columns
     (canonical names, as produced by :func:`join_decomposition_inputs`).
+    The result has the columns :data:`CONTRIBUTION_COLUMNS`.
     """
-    for name in (TARGET_NAME,) + FACTOR_ORDER:
-        if name not in joined.names:
-            raise SchemaError(f"contributions: joined frame lacks column '{name}'")
+    _require_columns(joined, (TARGET_NAME,) + FACTOR_ORDER, "contributions")
+    fit = model.fit
     d = joined.column(TARGET_NAME)
-    macro = model.beta_macro * joined.column(FACTOR_NAME)
-    riscobr = model.beta_dom * joined.column(DOMESTIC_NAME)
-    glob = model.beta_glob * joined.column(GLOBAL_NAME)
-    const = np.full(joined.n_rows, model.beta0)
+    macro = fit.coefficient(FACTOR_NAME) * joined.column(FACTOR_NAME)
+    riscobr = fit.coefficient(DOMESTIC_NAME) * joined.column(DOMESTIC_NAME)
+    glob = fit.coefficient(GLOBAL_NAME) * joined.column(GLOBAL_NAME)
+    const = np.full(joined.n_rows, fit.coefficient("const"))
     residual = d - (const + macro + riscobr + glob)
-    return ContributionFrame(
-        dates=joined.dates,
-        d_di5y=d,
-        const=const,
-        macro_contrib=macro,
-        riscobr_contrib=riscobr,
-        global_contrib=glob,
-        residual=residual,
+    return Frame(
+        joined.dates,
+        CONTRIBUTION_COLUMNS,
+        np.column_stack([d, const, macro, riscobr, glob, residual]),
     )
 
 
-def accumulate(c: ContributionFrame) -> CumulativeFrame:
-    """Running sums of every contribution column, starting at the first row."""
+def accumulate(c: Frame) -> Frame:
+    """Running sums of every contribution column, starting at the first row.
+
+    The result has the columns :data:`CUMULATIVE_COLUMNS`, in the same order.
+    """
+    if c.names != CONTRIBUTION_COLUMNS:
+        raise SchemaError(
+            f"accumulate: expected columns {list(CONTRIBUTION_COLUMNS)}, got {list(c.names)}"
+        )
     if c.n_rows == 0:
         raise InsufficientDataError("accumulate: empty contribution frame")
-    return CumulativeFrame(
-        dates=c.dates,
-        di5y_change_cum=np.cumsum(c.d_di5y),
-        const_cum=np.cumsum(c.const),
-        macro_cum=np.cumsum(c.macro_contrib),
-        riscobr_cum=np.cumsum(c.riscobr_contrib),
-        global_cum=np.cumsum(c.global_contrib),
-        residual_cum=np.cumsum(c.residual),
-    )
+    return Frame(c.dates, CUMULATIVE_COLUMNS, np.cumsum(c.data, axis=0))
 
 
-def variance_shares(c: ContributionFrame) -> VarianceShares:
+def variance_shares(c: Frame) -> VarianceShares:
     """Share of each block in the variance of the explained (non-constant) part.
 
     share_i = Var(contribution_i) / sum_j Var(contribution_j) over the three
@@ -279,25 +226,17 @@ def variance_shares(c: ContributionFrame) -> VarianceShares:
         raise InsufficientDataError(
             f"variance_shares: need >= 2 rows, got {c.n_rows}"
         )
-    cols = [c.macro_contrib, c.riscobr_contrib, c.global_contrib]
-    variances = np.array([col.var(ddof=1) for col in cols])
+    cov = np.cov(c.select(EXPLAINED_COLUMNS).data, rowvar=False)
+    variances = np.diag(cov)
     total = float(variances.sum())
     if total == 0.0:
         raise DegenerateColumnError("variance_shares: all contributions are zero")
-    shares = variances / total
-    corr = np.eye(3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            si = float(np.sqrt(variances[i]))
-            sj = float(np.sqrt(variances[j]))
-            if si == 0.0 or sj == 0.0:
-                val = 0.0
-            else:
-                a = cols[i] - cols[i].mean()
-                b = cols[j] - cols[j].mean()
-                val = float(a @ b) / ((c.n_rows - 1) * si * sj)
-            corr[i, j] = corr[j, i] = val
-    return VarianceShares(labels=CONTRIBUTION_LABELS, shares=shares, correlations=corr)
+    scale = np.outer(np.sqrt(variances), np.sqrt(variances))
+    corr = np.divide(cov, scale, out=np.zeros_like(cov), where=scale > 0.0)
+    np.fill_diagonal(corr, 1.0)
+    return VarianceShares(
+        labels=CONTRIBUTION_LABELS, shares=variances / total, correlations=corr
+    )
 
 
 def row_sum_gap(total: float, components: Sequence[float]) -> float:
@@ -305,17 +244,14 @@ def row_sum_gap(total: float, components: Sequence[float]) -> float:
     return abs(float(total) - float(np.sum(np.asarray(components, dtype=float))))
 
 
-def validate_cumulative(cum: CumulativeFrame, tol: float = 1e-6) -> None:
+def validate_cumulative(cum: Frame, tol: float = 1e-6) -> None:
     """Check the additive identity on every cumulative row.
 
     Raises ``NumericalError`` with the worst offending row if any gap
     exceeds ``tol`` (in bps).
     """
-    parts = (
-        cum.const_cum + cum.macro_cum + cum.riscobr_cum
-        + cum.global_cum + cum.residual_cum
-    )
-    gaps = np.abs(cum.di5y_change_cum - parts)
+    parts = cum.select(CUMULATIVE_COLUMNS[1:]).data.sum(axis=1)
+    gaps = np.abs(cum.column(CUMULATIVE_COLUMNS[0]) - parts)
     worst = int(np.argmax(gaps))
     if gaps[worst] > tol:
         raise NumericalError(

@@ -30,17 +30,16 @@ import configparser
 import datetime as dt
 import json
 import os
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import __version__
 from .cds import CdsComponents, CdsSplitModel, DOMESTIC_NAME, GLOBAL_NAME, split_cds
 from .decomposition import (
-    ContributionFrame,
-    CumulativeFrame,
     DEFAULT_SIGNIFICANCE_CUTS,
     DecompositionModel,
     TARGET_NAME,
@@ -174,25 +173,24 @@ class PipelineConfig:
             raise ConfigError(f"unknown indicators {unknown}")
 
     def echo(self) -> dict:
-        """Configuration snapshot for the run report."""
+        """Configuration snapshot for the run report; the fixture fields are left out."""
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return list(value)
+            if isinstance(value, dt.date):
+                return value.isoformat()
+            return str(value) if isinstance(value, Path) else value
+
         return {
-            "market_csv": str(self.market_csv) if self.market_csv else None,
-            "expectations_csv": str(self.expectations_csv) if self.expectations_csv else None,
-            "focus_panel_csv": str(self.focus_panel_csv) if self.focus_panel_csv else None,
-            "factor_csv": str(self.factor_csv) if self.factor_csv else None,
-            "components_csv": str(self.components_csv) if self.components_csv else None,
-            "fetch_enabled": self.fetch_enabled,
-            "endpoint": self.endpoint,
-            "indicators": list(self.indicators),
-            "fetch_start": self.fetch_start.isoformat(),
-            "start": self.start.isoformat() if self.start else None,
-            "end": self.end.isoformat() if self.end else None,
-            "factor_columns": list(self.factor_columns),
-            "significance_cuts": list(self.significance_cuts),
-            "out_dir": str(self.out_dir),
-            "strict": self.strict,
+            f.name: plain(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in _FIXTURE_FIELDS
         }
 
+
+# used only by the fixture command, so not echoed into a run's report
+_FIXTURE_FIELDS = ("seed", "fixture_n", "fixture_r2", "fixture_betas")
 
 _KEY_PARSERS = {
     ("data", "market_csv"): ("market_csv", Path),
@@ -314,45 +312,51 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-class _OutputTracker:
-    """Tracks emitted files so a failed run leaves no partial outputs."""
+class _Stage:
+    """One stage run in its output directory: the label and the files written."""
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, label: str):
         self.out_dir = out_dir
+        self.label = label  # the label a failure is reported under
         self.written: list[Path] = []
 
     def path(self, name: str) -> Path:
+        """The output path of ``name``, removed again if the run fails."""
         p = self.out_dir / name
         self.written.append(p)
         return p
 
-    def cleanup(self) -> None:
-        for p in self.written:
+
+@contextmanager
+def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
+    """Run a stage with exclusive ownership of the output directory.
+
+    Creating the directory or finding it locked raises ``ConfigError`` as
+    is.  Any other failure removes the files registered so far and is
+    re-raised as a ``StageError`` under the stage's current label.
+    """
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    lock = out / LOCK_FILE
+    try:
+        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        raise ConfigError(f"output directory is locked by another run: {lock}") from None
+    stage = _Stage(out, label)
+    try:
+        yield stage
+    except Exception as exc:
+        for p in stage.written:
             try:
                 p.unlink()
             except OSError:
                 pass
-
-
-class _Lock:
-    def __init__(self, out_dir: Path):
-        self.path = out_dir / LOCK_FILE
-
-    def __enter__(self) -> "_Lock":
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"output directory is locked by another run: {self.path}"
-            ) from None
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        raise StageError(stage.label, exc) from exc
+    finally:
+        lock.unlink(missing_ok=True)
 
 
 def _series_range(s: DailySeries) -> str:
@@ -363,8 +367,7 @@ def _series_range(s: DailySeries) -> str:
 
 def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
     if config.expectations_csv is not None:
-        frame = read_frame_csv(config.expectations_csv, strict=config.strict, report=report)
-        return frame
+        return read_frame_csv(config.expectations_csv, strict=config.strict, report=report)
     if config.focus_panel_csv is not None:
         panel = read_focus_panel_csv(config.focus_panel_csv)
         report.fetched += len(panel)
@@ -381,10 +384,10 @@ def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
     )
 
 
-def _require_market(config: PipelineConfig) -> Path:
+def _load_market(config: PipelineConfig, report: LoadReport) -> MarketDataset:
     if config.market_csv is None:
         raise ConfigError("no market data source: set data.market_csv")
-    return config.market_csv
+    return load_market_csv(config.market_csv, strict=config.strict, report=report)
 
 
 @dataclass(frozen=True)
@@ -414,21 +417,14 @@ def _transform_market(market: MarketDataset, end: dt.date | None) -> _Transforme
     )
 
 
-def _expectation_diffs(expectations: Frame, columns: Sequence[str],
-                       end: dt.date | None) -> list[DailySeries]:
-    series = []
-    for col in columns:
-        if col == SURPRISE_DIFF_NAME:
-            continue
-        series.append(diff(expectations.series(col).window(end=end)))
-    return series
-
-
 def _build_factor(
     transformed: _Transformed, expectations: Frame, config: PipelineConfig
 ) -> tuple[PlsModel, DailySeries]:
     """Fit the supervised factor on the intersection of inputs and the target."""
-    x_series = _expectation_diffs(expectations, config.factor_columns, config.end)
+    x_series = [
+        diff(expectations.series(col).window(end=config.end))
+        for col in config.factor_columns if col != SURPRISE_DIFF_NAME
+    ]
     if SURPRISE_DIFF_NAME in config.factor_columns:
         x_series.append(transformed.surprise_diff)
     joined = inner_join(x_series + [transformed.d_di5y])
@@ -440,12 +436,17 @@ def _build_factor(
     return model, macro_factor(model, x_frame)
 
 
+def _split_cds(t: _Transformed) -> tuple[CdsSplitModel, CdsComponents]:
+    return split_cds(t.cds_ret, t.dxy_ret, t.crb_ret, t.vix_ret, t.ust10_diff)
+
+
 def _decompose(
     d_di5y: DailySeries,
     factor: DailySeries,
     components: CdsComponents,
     config: PipelineConfig,
-) -> tuple[DecompositionModel, Frame, ContributionFrame, CumulativeFrame]:
+) -> tuple[DecompositionModel, Frame, Frame]:
+    """The final regression with its contribution and cumulative frames."""
     joined = join_decomposition_inputs(
         d_di5y, factor, components.dom, components.glob
     ).window(config.start, config.end)
@@ -457,8 +458,7 @@ def _decompose(
         raise DataError(f"decomposition join produced 0 rows ({detail})")
     model = fit_decomposition_frame(joined)
     contribs = contributions(model, joined)
-    cum = accumulate(contribs)
-    return model, joined, contribs, cum
+    return model, contribs, accumulate(contribs)
 
 
 # ---------------------------------------------------------------------------
@@ -470,40 +470,22 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-CONTRIBUTION_COLUMNS = (
-    "d_di5y_bps", "const_bps", "macro_bps", "riscobr_bps", "global_bps", "residual_bps",
-)
-CUMULATIVE_COLUMNS = (
-    "di5y_change_cum", "const_cum", "macro_cum", "riscobr_cum", "global_cum", "residual_cum",
-)
-
-
-def _write_contributions_csv(path: Path, c: ContributionFrame) -> None:
-    data = np.column_stack([c.d_di5y, c.const, c.macro_contrib, c.riscobr_contrib,
-                            c.global_contrib, c.residual])
-    _write_columns_csv(path, CONTRIBUTION_COLUMNS, c.dates, data, "{:.4f}")
-
-
-def _write_cumulative_csv(path: Path, c: CumulativeFrame) -> None:
-    data = np.column_stack([getattr(c, name) for name in CUMULATIVE_COLUMNS])
-    _write_columns_csv(path, CUMULATIVE_COLUMNS, c.dates, data, "{:.4f}")
-
-
-def _std_dev_table(c: ContributionFrame, fit_fitted: np.ndarray) -> dict:
-    return {
-        "d_di5y": float(np.std(c.d_di5y, ddof=1)),
-        "macro": float(np.std(c.macro_contrib, ddof=1)),
-        "riscobr": float(np.std(c.riscobr_contrib, ddof=1)),
-        "global": float(np.std(c.global_contrib, ddof=1)),
-        "residual": float(np.std(c.residual, ddof=1)),
-        "fitted": float(np.std(fit_fitted, ddof=1)),
+def _std_dev_table(c: Frame, fit_fitted: np.ndarray) -> dict:
+    table = {
+        label: float(np.std(c.column(name), ddof=1))
+        for label, name in (
+            ("d_di5y", TARGET_NAME), ("macro", "macro_bps"), ("riscobr", "riscobr_bps"),
+            ("global", "global_bps"), ("residual", "residual_bps"),
+        )
     }
+    table["fitted"] = float(np.std(fit_fitted, ddof=1))
+    return table
 
 
 def _build_report(
     config: PipelineConfig,
     model: DecompositionModel,
-    contribs: ContributionFrame,
+    contribs: Frame,
     counts: LoadReport,
 ) -> RunReport:
     shares = variance_shares(contribs)
@@ -519,30 +501,47 @@ def _build_report(
     )
 
 
-def _factor_frame(factor: DailySeries) -> Frame:
-    return Frame(factor.dates, (FACTOR_NAME,), factor.values.reshape(-1, 1))
+def _emit_factor(stage: _Stage, model: PlsModel, factor: DailySeries) -> None:
+    """macro_factor.csv and pls_model.json."""
+    frame_to_csv(
+        Frame(factor.dates, (FACTOR_NAME,), factor.values.reshape(-1, 1)),
+        stage.path(FACTOR_FILE),
+    )
+    _write_json(stage.path(PLS_MODEL_FILE), model.to_dict())
 
 
-def _components_frame(components: CdsComponents) -> Frame:
-    return Frame(
+def _emit_cds(stage: _Stage, model: CdsSplitModel, components: CdsComponents) -> None:
+    """cds_components.csv and cds_model.json."""
+    frame = Frame(
         components.glob.dates,
         (GLOBAL_NAME, DOMESTIC_NAME),
         np.column_stack([components.glob.values, components.dom.values]),
     )
+    frame_to_csv(frame, stage.path(COMPONENTS_FILE))
+    _write_json(stage.path(CDS_MODEL_FILE), model.to_dict())
+
+
+def _emit_final(
+    stage: _Stage,
+    config: PipelineConfig,
+    model: DecompositionModel,
+    contribs: Frame,
+    cum: Frame,
+    counts: LoadReport,
+    models_payload: dict,
+) -> RunReport:
+    run_report = _build_report(config, model, contribs, counts)
+    for name, frame in ((CONTRIBUTIONS_FILE, contribs), (CUMULATIVE_FILE, cum)):
+        _write_columns_csv(stage.path(name), frame.names, frame.dates, frame.data, "{:.4f}")
+    _write_json(stage.path(MODELS_FILE), models_payload)
+    _write_json(stage.path(REPORT_FILE), run_report.to_dict())
+    emit_svg(cum, stage.path(SVG_FILE))
+    return run_report
 
 
 # ---------------------------------------------------------------------------
 # Public stage entry points
 # ---------------------------------------------------------------------------
-
-
-def _prepare_out_dir(config: PipelineConfig) -> Path:
-    out = Path(config.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
 
 
 def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
@@ -551,133 +550,69 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
     ``transport`` is forwarded to :func:`di_decomp.ingestion.fetch_focus`;
     tests inject recorded payloads there.
     """
-    out = _prepare_out_dir(config)
     report = LoadReport()
-    with _Lock(out):
-        tracker = _OutputTracker(out)
-        try:
-            end = config.end or dt.date.today()
-            panel = fetch_focus(
-                config.indicators,
-                (config.fetch_start, end),
-                config.endpoint,
-                transport=transport,
-                report=report,
-            )
-            horizon = reshape_horizons(panel, report)
-            write_focus_panel_csv(panel, tracker.path(FOCUS_PANEL_FILE))
-            frame_to_csv(horizon, tracker.path(EXPECTATIONS_OUT_FILE))
-            report.write(tracker.path(LOAD_REPORT_FILE))
-        except Exception as exc:
-            tracker.cleanup()
-            if isinstance(exc, StageError):
-                raise
-            raise StageError("fetch-focus", exc) from exc
+    with _stage(config, "fetch-focus") as stage:
+        end = config.end or dt.date.today()
+        panel = fetch_focus(
+            config.indicators,
+            (config.fetch_start, end),
+            config.endpoint,
+            transport=transport,
+            report=report,
+        )
+        horizon = reshape_horizons(panel, report)
+        write_focus_panel_csv(panel, stage.path(FOCUS_PANEL_FILE))
+        frame_to_csv(horizon, stage.path(EXPECTATIONS_OUT_FILE))
+        report.write(stage.path(LOAD_REPORT_FILE))
     return report
 
 
 def run_build_factors(config: PipelineConfig) -> PlsModel:
     """Build the macro factor, emit macro_factor.csv + pls_model.json."""
-    out = _prepare_out_dir(config)
     report = LoadReport()
-    with _Lock(out):
-        tracker = _OutputTracker(out)
-        try:
-            market = load_market_csv(
-                _require_market(config), strict=config.strict, report=report
-            )
-            expectations = _load_expectations(config, report)
-            transformed = _transform_market(market, config.end)
-            model, factor = _build_factor(transformed, expectations, config)
-            frame_to_csv(_factor_frame(factor), tracker.path(FACTOR_FILE))
-            _write_json(tracker.path(PLS_MODEL_FILE), model.to_dict())
-        except Exception as exc:
-            tracker.cleanup()
-            if isinstance(exc, StageError):
-                raise
-            raise StageError("factors", exc) from exc
+    with _stage(config, "factors") as stage:
+        market = _load_market(config, report)
+        expectations = _load_expectations(config, report)
+        transformed = _transform_market(market, config.end)
+        model, factor = _build_factor(transformed, expectations, config)
+        _emit_factor(stage, model, factor)
     return model
 
 
 def run_split_cds(config: PipelineConfig) -> CdsSplitModel:
     """Split CDS moves, emit cds_components.csv + cds_model.json."""
-    out = _prepare_out_dir(config)
     report = LoadReport()
-    with _Lock(out):
-        tracker = _OutputTracker(out)
-        try:
-            market = load_market_csv(
-                _require_market(config), strict=config.strict, report=report
-            )
-            t = _transform_market(market, config.end)
-            model, components = split_cds(
-                t.cds_ret, t.dxy_ret, t.crb_ret, t.vix_ret, t.ust10_diff
-            )
-            frame_to_csv(_components_frame(components), tracker.path(COMPONENTS_FILE))
-            _write_json(tracker.path(CDS_MODEL_FILE), model.to_dict())
-        except Exception as exc:
-            tracker.cleanup()
-            if isinstance(exc, StageError):
-                raise
-            raise StageError("cds-split", exc) from exc
+    with _stage(config, "cds-split") as stage:
+        market = _load_market(config, report)
+        model, components = _split_cds(_transform_market(market, config.end))
+        _emit_cds(stage, model, components)
     return model
-
-
-def _emit_final(
-    tracker: _OutputTracker,
-    config: PipelineConfig,
-    model: DecompositionModel,
-    contribs: ContributionFrame,
-    cum: CumulativeFrame,
-    counts: LoadReport,
-    models_payload: dict,
-) -> RunReport:
-    run_report = _build_report(config, model, contribs, counts)
-    _write_contributions_csv(tracker.path(CONTRIBUTIONS_FILE), contribs)
-    _write_cumulative_csv(tracker.path(CUMULATIVE_FILE), cum)
-    _write_json(tracker.path(MODELS_FILE), models_payload)
-    _write_json(tracker.path(REPORT_FILE), run_report.to_dict())
-    emit_svg(cum, tracker.path(SVG_FILE))
-    return run_report
 
 
 def run_decompose(config: PipelineConfig) -> RunReport:
     """Final regression and report emission from previously emitted stage files."""
-    out = _prepare_out_dir(config)
     counts = LoadReport()
-    with _Lock(out):
-        tracker = _OutputTracker(out)
-        try:
-            market = load_market_csv(
-                _require_market(config), strict=config.strict, report=counts
-            )
-            d_di5y = to_bps_change(market["DI5Y"].window(end=config.end)).with_name(TARGET_NAME)
+    with _stage(config, "decompose") as stage:
+        market = _load_market(config, counts)
+        d_di5y = to_bps_change(market["DI5Y"].window(end=config.end)).with_name(TARGET_NAME)
 
-            factor_path = config.factor_csv or out / FACTOR_FILE
-            comp_path = config.components_csv or out / COMPONENTS_FILE
-            factor = read_frame_csv(factor_path).series(FACTOR_NAME)
-            comp_frame = read_frame_csv(comp_path)
-            components = CdsComponents(
-                glob=comp_frame.series(GLOBAL_NAME), dom=comp_frame.series(DOMESTIC_NAME)
-            )
+        factor_path = Path(config.factor_csv or stage.out_dir / FACTOR_FILE)
+        comp_path = Path(config.components_csv or stage.out_dir / COMPONENTS_FILE)
+        factor = read_frame_csv(factor_path).series(FACTOR_NAME)
+        comp_frame = read_frame_csv(comp_path)
+        components = CdsComponents(
+            glob=comp_frame.series(GLOBAL_NAME), dom=comp_frame.series(DOMESTIC_NAME)
+        )
 
-            model, _, contribs, cum = _decompose(d_di5y, factor, components, config)
+        model, contribs, cum = _decompose(d_di5y, factor, components, config)
 
-            models_payload = {"pls": None, "cds_split": None,
-                              "decomposition": model.to_dict(config.significance_cuts)}
-            for key, name in (("pls", PLS_MODEL_FILE), ("cds_split", CDS_MODEL_FILE)):
-                side = (
-                    Path(factor_path).parent / name if key == "pls"
-                    else Path(comp_path).parent / name
-                )
-                if side.exists():
-                    models_payload[key] = json.loads(side.read_text(encoding="utf-8"))
-            return _emit_final(tracker, config, model, contribs, cum, counts, models_payload)
-        except Exception as exc:
-            tracker.cleanup()
-            if isinstance(exc, StageError):
-                raise
-            raise StageError("decompose", exc) from exc
+        models_payload = {"pls": None, "cds_split": None,
+                          "decomposition": model.to_dict(config.significance_cuts)}
+        for key, side in (("pls", factor_path.parent / PLS_MODEL_FILE),
+                          ("cds_split", comp_path.parent / CDS_MODEL_FILE)):
+            if side.exists():
+                models_payload[key] = json.loads(side.read_text(encoding="utf-8"))
+        return _emit_final(stage, config, model, contribs, cum, counts, models_payload)
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -688,52 +623,29 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     identical inputs and configuration produce byte-identical files.
     """
     config.validate()
-    out = _prepare_out_dir(config)
     counts = LoadReport()
-    with _Lock(out):
-        tracker = _OutputTracker(out)
-        stage = "ingest"
-        try:
-            market = load_market_csv(
-                _require_market(config), strict=config.strict, report=counts
-            )
-            expectations = _load_expectations(config, counts)
+    with _stage(config, "ingest") as stage:
+        market = _load_market(config, counts)
+        expectations = _load_expectations(config, counts)
 
-            stage = "transform"
-            transformed = _transform_market(market, config.end)
+        stage.label = "transform"
+        transformed = _transform_market(market, config.end)
 
-            stage = "factors"
-            pls_model, factor = _build_factor(transformed, expectations, config)
+        stage.label = "factors"
+        pls_model, factor = _build_factor(transformed, expectations, config)
 
-            stage = "cds-split"
-            cds_model, components = split_cds(
-                transformed.cds_ret,
-                transformed.dxy_ret,
-                transformed.crb_ret,
-                transformed.vix_ret,
-                transformed.ust10_diff,
-            )
+        stage.label = "cds-split"
+        cds_model, components = _split_cds(transformed)
 
-            stage = "decompose"
-            model, _, contribs, cum = _decompose(
-                transformed.d_di5y, factor, components, config
-            )
+        stage.label = "decompose"
+        model, contribs, cum = _decompose(transformed.d_di5y, factor, components, config)
 
-            stage = "emit"
-            frame_to_csv(_factor_frame(factor), tracker.path(FACTOR_FILE))
-            _write_json(tracker.path(PLS_MODEL_FILE), pls_model.to_dict())
-            frame_to_csv(_components_frame(components), tracker.path(COMPONENTS_FILE))
-            _write_json(tracker.path(CDS_MODEL_FILE), cds_model.to_dict())
-            models_payload = {
-                "pls": pls_model.to_dict(),
-                "cds_split": cds_model.to_dict(),
-                "decomposition": model.to_dict(config.significance_cuts),
-            }
-            return _emit_final(
-                tracker, config, model, contribs, cum, counts, models_payload
-            )
-        except Exception as exc:
-            tracker.cleanup()
-            if isinstance(exc, StageError):
-                raise
-            raise StageError(stage, exc) from exc
+        stage.label = "emit"
+        _emit_factor(stage, pls_model, factor)
+        _emit_cds(stage, cds_model, components)
+        models_payload = {
+            "pls": pls_model.to_dict(),
+            "cds_split": cds_model.to_dict(),
+            "decomposition": model.to_dict(config.significance_cuts),
+        }
+        return _emit_final(stage, config, model, contribs, cum, counts, models_payload)

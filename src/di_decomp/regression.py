@@ -1,8 +1,9 @@
 """Ordinary least squares with classical (homoskedastic) inference.
 
-The solver is QR-based for conditioning; rank is screened with an SVD of
-the design matrix and anything below ``RANK_RTOL`` times the largest
-singular value is treated as rank deficient.  Two-sided p-values come from
+The solver is QR-based for conditioning, and the design is factored once:
+rank is screened with an SVD of the small triangular factor R, and anything
+below ``RANK_RTOL`` times the largest singular value is treated as rank
+deficient.  Two-sided p-values come from
 the Student-t distribution evaluated through the regularized incomplete
 beta function, not a normal approximation, so small-sample fits report
 correct tails.
@@ -127,15 +128,17 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
             f"ols_fit: {n} observations cannot identify {p} parameters"
         )
 
-    svals = np.linalg.svd(design, compute_uv=False) if p else np.array([1.0])
-    if p and (svals.size < p or svals[-1] < RANK_RTOL * svals[0]):
-        _, svals_full, vt = np.linalg.svd(design)
-        cols = _dependent_columns(names, svals_full, vt)
-        raise SingularDesignError(
-            f"design matrix is rank deficient; dependent columns: {cols}"
-        )
-
     q, r = np.linalg.qr(design)
+    if p:
+        # design = QR with orthonormal Q, so R has the design's singular
+        # values and right singular vectors
+        _, svals, vt = np.linalg.svd(r)
+        if svals[-1] < RANK_RTOL * svals[0]:
+            cols = _dependent_columns(names, svals, vt)
+            raise SingularDesignError(
+                f"design matrix is rank deficient; dependent columns: {cols}"
+            )
+
     beta = np.linalg.solve(r, q.T @ y)
     fitted = design @ beta
     residuals = y - fitted

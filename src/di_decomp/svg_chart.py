@@ -13,14 +13,15 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .decomposition import CumulativeFrame, validate_cumulative
+from .decomposition import validate_cumulative
 from .errors import InsufficientDataError
+from .series import Frame
 
 WIDTH, HEIGHT = 960.0, 540.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 24.0, 46.0, 58.0
 
 SERIES_STYLE = (
-    # (attribute name on CumulativeFrame, legend label, color, stroke width)
+    # (cumulative column, legend label, color, stroke width)
     ("di5y_change_cum", "DI5Y change (cum)", "#111111", 2.2),
     ("const_cum", "Constant", "#999999", 1.4),
     ("macro_cum", "Macro / central bank", "#1f77b4", 1.4),
@@ -52,8 +53,11 @@ def _axis_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def emit_svg(cum: CumulativeFrame, path: Path | str, title: str = "Cumulative decomposition (bps)") -> None:
+def emit_svg(cum: Frame, path: Path | str, title: str = "Cumulative decomposition (bps)") -> None:
     """Render the six cumulative series to a well-formed standalone SVG file.
+
+    ``cum`` is a frame with the columns named in :data:`SERIES_STYLE`, as
+    returned by :func:`di_decomp.decomposition.accumulate`.
 
     The additive identity is cross-checked on every row before anything is
     rendered, so a chart is never produced from inconsistent accounting.
@@ -66,7 +70,7 @@ def emit_svg(cum: CumulativeFrame, path: Path | str, title: str = "Cumulative de
 
     day_offset = (cum.dates - cum.dates[0]).astype(np.int64)
     xspan = max(int(day_offset[-1]), 1)
-    values = [getattr(cum, name) for name, *_ in SERIES_STYLE]
+    values = [cum.column(name) for name, *_ in SERIES_STYLE]
     lo = min(float(v.min()) for v in values)
     hi = max(float(v.max()) for v in values)
     pad = 0.05 * (hi - lo) or 1.0
@@ -130,7 +134,7 @@ def emit_svg(cum: CumulativeFrame, path: Path | str, title: str = "Cumulative de
 
     x_text = [f"{x:.2f}," for x in xs]
     for name, label, color, width in SERIES_STYLE:
-        y_text = map("{:.2f}".format, sy(getattr(cum, name)).tolist())
+        y_text = map("{:.2f}".format, sy(cum.column(name)).tolist())
         pts = " ".join(map(str.__add__, x_text, y_text))
         parts.append(
             f'<polyline id="series-{name}" fill="none" stroke="{color}" '

@@ -96,13 +96,15 @@ def test_criterion_1_accounting_identities():
         )
         model = fit_decomposition_frame(joined)
         c = contributions(model, joined)
+        d_di5y = c.column("d_di5y_bps")
         recomposed = (
-            c.const + c.macro_contrib + c.riscobr_contrib + c.global_contrib + c.residual
+            c.column("const_bps") + c.column("macro_bps") + c.column("riscobr_bps")
+            + c.column("global_bps") + c.column("residual_bps")
         )
-        assert np.max(np.abs(recomposed - c.d_di5y)) < 1e-9
+        assert np.max(np.abs(recomposed - d_di5y)) < 1e-9
         cum = accumulate(c)
         validate_cumulative(cum, tol=1e-6)
-        assert abs(cum.residual_cum[-1]) < 1e-6 * n * np.std(c.d_di5y)
+        assert abs(cum.column("residual_cum")[-1]) < 1e-6 * n * np.std(d_di5y)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"identity suite took {elapsed:.1f}s"
     _ok(1, f"accounting identity suite (100 seeds, {elapsed:.1f}s)")

@@ -7,6 +7,7 @@ import pytest
 
 from di_decomp import (
     DailySeries,
+    Frame,
     accumulate,
     contributions,
     fit_decomposition,
@@ -16,7 +17,7 @@ from di_decomp import (
     variance_shares,
 )
 from di_decomp.decomposition import (
-    ContributionFrame,
+    CONTRIBUTION_COLUMNS,
     join_decomposition_inputs,
 )
 from di_decomp.errors import (
@@ -92,10 +93,11 @@ class TestFitDecomposition:
         d, m, dom, glob = synthetic_inputs(n=600, seed=3)
         a = fit_decomposition(d, m, dom, glob)
         b = fit_decomposition(d, m, glob.with_name("dom"), dom.with_name("glob"))
-        assert a.beta_dom == pytest.approx(b.beta_glob, abs=1e-12)
-        assert a.beta_glob == pytest.approx(b.beta_dom, abs=1e-12)
-        assert a.beta0 == pytest.approx(b.beta0, abs=1e-12)
-        assert a.beta_macro == pytest.approx(b.beta_macro, abs=1e-12)
+        beta_a, beta_b = a.fit.coefficient, b.fit.coefficient
+        assert beta_a("cds_dom") == pytest.approx(beta_b("cds_glob"), abs=1e-12)
+        assert beta_a("cds_glob") == pytest.approx(beta_b("cds_dom"), abs=1e-12)
+        assert beta_a("const") == pytest.approx(beta_b("const"), abs=1e-12)
+        assert beta_a("macro_factor") == pytest.approx(beta_b("macro_factor"), abs=1e-12)
 
 
 class TestSignificanceLabels:
@@ -122,14 +124,18 @@ class TestContributions:
             d, make_series("m", zero), make_series("dm", zero), make_series("g", zero)
         )
         c = contributions(model, joined)
-        np.testing.assert_allclose(c.residual, c.d_di5y - model.beta0, atol=1e-12)
+        np.testing.assert_allclose(
+            c.column("residual_bps"),
+            c.column("d_di5y_bps") - model.fit.coefficient("const"),
+            atol=1e-12,
+        )
 
     def test_daily_identity_on_training_data(self):
         inputs = synthetic_inputs(n=800, seed=4)
         model = fit_decomposition(*inputs)
         c = contributions(model, join_decomposition_inputs(*inputs))
-        recomposed = c.const + c.macro_contrib + c.riscobr_contrib + c.global_contrib + c.residual
-        np.testing.assert_allclose(recomposed, c.d_di5y, atol=1e-9)
+        recomposed = sum(c.column(name) for name in CONTRIBUTION_COLUMNS[1:])
+        np.testing.assert_allclose(recomposed, c.column("d_di5y_bps"), atol=1e-9)
 
     def test_schema_error_on_missing_column(self):
         inputs = synthetic_inputs(n=100)
@@ -146,18 +152,10 @@ class TestAccumulate:
         model = fit_decomposition(*inputs)
         joined = join_decomposition_inputs(*inputs)
         c = contributions(model, joined)
-        one = ContributionFrame(
-            dates=c.dates[:1],
-            d_di5y=c.d_di5y[:1],
-            const=c.const[:1],
-            macro_contrib=c.macro_contrib[:1],
-            riscobr_contrib=c.riscobr_contrib[:1],
-            global_contrib=c.global_contrib[:1],
-            residual=c.residual[:1],
-        )
+        one = Frame(c.dates[:1], c.names, c.data[:1])
         cum = accumulate(one)
-        assert cum.di5y_change_cum[0] == c.d_di5y[0]
-        assert cum.residual_cum[0] == c.residual[0]
+        assert cum.column("di5y_change_cum")[0] == c.column("d_di5y_bps")[0]
+        assert cum.column("residual_cum")[0] == c.column("residual_bps")[0]
 
     def test_cumulative_identity_and_const_linearity(self):
         inputs = synthetic_inputs(n=1200, seed=9)
@@ -165,16 +163,16 @@ class TestAccumulate:
         c = contributions(model, join_decomposition_inputs(*inputs))
         cum = accumulate(c)
         validate_cumulative(cum, tol=1e-6)
-        expected_const = model.beta0 * np.arange(1, cum.n_rows + 1)
-        np.testing.assert_allclose(cum.const_cum, expected_const, atol=1e-9)
+        expected_const = model.fit.coefficient("const") * np.arange(1, cum.n_rows + 1)
+        np.testing.assert_allclose(cum.column("const_cum"), expected_const, atol=1e-9)
 
     def test_final_cumulative_residual_near_zero_on_training_data(self):
         inputs = synthetic_inputs(n=1500, seed=12)
         model = fit_decomposition(*inputs)
         c = contributions(model, join_decomposition_inputs(*inputs))
         cum = accumulate(c)
-        bound = 1e-6 * cum.n_rows * np.std(c.d_di5y)
-        assert abs(cum.residual_cum[-1]) < bound
+        bound = 1e-6 * cum.n_rows * np.std(c.column("d_di5y_bps"))
+        assert abs(cum.column("residual_cum")[-1]) < bound
 
     def test_peak_snapshot_row_sum(self):
         components = (9.0010, 18.6477, 189.4902, 19.6635, 212.1975)
@@ -190,30 +188,15 @@ class TestAccumulate:
 
     def test_validate_cumulative_raises_on_gap(self):
         n = 4
-        cum = accumulate(
-            ContributionFrame(
-                dates=days(n),
-                d_di5y=np.ones(n),
-                const=np.zeros(n),
-                macro_contrib=np.zeros(n),
-                riscobr_contrib=np.zeros(n),
-                global_contrib=np.zeros(n),
-                residual=np.zeros(n),  # identity deliberately broken
-            )
-        )
+        # d_di5y_bps is one, every part zero: the identity is deliberately broken
+        data = np.zeros((n, len(CONTRIBUTION_COLUMNS)))
+        data[:, 0] = 1.0
+        cum = accumulate(Frame(days(n), CONTRIBUTION_COLUMNS, data))
         with pytest.raises(NumericalError, match="cumulative identity"):
             validate_cumulative(cum)
 
     def test_empty_frame_rejected(self):
-        empty = ContributionFrame(
-            dates=(),
-            d_di5y=np.empty(0),
-            const=np.empty(0),
-            macro_contrib=np.empty(0),
-            riscobr_contrib=np.empty(0),
-            global_contrib=np.empty(0),
-            residual=np.empty(0),
-        )
+        empty = Frame((), CONTRIBUTION_COLUMNS, np.empty((0, len(CONTRIBUTION_COLUMNS))))
         with pytest.raises(InsufficientDataError):
             accumulate(empty)
 
@@ -224,14 +207,10 @@ def contribution_frame_from(macro, riscobr, glob):
     riscobr = np.asarray(riscobr, dtype=float)
     glob = np.asarray(glob, dtype=float)
     total = macro + riscobr + glob
-    return ContributionFrame(
-        dates=days(n),
-        d_di5y=total,
-        const=np.zeros(n),
-        macro_contrib=macro,
-        riscobr_contrib=riscobr,
-        global_contrib=glob,
-        residual=np.zeros(n),
+    return Frame(
+        days(n),
+        CONTRIBUTION_COLUMNS,
+        np.column_stack([total, np.zeros(n), macro, riscobr, glob, np.zeros(n)]),
     )
 
 

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from di_decomp.decomposition import CumulativeFrame
+from di_decomp import Frame
 from di_decomp.errors import InsufficientDataError, NumericalError
 from di_decomp.svg_chart import SERIES_STYLE, emit_svg
 
@@ -19,10 +19,9 @@ def balanced_cumulative(n, seed=0):
         if name != "di5y_change_cum"
     }
     total = sum(parts.values())
-    return CumulativeFrame(
-        dates=tuple(dt.date(2015, 1, 13) + dt.timedelta(days=i) for i in range(n)),
-        di5y_change_cum=total,
-        **parts,
+    return Frame.from_columns(
+        tuple(dt.date(2015, 1, 13) + dt.timedelta(days=i) for i in range(n)),
+        {"di5y_change_cum": total, **parts},
     )
 
 
@@ -39,15 +38,9 @@ class TestEmitSvg:
 
     def test_inconsistent_accounting_is_rejected_before_render(self, tmp_path):
         cum = balanced_cumulative(5)
-        broken = CumulativeFrame(
-            dates=cum.dates,
-            di5y_change_cum=cum.di5y_change_cum + 1.0,
-            const_cum=cum.const_cum,
-            macro_cum=cum.macro_cum,
-            riscobr_cum=cum.riscobr_cum,
-            global_cum=cum.global_cum,
-            residual_cum=cum.residual_cum,
-        )
+        data = cum.data.copy()
+        data[:, cum.names.index("di5y_change_cum")] += 1.0
+        broken = Frame(cum.dates, cum.names, data)
         path = tmp_path / "chart.svg"
         with pytest.raises(NumericalError):
             emit_svg(broken, path)
