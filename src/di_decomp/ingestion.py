@@ -26,7 +26,7 @@ import math
 import re
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
@@ -137,12 +137,7 @@ class LoadReport:
     rejected_rows: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "fetched": self.fetched,
-            "deduplicated": self.deduplicated,
-            "dropped_dates": self.dropped_dates,
-            "rejected_rows": self.rejected_rows,
-        }
+        return asdict(self)
 
     def write(self, path: Path | str) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
@@ -232,13 +227,15 @@ def _parse_record(item: object, reverse_names: Mapping[str, str]) -> FocusRecord
     if raw_ind not in reverse_names:
         raise ParseError(f"unknown indicator {raw_ind!r} in record: {item!r}")
     try:
-        survey_date = dt.date.fromisoformat(str(raw_date))
-        reference_year = int(str(raw_ref))
-        median = float(raw_median)
-    except (TypeError, ValueError) as exc:
+        survey_date = _read_date(str(raw_date))
+        reference_year = _read_year(str(raw_ref))
+        if isinstance(raw_median, bool) or not isinstance(raw_median, (str, int, float)):
+            raise ValueError(f"median {raw_median!r} is neither a JSON number nor a string")
+        # a JSON number is read through its repr, which spells a finite float
+        # in the real grammar and round-trips it exactly
+        median = _read_real(raw_median if isinstance(raw_median, str) else repr(raw_median))
+    except ValueError as exc:
         raise ParseError(f"malformed expectations record ({exc}): {item!r}") from exc
-    if not np.isfinite(median):
-        raise ParseError(f"non-finite median in record: {item!r}")
     return FocusRecord(survey_date, reverse_names[raw_ind], reference_year, median)
 
 
@@ -375,6 +372,7 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
 # '"12.50"' reads as 12.5 and '"12,50"' is rejected.
 
 _REAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_YEAR = re.compile(r"[0-9]{4}")
 # Every character a valid data line may contain.  In lines made of these
 # alone, float() and np.loadtxt accept a cell exactly when it matches _REAL.
 # A newline, which a quoted cell may hold, is not one of them.
@@ -419,6 +417,24 @@ def _read_date(text: str) -> dt.date:
     return date.item()
 
 
+def _read_real(text: str) -> float:
+    """One point-decimal real cell with a finite value; ValueError otherwise."""
+    cell = text.strip(" \t")
+    if not _REAL.fullmatch(cell):
+        raise ValueError(f"cannot parse {text!r} as a point-decimal real")
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _read_year(text: str) -> int:
+    """A reference year: four ASCII digits, spaces and tabs around ignored."""
+    if not _YEAR.fullmatch(text.strip(" \t")):
+        raise ValueError(f"cannot parse year {text!r} as four digits")
+    return int(text)
+
+
 def _one_date(text: str) -> np.datetime64:
     try:
         return np.datetime64(text, "D")
@@ -435,18 +451,13 @@ def _parse_row(cells: Sequence[str], names: Sequence[str]) -> tuple[np.datetime6
         raise _RowError(f"cannot parse date {cells[0]!r} as ISO-8601")
     values = []
     for name, raw in zip(names, cells[1:]):
-        text = raw.strip(" \t")
-        if not text:
+        if not raw.strip(" \t"):
             values.append(math.nan)
             continue
-        if not _REAL.fullmatch(text):
-            raise _RowError(
-                f"column '{name}': cannot parse {raw!r} as a point-decimal real", date
-            )
-        value = float(text)
-        if not math.isfinite(value):
-            raise _RowError(f"column '{name}': non-finite value {raw!r}", date)
-        values.append(value)
+        try:
+            values.append(_read_real(raw))
+        except ValueError as exc:
+            raise _RowError(f"column '{name}': {exc}", date) from None
     return date, values
 
 
@@ -468,17 +479,25 @@ def _to_values(lines: list[str], k: int) -> np.ndarray | None:
 
 
 def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]]]]:
-    """Blocks of non-blank data records: line numbers, lines and cells.
+    """Blocks of non-blank data records: first physical line numbers, lines and cells.
 
     A record's line is its cells joined by commas.
     """
     reader = csv.reader(fh)
-    line_no = 2
-    while records := list(islice(reader, _BLOCK_ROWS)):
-        nos = [no for no, rec in enumerate(records, line_no) if "".join(rec).strip(" \t")]
-        cells = [records[no - line_no] for no in nos]
-        yield nos, list(map(",".join, cells)), cells
-        line_no += len(records)
+
+    def numbered() -> Iterator[tuple[int, list[str]]]:
+        # the header is line 1 and was read before the reader; a quoted
+        # cell may hold line breaks, so a record can span several lines
+        start = 2
+        for rec in reader:
+            yield start, rec
+            start = reader.line_num + 2
+
+    records = numbered()
+    while chunk := list(islice(records, _BLOCK_ROWS)):
+        block = [(no, rec) for no, rec in chunk if "".join(rec).strip(" \t")]
+        cells = [rec for _, rec in block]
+        yield [no for no, _ in block], list(map(",".join, cells)), cells
 
 
 def _parse_block(nos, lines, cells, names):
@@ -633,10 +652,6 @@ def _write_columns_csv(
             fh.write(text.replace("nan", ""))
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def write_market_csv(dataset: MarketDataset, path: Path | str) -> None:
     """Serialize a dataset to the market CSV contract (exact float round trip)."""
     dates = np.unique(
@@ -672,7 +687,7 @@ def write_focus_panel_csv(panel: FocusPanel, path: Path | str) -> None:
         for r in panel.records:
             writer.writerow(
                 [r.survey_date.isoformat(), r.indicator, r.reference_year,
-                 _format_value(r.median)]
+                 repr(float(r.median))]
             )
 
 
@@ -686,7 +701,10 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
         header = next(reader, None)
         if header != ["survey_date", "indicator", "reference_year", "median"]:
             raise SchemaError(f"{path}: unexpected panel header {header}")
-        for line_no, raw in enumerate(reader, start=2):
+        start = 2
+        for raw in reader:
+            # a quoted cell may hold line breaks: name the record's first line
+            line_no, start = start, reader.line_num + 1
             if not raw or all(not c.strip() for c in raw):
                 continue
             try:
@@ -694,8 +712,8 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
                     FocusRecord(
                         _read_date(raw[0]),
                         raw[1].strip(),
-                        int(raw[2]),
-                        float(raw[3]),
+                        _read_year(raw[2]),
+                        _read_real(raw[3]),
                     )
                 )
             except (IndexError, ValueError) as exc:

@@ -7,11 +7,14 @@ supported Python version (``date.fromisoformat`` and ``float`` alone would
 accept some of them, and which ones depends on the version).
 """
 
+import logging
+
 import numpy as np
 import pytest
 
 from di_decomp import LoadReport, load_market_csv
 from di_decomp.errors import ParseError
+from di_decomp.ingestion import read_focus_panel_csv
 
 GOOD_ROW = "2015-01-14,12.60\n"
 
@@ -125,3 +128,53 @@ def test_messages_name_the_column_and_cell(tmp_path):
     path = _market(tmp_path, "2015-02-30,1\n")
     with pytest.raises(ParseError, match=r"line 2: cannot parse date '2015-02-30'"):
         load_market_csv(path, columns=("DI5Y",))
+
+
+
+def test_line_numbers_count_physical_lines(tmp_path, caplog):
+    # the first record's quoted line break spans lines 2 and 3; strict mode
+    # stops there, lenient mode also names the bad cell on line 4
+    path = tmp_path / "m.csv"
+    path.write_bytes(b'date,DI5Y\n2015-01-13,"12.5\n"\n2015-01-14,x\n')
+    with pytest.raises(ParseError, match="line 2: "):
+        load_market_csv(path, columns=("DI5Y",))
+    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
+        load_market_csv(path, columns=("DI5Y",), strict=False)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert messages[0].endswith("line 2: column 'DI5Y': cannot parse '12.5\\n' as a point-decimal real")
+    assert messages[1].endswith("line 4: column 'DI5Y': cannot parse 'x' as a point-decimal real")
+
+
+# The focus panel CSV: the median follows the real grammar above and must be
+# finite; the reference year is four ASCII digits.
+REJECTED_PANEL_CELLS = [
+    ("2015", "1_000"),
+    ("2015", "nan"),
+    ("2015", "inf"),
+    ("2_015", "6.5"),
+    ("٢٠١٥", "6.5"),  # Arabic-Indic digits, which int() accepts
+]
+
+
+@pytest.mark.parametrize("year, median", REJECTED_PANEL_CELLS)
+def test_rejected_panel_cells(tmp_path, year, median):
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "survey_date,indicator,reference_year,median\n"
+        f"2015-01-13,IPCA,2016,6.25\n2015-01-13,IPCA,{year},{median}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match="line 3: "):
+        read_focus_panel_csv(path)
+
+
+def test_accepted_panel_cells(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(
+        "survey_date,indicator,reference_year,median\n"
+        "2015-01-13,IPCA, 2015 ,+.5e1\n",
+        encoding="utf-8",
+    )
+    (record,) = read_focus_panel_csv(path).records
+    assert (record.reference_year, record.median) == (2015, 5.0)

@@ -131,6 +131,30 @@ class TestFetchFocus:
         with pytest.raises(ParseError):
             fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport(bad))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            record("IPCA", "20040102", 2004, 6.0),  # ISO basic date
+            record("IPCA", "2004-01-02", 2004, "1_0"),  # digit grouping
+            record("IPCA", "2004-01-02", 2004, "nan"),
+            record("IPCA", "2004-01-02", 2004, True),  # a JSON boolean is not a number
+            record("IPCA", "2004-01-02", "2_004", 6.0),
+            record("IPCA", "2004-01-02", "\u0662\u0660\u0660\u0664", 6.0),  # Arabic-Indic
+        ],
+    )
+    def test_record_outside_the_grammar_is_parse_error(self, bad):
+        with pytest.raises(ParseError, match="malformed expectations record"):
+            fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport([bad]))
+
+    def test_median_as_json_number_or_real_string(self):
+        records = [
+            record("IPCA", "2004-01-02", 2004, 6),
+            record("IPCA", "2004-01-02", 2005, 5.25),
+            record("IPCA", "2004-01-02", 2006, " 4.5e0 "),
+        ]
+        panel = fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport(records))
+        assert [r.median for r in panel.records] == [6.0, 5.25, 4.5]
+
     def test_non_json_payload_is_parse_error(self):
         with pytest.raises(ParseError, match="JSON"):
             fetch_focus(["IPCA"], (D0, D0), transport=lambda url: (200, b"<html>oops"))

@@ -1,4 +1,5 @@
-"""Property tests: CSV round trips and the date-index operations.
+"""Property tests: CSV round trips, the date-index operations, OLS and the
+contribution accounting.
 
 Calendars are drawn from 1900-2100, so many dates lie before 1970, where
 ``datetime64[D]`` day numbers are negative.
@@ -12,12 +13,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import di_decomp.ingestion as ingestion
-from di_decomp import DailySeries, Frame, LoadReport, MarketDataset, inner_join
+from di_decomp import (
+    DailySeries,
+    Frame,
+    LoadReport,
+    MarketDataset,
+    accumulate,
+    contributions,
+    inner_join,
+    ols_fit,
+    validate_cumulative,
+)
+from di_decomp.decomposition import (
+    CONTRIBUTION_COLUMNS,
+    CUMULATIVE_COLUMNS,
+    fit_decomposition_frame,
+    join_decomposition_inputs,
+)
+from di_decomp.errors import SingularDesignError
 from di_decomp.ingestion import frame_to_csv, load_market_csv, read_frame_csv, write_market_csv
+
+from oracles import normal_equations_ols
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -122,10 +142,14 @@ ROW_DATES = ["2015-01-13", "2015-01-14", "1950-06-30", "2015-02-30", "bad", ""]
 def _reference_load(text, names):
     """The same grammar read line by line: the loop the column-wise parser replaces.
 
-    Returns each column's (dates, values) and the rejection messages.
+    Returns each column's (dates, values) and the rejection messages, which
+    name the physical line a record starts on.
     """
     accepted, errors = {}, []
-    for no, cells in enumerate(csv.reader(io.StringIO(text)), start=1):
+    reader = csv.reader(io.StringIO(text))
+    start = 1
+    for cells in reader:
+        no, start = start, reader.line_num + 1
         if no == 1 or not any(c.strip(" \t") for c in cells):
             continue
         try:
@@ -182,3 +206,96 @@ def test_lenient_parse_matches_line_by_line_reference(tmp_path_factory, rows, bl
     assert [(s.dates.tolist(), s.values.tobytes()) for s in dataset.series] == columns
     assert report.rejected_rows == len(errors)
     assert [r.getMessage() for r in records] == [f"{path}: rejected row: {e}" for e in errors]
+
+
+def _trading_days(n):
+    return [dt.date(2015, 1, 13) + dt.timedelta(days=i) for i in range(n)]
+
+
+# Designs come from a drawn seed: Gaussian columns with drawn scales and
+# offsets are well conditioned, where drawn floats would mostly be degenerate.
+designs = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "extra_rows": st.integers(2, 40),
+    "scales": st.lists(st.floats(0.1, 10.0), max_size=4),
+    "offset": st.floats(-5.0, 5.0),
+    "intercept": st.booleans(),
+})
+
+
+def _design(d):
+    rng = np.random.default_rng(d["seed"])
+    k = len(d["scales"])
+    n = k + d["intercept"] + d["extra_rows"]
+    x = rng.standard_normal((n, k)) * d["scales"] + d["offset"]
+    y = x @ rng.standard_normal(k) + 3.0 * d["intercept"] + rng.standard_normal(n)
+    return y, x
+
+
+@PROPERTY_SETTINGS
+@given(d=designs)
+def test_ols_matches_normal_equations(d):
+    assume(d["scales"] or d["intercept"])
+    y, x = _design(d)
+    n, k = x.shape
+    design = np.column_stack([np.ones(n), x]) if d["intercept"] else x
+    assume(np.linalg.cond(design) < 1e4)  # normal equations lose cond**2
+    fit = ols_fit(y, Frame(_trading_days(n), [f"x{j}" for j in range(k)], x),
+                  intercept=d["intercept"])
+    oracle = normal_equations_ols(y, design)
+    tol = 1e-7 * (1.0 + np.abs(oracle["beta"]).max())
+    np.testing.assert_allclose(fit.coefficients, oracle["beta"], rtol=1e-7, atol=tol)
+    np.testing.assert_allclose(fit.stderr, oracle["stderr"], rtol=1e-7, atol=tol)
+    np.testing.assert_allclose(fit.fitted, oracle["fitted"], rtol=1e-7,
+                               atol=1e-7 * (1.0 + np.abs(y).max()))
+
+
+@PROPERTY_SETTINGS
+@given(
+    d=designs.filter(lambda d: d["scales"]),
+    column=st.integers(0, 3),
+    factor=st.sampled_from([1.0, -1.0, 2.0, 0.5, -3.0, 0.25, 7.5]),
+)
+def test_duplicated_or_rescaled_column_is_named(d, column, factor):
+    y, x = _design(d)
+    n, k = x.shape
+    column %= k
+    x = np.column_stack([x, factor * x[:, column]])
+    names = [f"x{j}" for j in range(k)] + ["copy"]
+    with pytest.raises(SingularDesignError) as exc_info:
+        ols_fit(y, Frame(_trading_days(n), names, x), intercept=d["intercept"])
+    message = str(exc_info.value)
+    assert f"'x{column}'" in message and "'copy'" in message
+
+
+@PROPERTY_SETTINGS
+@given(
+    core=st.lists(days, min_size=8, max_size=40, unique=True),
+    extras=st.lists(st.lists(days, max_size=10, unique=True), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_accounting_identities_on_partly_overlapping_calendars(core, extras, seed):
+    """Each input has the shared dates plus its own; the decomposition runs on
+    the intersection, and every daily and cumulative row adds up."""
+    rng = np.random.default_rng(seed)
+    calendars = [sorted(set(core) | set(own)) for own in extras]
+    inputs = [
+        DailySeries(name, cal, rng.standard_normal(len(cal)) * scale)
+        for name, cal, scale in zip(("d", "m", "dom", "glob"), calendars,
+                                    (13.0, 1.2, 0.02, 0.009))
+    ]
+    joined = join_decomposition_inputs(*inputs)
+    assert joined.dates.tolist() == sorted(set.intersection(*map(set, calendars)))
+    try:
+        model = fit_decomposition_frame(joined)
+    except SingularDesignError:
+        assume(False)
+    c = contributions(model, joined)
+    assert c.names == CONTRIBUTION_COLUMNS
+    np.testing.assert_array_equal(c.dates, joined.dates)
+    gap = np.abs(c.data[:, 0] - c.data[:, 1:].sum(axis=1))
+    assert gap.max() <= 1e-9 * (1.0 + np.abs(c.data).max())
+    cum = accumulate(c)
+    assert cum.names == CUMULATIVE_COLUMNS
+    validate_cumulative(cum)
+    np.testing.assert_allclose(cum.data[-1], c.data.sum(axis=0), rtol=1e-9, atol=1e-9)
