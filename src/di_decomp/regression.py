@@ -3,10 +3,9 @@
 The solver is QR-based for conditioning, and the design is factored once:
 rank is screened with an SVD of the small triangular factor R, and anything
 below ``RANK_RTOL`` times the largest singular value is treated as rank
-deficient.  Two-sided p-values come from
-the Student-t distribution evaluated through the regularized incomplete
-beta function, not a normal approximation, so small-sample fits report
-correct tails.
+deficient.  Two-sided p-values come from the Student-t distribution
+evaluated through the regularized incomplete beta function, not a normal
+approximation, so small-sample fits report correct tails.
 """
 
 from __future__ import annotations

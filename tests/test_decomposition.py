@@ -195,6 +195,11 @@ class TestAccumulate:
         with pytest.raises(NumericalError, match="cumulative identity"):
             validate_cumulative(cum)
 
+    def test_frame_without_contribution_columns_rejected(self):
+        inputs = synthetic_inputs(n=100, seed=6)
+        with pytest.raises(SchemaError, match="accumulate"):
+            accumulate(join_decomposition_inputs(*inputs))
+
     def test_empty_frame_rejected(self):
         empty = Frame((), CONTRIBUTION_COLUMNS, np.empty((0, len(CONTRIBUTION_COLUMNS))))
         with pytest.raises(InsufficientDataError):
