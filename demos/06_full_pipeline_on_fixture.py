@@ -34,20 +34,21 @@ config = PipelineConfig(
 )
 report = run_pipeline(config)
 
-print(f"\nsample {report.sample_start}..{report.sample_end}, "
-      f"{report.n_observations} observations")
+sample = report["sample"]
+print(f"\nsample {sample['start']}..{sample['end']}, "
+      f"{sample['n_observations']} observations")
 print(f"{'name':<14} {'estimate':>12} {'true':>12} {'gap/se':>8}")
-for row in report.regression["coefficients"]:
+for row in report["regression"]["coefficients"]:
     true = truth["true_betas"][row["name"]]
     se = truth["analytic_stderr"][row["name"]]
     print(f"{row['name']:<14} {row['estimate']:>12.6f} {true:>12.6f} "
           f"{(row['estimate'] - true) / se:>+8.2f}")
-print("R-squared:", round(report.regression["r_squared"], 6),
+print("R-squared:", round(report["regression"]["r_squared"], 6),
       "target:", truth["target_r_squared"])
 
 print("\nvariance shares:", {k: round(v, 4)
-                             for k, v in report.variance_shares["shares"].items()})
-print("std devs (bps):", {k: round(v, 4) for k, v in report.std_dev_bps.items()})
+                             for k, v in report["variance_shares"]["shares"].items()})
+print("std devs (bps):", {k: round(v, 4) for k, v in report["std_dev_bps"].items()})
 
 print("\noutput files:")
 for path in sorted(out_dir.iterdir()):

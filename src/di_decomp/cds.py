@@ -35,15 +35,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CdsSplitModel:
-    """Intercept and the four external-conditions coefficients, plus the full fit."""
+    """The full fit, with its intercept and the four external-conditions coefficients."""
 
-    alpha: float
-    gamma: dict[str, float]  # keyed by REGRESSOR_ORDER
     fit: OlsFit
 
-    def __post_init__(self) -> None:
-        if tuple(self.gamma) != REGRESSOR_ORDER:
-            raise ValueError(f"gamma must be keyed {REGRESSOR_ORDER}, got {tuple(self.gamma)}")
+    @property
+    def alpha(self) -> float:
+        return self.fit.coefficient("const")
+
+    @property
+    def gamma(self) -> dict[str, float]:
+        """Coefficients keyed in REGRESSOR_ORDER."""
+        return {name: self.fit.coefficient(name) for name in REGRESSOR_ORDER}
 
     def to_dict(self) -> dict:
         return {
@@ -95,11 +98,7 @@ def split_cds(
     X = joined.select(list(REGRESSOR_ORDER))
     y = joined.column("CDS")
     fit = ols_fit(y, X, intercept=True)
-    model = CdsSplitModel(
-        alpha=float(fit.coefficients[0]),
-        gamma={name: float(fit.coefficient(name)) for name in REGRESSOR_ORDER},
-        fit=fit,
-    )
+    model = CdsSplitModel(fit)
     components = CdsComponents(
         glob=DailySeries(GLOBAL_NAME, joined.dates, fit.fitted),
         dom=DailySeries(DOMESTIC_NAME, joined.dates, fit.residuals),

@@ -15,15 +15,15 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .errors import DiDecompError, exit_code_for
 from .fixture import generate_fixture
+from .ingestion import read_frame_csv
 from .pipeline import (
-    RunReport,
+    CUMULATIVE_FILE,
     load_config,
     run_build_factors,
     run_decompose,
@@ -32,24 +32,43 @@ from .pipeline import (
     run_split_cds,
 )
 
+# Every flag that sets a config key has that key, "section.key", as its dest.
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="INI configuration file")
-    p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--start", metavar="YYYY-MM-DD", help="sample start (inclusive)")
-    p.add_argument("--end", metavar="YYYY-MM-DD", help="sample end (inclusive)")
+    p.add_argument("--out", dest="output.dir", metavar="DIR", help="output directory")
+    p.add_argument("--start", dest="sample.start", metavar="YYYY-MM-DD",
+                   help="sample start (inclusive)")
+    p.add_argument("--end", dest="sample.end", metavar="YYYY-MM-DD",
+                   help="sample end (inclusive)")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", help="fail on any bad input row")
-    mode.add_argument("--lenient", action="store_true", help="skip and count bad input rows")
+    mode.add_argument("--strict", dest="output.strict", action="store_const", const="true",
+                      help="fail on any bad input row")
+    mode.add_argument("--lenient", dest="output.strict", action="store_const", const="false",
+                      help="skip and count bad input rows")
+
+
+def _add_market(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--market", dest="data.market_csv", metavar="CSV", help="market data CSV")
+
+
+def _add_endpoint(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--endpoint", dest="fetch.endpoint", metavar="URL",
+                   help="expectations API endpoint")
 
 
 def _add_data(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--market", metavar="CSV", help="market data CSV")
-    p.add_argument("--expectations", metavar="CSV", help="horizon-format expectations CSV")
-    p.add_argument("--focus-panel", metavar="CSV", help="cached expectations panel CSV")
-    p.add_argument("--fetch", action="store_true", help="fetch expectations from the API")
-    p.add_argument("--endpoint", metavar="URL", help="expectations API endpoint")
-    p.add_argument("--columns", metavar="LIST", help="comma-separated factor columns")
+    _add_market(p)
+    p.add_argument("--expectations", dest="data.expectations_csv", metavar="CSV",
+                   help="horizon-format expectations CSV")
+    p.add_argument("--focus-panel", dest="data.focus_panel_csv", metavar="CSV",
+                   help="cached expectations panel CSV")
+    p.add_argument("--fetch", dest="fetch.enabled", action="store_const", const="true",
+                   help="fetch expectations from the API")
+    _add_endpoint(p)
+    p.add_argument("--columns", dest="factors.columns", metavar="LIST",
+                   help="comma-separated factor columns")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fetch = sub.add_parser("fetch-focus", help="fetch expectations and reshape")
     _add_common(p_fetch)
-    p_fetch.add_argument("--endpoint", metavar="URL", help="expectations API endpoint")
-    p_fetch.add_argument("--fetch-start", metavar="YYYY-MM-DD", help="first survey date")
-    p_fetch.add_argument("--indicators", metavar="LIST", help="comma-separated indicators")
+    _add_endpoint(p_fetch)
+    p_fetch.add_argument("--fetch-start", dest="fetch.start", metavar="YYYY-MM-DD",
+                         help="first survey date")
+    p_fetch.add_argument("--indicators", dest="fetch.indicators", metavar="LIST",
+                         help="comma-separated indicators")
 
     p_factors = sub.add_parser("build-factors", help="estimate the macro factor")
     _add_common(p_factors)
@@ -75,132 +96,68 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_split = sub.add_parser("split-cds", help="split CDS into global and domestic parts")
     _add_common(p_split)
-    p_split.add_argument("--market", metavar="CSV", help="market data CSV")
+    _add_market(p_split)
 
     p_dec = sub.add_parser("decompose", help="final regression from stage files")
     _add_common(p_dec)
-    p_dec.add_argument("--market", metavar="CSV", help="market data CSV")
-    p_dec.add_argument("--factor", metavar="CSV", help="macro factor stage file")
-    p_dec.add_argument("--components", metavar="CSV", help="CDS components stage file")
+    _add_market(p_dec)
+    p_dec.add_argument("--factor", dest="data.factor_csv", metavar="CSV",
+                       help="macro factor stage file")
+    p_dec.add_argument("--components", dest="data.components_csv", metavar="CSV",
+                       help="CDS components stage file")
 
     p_fx = sub.add_parser("fixture", help="generate a synthetic dataset")
     _add_common(p_fx)
-    p_fx.add_argument("--seed", type=int, help="RNG seed")
-    p_fx.add_argument("--n", type=int, help="decomposition window size")
-    p_fx.add_argument("--r2", type=float, help="target R-squared")
-    p_fx.add_argument("--betas", metavar="B0,BM,BD,BG", help="generating coefficients")
+    p_fx.add_argument("--seed", dest="fixture.seed", metavar="SEED", help="RNG seed")
+    p_fx.add_argument("--n", dest="fixture.n", metavar="N", help="decomposition window size")
+    p_fx.add_argument("--r2", dest="fixture.r2", metavar="R2", help="target R-squared")
+    p_fx.add_argument("--betas", dest="fixture.betas", metavar="B0,BM,BD,BG",
+                      help="generating coefficients")
 
     return parser
 
 
-_FLAG_KEYS = {
-    "out": ("output", "dir"),
-    "start": ("sample", "start"),
-    "end": ("sample", "end"),
-    "market": ("data", "market_csv"),
-    "expectations": ("data", "expectations_csv"),
-    "focus_panel": ("data", "focus_panel_csv"),
-    "factor": ("data", "factor_csv"),
-    "components": ("data", "components_csv"),
-    "endpoint": ("fetch", "endpoint"),
-    "fetch_start": ("fetch", "start"),
-    "indicators": ("fetch", "indicators"),
-    "columns": ("factors", "columns"),
-    "seed": ("fixture", "seed"),
-    "n": ("fixture", "n"),
-    "r2": ("fixture", "r2"),
-    "betas": ("fixture", "betas"),
-}
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict[tuple[str, str], str]:
-    overrides: dict[tuple[str, str], str] = {}
-    for attr, key in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if getattr(args, "fetch", False):
-        overrides[("fetch", "enabled")] = "true"
-    if getattr(args, "strict", False):
-        overrides[("output", "strict")] = "true"
-    if getattr(args, "lenient", False):
-        overrides[("output", "strict")] = "false"
-    return overrides
-
-
-def _print_report(report: RunReport) -> None:
-    print(
-        f"sample {report.sample_start.isoformat()}..{report.sample_end.isoformat()}, "
-        f"{report.n_observations} observations"
-    )
+def _print_report(report: dict, out_dir) -> None:
+    sample, regression = report["sample"], report["regression"]
+    print(f"sample {sample['start']}..{sample['end']}, {sample['n_observations']} observations")
     print("coefficients:")
-    for row in report.regression["coefficients"]:
+    for row in regression["coefficients"]:
         print(
             f"  {row['name']:<14} {row['estimate']:>12.6f}   "
             f"(p = {row['p_value']:.4g}, {row['significance']})"
         )
     print(
-        f"R-squared {report.regression['r_squared']:.6f} "
-        f"(adjusted {report.regression['adj_r_squared']:.6f})"
+        f"R-squared {regression['r_squared']:.6f} "
+        f"(adjusted {regression['adj_r_squared']:.6f})"
     )
-    shares = report.variance_shares["shares"]
+    shares = report["variance_shares"]["shares"]
     print(
         "explained-variance shares: "
         + ", ".join(f"{k} {100 * v:.2f}%" for k, v in shares.items())
     )
-
-
-def _print_final_cumulative(out_dir) -> None:
-    # final cumulative line, 1 decimal, sign always shown
-    path = Path(out_dir) / "cumulative.csv"
-    with path.open(newline="", encoding="utf-8") as fh:
-        last = None
-        for last in csv.DictReader(fh):
-            pass
-    if last is None:
-        return
+    # final cumulative line from the written file, 1 decimal, sign always shown
+    cum = read_frame_csv(Path(out_dir) / CUMULATIVE_FILE)
+    last = dict(zip(cum.names, cum.data[-1].tolist()))
     print(
-        f"final cumulative change {float(last['di5y_change_cum']):+.1f} bps = "
-        f"const {float(last['const_cum']):+.1f} "
-        f"+ macro {float(last['macro_cum']):+.1f} "
-        f"+ riscobr {float(last['riscobr_cum']):+.1f} "
-        f"+ global {float(last['global_cum']):+.1f} "
-        f"+ residual {float(last['residual_cum']):+.1f}"
+        f"final cumulative change {last['di5y_change_cum']:+.1f} bps = "
+        f"const {last['const_cum']:+.1f} "
+        f"+ macro {last['macro_cum']:+.1f} "
+        f"+ riscobr {last['riscobr_cum']:+.1f} "
+        f"+ global {last['global_cum']:+.1f} "
+        f"+ residual {last['residual_cum']:+.1f}"
     )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {
+        tuple(dest.split(".")): value
+        for dest, value in vars(args).items()
+        if "." in dest and value is not None
+    }
     try:
-        config = load_config(args.config, overrides=_overrides_from_args(args))
-        if args.command == "run":
-            report = run_pipeline(config)
-            _print_report(report)
-            _print_final_cumulative(config.out_dir)
-            print(f"outputs written to {config.out_dir}")
-        elif args.command == "fetch-focus":
-            load_report = run_fetch_focus(config)
-            print(
-                f"fetched {load_report.fetched} records "
-                f"({load_report.deduplicated} deduplicated, "
-                f"{load_report.dropped_dates} incomplete dates dropped)"
-            )
-            print(f"outputs written to {config.out_dir}")
-        elif args.command == "build-factors":
-            model = run_build_factors(config)
-            print(f"macro factor fitted on {len(model.column_names)} columns")
-            print(f"outputs written to {config.out_dir}")
-        elif args.command == "split-cds":
-            model = run_split_cds(config)
-            gammas = ", ".join(f"{k} {v:.4f}" for k, v in model.gamma.items())
-            print(f"CDS split fitted: alpha {model.alpha:.6f}, {gammas}")
-            print(f"outputs written to {config.out_dir}")
-        elif args.command == "decompose":
-            report = run_decompose(config)
-            _print_report(report)
-            _print_final_cumulative(config.out_dir)
-            print(f"outputs written to {config.out_dir}")
-        elif args.command == "fixture":
+        config = load_config(args.config, overrides=overrides)
+        if args.command == "fixture":
             truth = generate_fixture(
                 config.seed,
                 config.fixture_n,
@@ -212,8 +169,25 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"fixture written to {config.out_dir} "
                 f"(seed {truth['seed']}, n {truth['n']})"
             )
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
+            return 0
+        if args.command in ("run", "decompose"):
+            run = run_pipeline if args.command == "run" else run_decompose
+            _print_report(run(config), config.out_dir)
+        elif args.command == "fetch-focus":
+            load_report = run_fetch_focus(config)
+            print(
+                f"fetched {load_report.fetched} records "
+                f"({load_report.deduplicated} deduplicated, "
+                f"{load_report.dropped_dates} incomplete dates dropped)"
+            )
+        elif args.command == "build-factors":
+            model = run_build_factors(config)
+            print(f"macro factor fitted on {len(model.column_names)} columns")
+        else:
+            model = run_split_cds(config)
+            gammas = ", ".join(f"{k} {v:.4f}" for k, v in model.gamma.items())
+            print(f"CDS split fitted: alpha {model.alpha:.6f}, {gammas}")
+        print(f"outputs written to {config.out_dir}")
     except DiDecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -28,7 +28,6 @@ decomposition is meant to reproduce: 0.7732 macro, 6.5172 domestic risk,
 from __future__ import annotations
 
 import datetime as dt
-import json
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +38,9 @@ from .ingestion import (
     HORIZON_COLUMNS,
     MARKET_COLUMNS,
     MarketDataset,
+    _write_json,
     frame_to_csv,
+    horizon_column,
     write_market_csv,
 )
 from .series import DailySeries, Frame
@@ -211,7 +212,7 @@ def generate_fixture(
         for k, decay in enumerate(_HORIZON_DECAY):
             lam = base * decay
             noise = rng.standard_normal(n_full_diff)
-            col = f"{ind}_year" if k == 0 else f"{ind}_year_{k}"
+            col = horizon_column(ind, k)
             exp_diffs[col] = lam * (m + _EXPECTATION_NOISE * noise)
     surprise_diff = _SURPRISE_SCALE * (m + _SURPRISE_NOISE * rng.standard_normal(n_full_diff))
 
@@ -239,7 +240,7 @@ def generate_fixture(
     exp_levels = {}
     for ind, bases in _BASE_LEVELS.items():
         for k, base_level in enumerate(bases):
-            col = f"{ind}_year" if k == 0 else f"{ind}_year_{k}"
+            col = horizon_column(ind, k)
             exp_levels[col] = base_level + np.concatenate([[0.0], np.cumsum(exp_diffs[col])])
     expectations = Frame.from_columns(
         full_dates, {col: exp_levels[col] for col in HORIZON_COLUMNS}
@@ -281,7 +282,5 @@ def generate_fixture(
         "cds_gamma": {k: float(v) for k, v in gamma.items()},
         "macro_scale_post_window": float(np.std(m[n_pre:], ddof=1)),
     }
-    (out_dir / TRUTH_FILE).write_text(
-        json.dumps(truth, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / TRUTH_FILE, truth)
     return truth

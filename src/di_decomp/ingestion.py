@@ -139,9 +139,6 @@ class LoadReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def write(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-
 
 @dataclass(frozen=True)
 class MarketDataset:
@@ -268,8 +265,10 @@ def fetch_focus(
         Optional counter sink for fetched / deduplicated records.
 
     Duplicate (date, indicator, year) cells keep the last occurrence and
-    log a warning.  The merged panel is sorted by date, indicator and
-    reference year, so the result is deterministic for fixed server data.
+    log a warning.  A page link that repeats a URL already requested for
+    the same indicator raises ``FetchError``.  The merged panel is sorted
+    by date, indicator and reference year, so the result is deterministic
+    for fixed server data.
     """
     start, end = date_range
     if start > end:
@@ -298,7 +297,11 @@ def fetch_focus(
         }
         skip = 0
         url: str | None = f"{endpoint}?{urllib.parse.urlencode(params)}"
+        requested: set[str] = set()
         while url is not None:
+            if url in requested:
+                raise FetchError(f"pagination for {indicator} returns to {url}")
+            requested.add(url)
             payload = _fetch_page(url, transport, max_attempts, backoff_s, sleep)
             items = payload["value"]
             for item in items:
@@ -650,6 +653,11 @@ def _write_columns_csv(
             days = np.datetime_as_string(dates[block]).tolist()
             text = "".join(map(row.format, days, *data[block].T.tolist()))
             fh.write(text.replace("nan", ""))
+
+
+def _write_json(path: Path | str, payload: dict) -> None:
+    """``payload`` as 2-space indented JSON with a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def write_market_csv(dataset: MarketDataset, path: Path | str) -> None:

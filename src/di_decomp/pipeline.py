@@ -7,16 +7,8 @@ be resumed and audited piecewise.
 
 Configuration is layered: an INI-style file provides base values,
 ``DI_DECOMP_<SECTION>_<KEY>`` environment variables override the file, and
-CLI flags override both.  Sections and keys:
-
-    [data]     market_csv, expectations_csv, focus_panel_csv,
-               factor_csv, components_csv
-    [fetch]    enabled, endpoint, indicators, start
-    [sample]   start, end
-    [factors]  columns
-    [report]   significance_cuts
-    [output]   dir, strict
-    [fixture]  seed, n, r2, betas
+CLI flags override both.  Each setting's section, key and parser are
+declared once, on its ``PipelineConfig`` field.
 
 Outputs are deterministic: identical inputs, configuration and software
 version produce byte-identical files.  A lock file gives each run exclusive
@@ -31,9 +23,9 @@ import datetime as dt
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +47,7 @@ from .ingestion import (
     DEFAULT_ENDPOINT,
     HORIZON_COLUMNS,
     INDICATORS,
+    FocusPanel,
     LoadReport,
     MarketDataset,
     fetch_focus,
@@ -63,11 +56,14 @@ from .ingestion import (
     read_focus_panel_csv,
     read_frame_csv,
     reshape_horizons,
+    _read_date,
+    _read_real,
     _write_columns_csv,
+    _write_json,
     write_focus_panel_csv,
 )
 from .pls import FACTOR_NAME, PlsModel, macro_factor, pls1_fit
-from .series import DailySeries, Frame, TradingDate, diff, inner_join, log_return, to_bps_change
+from .series import DailySeries, Frame, diff, inner_join, log_return, to_bps_change
 from .svg_chart import emit_svg
 
 SURPRISE_DIFF_NAME = "SURPRISE_diff"
@@ -88,11 +84,9 @@ LOAD_REPORT_FILE = "load_report.json"
 LOCK_FILE = ".di-decomp.lock"
 
 _ENV_PREFIX = "DI_DECOMP_"
-_SECTIONS = ("data", "fetch", "sample", "factors", "report", "output", "fixture")
 
 __all__ = [
     "PipelineConfig",
-    "RunReport",
     "run_pipeline",
     "run_fetch_focus",
     "run_build_factors",
@@ -107,50 +101,62 @@ __all__ = [
 # Configuration
 # ---------------------------------------------------------------------------
 
+# A setting's parser takes the raw text and raises ValueError on a bad value.
+# Dates and reals follow the input grammar of the data files.
 
-def _parse_bool(raw: str, context: str) -> bool:
+
+def _bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{context}: expected a boolean, got {raw!r}")
+    raise ValueError("expected a boolean")
 
 
-def _parse_date(raw: str, context: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(raw.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{context}: expected YYYY-MM-DD, got {raw!r}") from exc
-
-
-def _parse_list(raw: str) -> tuple[str, ...]:
+def _list(raw: str) -> tuple[str, ...]:
     return tuple(item.strip() for item in raw.split(",") if item.strip())
+
+
+def _reals(raw: str) -> tuple[float, ...]:
+    return tuple(_read_real(item) for item in _list(raw))
+
+
+def _setting(section: str, key: str, parse: Callable[[str], object], default):
+    """A config field, set by ``key`` in ``[section]`` through ``parse``."""
+    return field(default=default, metadata={"key": (section, key), "parse": parse})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Resolved run configuration; all paths are as given, not resolved."""
 
-    market_csv: Path | None = None
-    expectations_csv: Path | None = None
-    focus_panel_csv: Path | None = None
-    factor_csv: Path | None = None
-    components_csv: Path | None = None
-    fetch_enabled: bool = False
-    endpoint: str = DEFAULT_ENDPOINT
-    indicators: tuple[str, ...] = INDICATORS
-    fetch_start: dt.date = dt.date(2004, 1, 1)
-    start: dt.date | None = None
-    end: dt.date | None = None
-    factor_columns: tuple[str, ...] = DEFAULT_FACTOR_COLUMNS
-    significance_cuts: tuple[float, float, float] = DEFAULT_SIGNIFICANCE_CUTS
-    out_dir: Path = Path("out")
-    strict: bool = True
-    seed: int = DEFAULT_FIXTURE_SEED
-    fixture_n: int = DEFAULT_N
-    fixture_r2: float = DEFAULT_R2
-    fixture_betas: tuple[float, float, float, float] = DEFAULT_BETAS
+    market_csv: Path | None = _setting("data", "market_csv", Path, None)
+    expectations_csv: Path | None = _setting("data", "expectations_csv", Path, None)
+    focus_panel_csv: Path | None = _setting("data", "focus_panel_csv", Path, None)
+    factor_csv: Path | None = _setting("data", "factor_csv", Path, None)
+    components_csv: Path | None = _setting("data", "components_csv", Path, None)
+    fetch_enabled: bool = _setting("fetch", "enabled", _bool, False)
+    endpoint: str = _setting("fetch", "endpoint", str, DEFAULT_ENDPOINT)
+    indicators: tuple[str, ...] = _setting("fetch", "indicators", _list, INDICATORS)
+    fetch_start: dt.date = _setting("fetch", "start", _read_date, dt.date(2004, 1, 1))
+    start: dt.date | None = _setting("sample", "start", _read_date, None)
+    end: dt.date | None = _setting("sample", "end", _read_date, None)
+    factor_columns: tuple[str, ...] = _setting(
+        "factors", "columns", _list, DEFAULT_FACTOR_COLUMNS
+    )
+    significance_cuts: tuple[float, float, float] = _setting(
+        "report", "significance_cuts", _reals, DEFAULT_SIGNIFICANCE_CUTS
+    )
+    out_dir: Path = _setting("output", "dir", Path, Path("out"))
+    strict: bool = _setting("output", "strict", _bool, True)
+    # the [fixture] settings are used only by the fixture command
+    seed: int = _setting("fixture", "seed", int, DEFAULT_FIXTURE_SEED)
+    fixture_n: int = _setting("fixture", "n", int, DEFAULT_N)
+    fixture_r2: float = _setting("fixture", "r2", _read_real, DEFAULT_R2)
+    fixture_betas: tuple[float, float, float, float] = _setting(
+        "fixture", "betas", _reals, DEFAULT_BETAS
+    )
 
     def validate(self) -> None:
         if self.start is not None and self.end is not None and self.start >= self.end:
@@ -173,7 +179,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown indicators {unknown}")
 
     def echo(self) -> dict:
-        """Configuration snapshot for the run report; the fixture fields are left out."""
+        """Configuration snapshot for the run report, without the [fixture] settings."""
 
         def plain(value):
             if isinstance(value, tuple):
@@ -185,40 +191,12 @@ class PipelineConfig:
         return {
             f.name: plain(getattr(self, f.name))
             for f in fields(self)
-            if f.name not in _FIXTURE_FIELDS
+            if f.metadata["key"][0] != "fixture"
         }
 
 
-# used only by the fixture command, so not echoed into a run's report
-_FIXTURE_FIELDS = ("seed", "fixture_n", "fixture_r2", "fixture_betas")
-
-_KEY_PARSERS = {
-    ("data", "market_csv"): ("market_csv", Path),
-    ("data", "expectations_csv"): ("expectations_csv", Path),
-    ("data", "focus_panel_csv"): ("focus_panel_csv", Path),
-    ("data", "factor_csv"): ("factor_csv", Path),
-    ("data", "components_csv"): ("components_csv", Path),
-    ("fetch", "enabled"): ("fetch_enabled", lambda v: _parse_bool(v, "fetch.enabled")),
-    ("fetch", "endpoint"): ("endpoint", str),
-    ("fetch", "indicators"): ("indicators", _parse_list),
-    ("fetch", "start"): ("fetch_start", lambda v: _parse_date(v, "fetch.start")),
-    ("sample", "start"): ("start", lambda v: _parse_date(v, "sample.start")),
-    ("sample", "end"): ("end", lambda v: _parse_date(v, "sample.end")),
-    ("factors", "columns"): ("factor_columns", _parse_list),
-    ("report", "significance_cuts"): (
-        "significance_cuts",
-        lambda v: tuple(float(x) for x in _parse_list(v)),
-    ),
-    ("output", "dir"): ("out_dir", Path),
-    ("output", "strict"): ("strict", lambda v: _parse_bool(v, "output.strict")),
-    ("fixture", "seed"): ("seed", int),
-    ("fixture", "n"): ("fixture_n", int),
-    ("fixture", "r2"): ("fixture_r2", float),
-    ("fixture", "betas"): (
-        "fixture_betas",
-        lambda v: tuple(float(x) for x in _parse_list(v)),
-    ),
-}
+_SETTINGS = {f.metadata["key"]: f for f in fields(PipelineConfig)}
+_SECTIONS = {section for section, _ in _SETTINGS}
 
 
 def load_config(
@@ -257,54 +235,18 @@ def load_config(
     if overrides:
         values.update(overrides)
 
-    config = PipelineConfig()
+    settings = {}
     for (section, key), raw in values.items():
-        if (section, key) not in _KEY_PARSERS:
+        if (section, key) not in _SETTINGS:
             raise ConfigError(f"unknown config key {section}.{key}")
-        attr, parse = _KEY_PARSERS[(section, key)]
+        setting = _SETTINGS[(section, key)]
         try:
-            config = replace(config, **{attr: parse(raw)})
-        except ConfigError:
-            raise
+            settings[setting.name] = setting.metadata["parse"](raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+    config = PipelineConfig(**settings)
     config.validate()
     return config
-
-
-# ---------------------------------------------------------------------------
-# Run report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything the run emits into report.json, plus the echoed config."""
-
-    sample_start: TradingDate
-    sample_end: TradingDate
-    n_observations: int
-    regression: dict
-    std_dev_bps: dict
-    variance_shares: dict
-    counts: dict
-    config: dict
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {
-            "sample": {
-                "start": self.sample_start.isoformat(),
-                "end": self.sample_end.isoformat(),
-                "n_observations": self.n_observations,
-            },
-            "regression": self.regression,
-            "std_dev_bps": self.std_dev_bps,
-            "variance_shares": self.variance_shares,
-            "counts": self.counts,
-            "version": self.version,
-            "config": self.config,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +301,24 @@ def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
         lock.unlink(missing_ok=True)
 
 
-def _series_range(s: DailySeries) -> str:
-    if len(s) == 0:
-        return f"{s.name}: empty"
-    return f"{s.name}: {s.dates[0]}..{s.dates[-1]} ({len(s)} points)"
+def _joined(frame: Frame, what: str, inputs: Sequence[DailySeries]) -> Frame:
+    """``frame`` if it has rows, else a DataError naming each input's range."""
+    if frame.n_rows == 0:
+        detail = "; ".join(
+            f"{s.name}: {s.dates[0]}..{s.dates[-1]} ({len(s)} points)"
+            if len(s) else f"{s.name}: empty"
+            for s in inputs
+        )
+        raise DataError(f"{what} join produced 0 rows ({detail})")
+    return frame
+
+
+def _fetch(config: PipelineConfig, report: LoadReport, transport=None) -> FocusPanel:
+    end = config.end or dt.date.today()
+    return fetch_focus(
+        config.indicators, (config.fetch_start, end), config.endpoint,
+        transport=transport, report=report,
+    )
 
 
 def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
@@ -373,11 +329,7 @@ def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
         report.fetched += len(panel)
         return reshape_horizons(panel, report)
     if config.fetch_enabled:
-        end = config.end or dt.date.today()
-        panel = fetch_focus(
-            config.indicators, (config.fetch_start, end), config.endpoint, report=report
-        )
-        return reshape_horizons(panel, report)
+        return reshape_horizons(_fetch(config, report), report)
     raise ConfigError(
         "no expectations source: set data.expectations_csv, data.focus_panel_csv, "
         "or fetch.enabled"
@@ -388,6 +340,11 @@ def _load_market(config: PipelineConfig, report: LoadReport) -> MarketDataset:
     if config.market_csv is None:
         raise ConfigError("no market data source: set data.market_csv")
     return load_market_csv(config.market_csv, strict=config.strict, report=report)
+
+
+def _target(market: MarketDataset, end: dt.date | None) -> DailySeries:
+    """Daily DI5Y changes in bps up to ``end``: every regression's target."""
+    return to_bps_change(market["DI5Y"].window(end=end)).with_name(TARGET_NAME)
 
 
 @dataclass(frozen=True)
@@ -407,7 +364,7 @@ def _transform_market(market: MarketDataset, end: dt.date | None) -> _Transforme
         return market[name].window(end=end)
 
     return _Transformed(
-        d_di5y=to_bps_change(upto("DI5Y")).with_name(TARGET_NAME),
+        d_di5y=_target(market, end),
         cds_ret=log_return(upto("CDS")),
         dxy_ret=log_return(upto("DXY")),
         crb_ret=log_return(upto("CRB")),
@@ -427,10 +384,8 @@ def _build_factor(
     ]
     if SURPRISE_DIFF_NAME in config.factor_columns:
         x_series.append(transformed.surprise_diff)
-    joined = inner_join(x_series + [transformed.d_di5y])
-    if joined.n_rows == 0:
-        detail = "; ".join(_series_range(s) for s in x_series + [transformed.d_di5y])
-        raise DataError(f"factor estimation join produced 0 rows ({detail})")
+    inputs = x_series + [transformed.d_di5y]
+    joined = _joined(inner_join(inputs), "factor estimation", inputs)
     x_frame = joined.select([s.name for s in x_series])
     model = pls1_fit(x_frame, joined.column(TARGET_NAME))
     return model, macro_factor(model, x_frame)
@@ -447,15 +402,11 @@ def _decompose(
     config: PipelineConfig,
 ) -> tuple[DecompositionModel, Frame, Frame]:
     """The final regression with its contribution and cumulative frames."""
-    joined = join_decomposition_inputs(
-        d_di5y, factor, components.dom, components.glob
-    ).window(config.start, config.end)
-    if joined.n_rows == 0:
-        detail = "; ".join(
-            _series_range(s)
-            for s in (d_di5y, factor, components.dom, components.glob)
-        )
-        raise DataError(f"decomposition join produced 0 rows ({detail})")
+    inputs = (d_di5y, factor, components.dom, components.glob)
+    joined = _joined(
+        join_decomposition_inputs(*inputs).window(config.start, config.end),
+        "decomposition", inputs,
+    )
     model = fit_decomposition_frame(joined)
     contribs = contributions(model, joined)
     return model, contribs, accumulate(contribs)
@@ -464,10 +415,6 @@ def _decompose(
 # ---------------------------------------------------------------------------
 # Output emission
 # ---------------------------------------------------------------------------
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _std_dev_table(c: Frame, fit_fitted: np.ndarray) -> dict:
@@ -487,18 +434,21 @@ def _build_report(
     model: DecompositionModel,
     contribs: Frame,
     counts: LoadReport,
-) -> RunReport:
-    shares = variance_shares(contribs)
-    return RunReport(
-        sample_start=contribs.dates[0].item(),
-        sample_end=contribs.dates[-1].item(),
-        n_observations=contribs.n_rows,
-        regression=model.to_dict(config.significance_cuts),
-        std_dev_bps=_std_dev_table(contribs, model.fit.fitted),
-        variance_shares=shares.to_dict(),
-        counts=counts.to_dict(),
-        config=config.echo(),
-    )
+) -> dict:
+    """The content of report.json, with the echoed config."""
+    return {
+        "sample": {
+            "start": contribs.dates[0].item().isoformat(),
+            "end": contribs.dates[-1].item().isoformat(),
+            "n_observations": contribs.n_rows,
+        },
+        "regression": model.to_dict(config.significance_cuts),
+        "std_dev_bps": _std_dev_table(contribs, model.fit.fitted),
+        "variance_shares": variance_shares(contribs).to_dict(),
+        "counts": counts.to_dict(),
+        "version": __version__,
+        "config": config.echo(),
+    }
 
 
 def _emit_factor(stage: _Stage, model: PlsModel, factor: DailySeries) -> None:
@@ -529,14 +479,14 @@ def _emit_final(
     cum: Frame,
     counts: LoadReport,
     models_payload: dict,
-) -> RunReport:
-    run_report = _build_report(config, model, contribs, counts)
+) -> dict:
+    report = _build_report(config, model, contribs, counts)
     for name, frame in ((CONTRIBUTIONS_FILE, contribs), (CUMULATIVE_FILE, cum)):
         _write_columns_csv(stage.path(name), frame.names, frame.dates, frame.data, "{:.4f}")
     _write_json(stage.path(MODELS_FILE), models_payload)
-    _write_json(stage.path(REPORT_FILE), run_report.to_dict())
+    _write_json(stage.path(REPORT_FILE), report)
     emit_svg(cum, stage.path(SVG_FILE))
-    return run_report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +502,11 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
     """
     report = LoadReport()
     with _stage(config, "fetch-focus") as stage:
-        end = config.end or dt.date.today()
-        panel = fetch_focus(
-            config.indicators,
-            (config.fetch_start, end),
-            config.endpoint,
-            transport=transport,
-            report=report,
-        )
+        panel = _fetch(config, report, transport)
         horizon = reshape_horizons(panel, report)
         write_focus_panel_csv(panel, stage.path(FOCUS_PANEL_FILE))
         frame_to_csv(horizon, stage.path(EXPECTATIONS_OUT_FILE))
-        report.write(stage.path(LOAD_REPORT_FILE))
+        _write_json(stage.path(LOAD_REPORT_FILE), report.to_dict())
     return report
 
 
@@ -589,12 +532,11 @@ def run_split_cds(config: PipelineConfig) -> CdsSplitModel:
     return model
 
 
-def run_decompose(config: PipelineConfig) -> RunReport:
-    """Final regression and report emission from previously emitted stage files."""
+def run_decompose(config: PipelineConfig) -> dict:
+    """Final regression from previously emitted stage files; returns report.json's content."""
     counts = LoadReport()
     with _stage(config, "decompose") as stage:
-        market = _load_market(config, counts)
-        d_di5y = to_bps_change(market["DI5Y"].window(end=config.end)).with_name(TARGET_NAME)
+        d_di5y = _target(_load_market(config, counts), config.end)
 
         factor_path = Path(config.factor_csv or stage.out_dir / FACTOR_FILE)
         comp_path = Path(config.components_csv or stage.out_dir / COMPONENTS_FILE)
@@ -615,12 +557,13 @@ def run_decompose(config: PipelineConfig) -> RunReport:
         return _emit_final(stage, config, model, contribs, cum, counts, models_payload)
 
 
-def run_pipeline(config: PipelineConfig) -> RunReport:
+def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage in memory and emit the full set of output files.
 
     Emits contributions.csv, cumulative.csv, models.json, report.json and
-    decomposition.svg into the configured output directory.  Reruns with
-    identical inputs and configuration produce byte-identical files.
+    decomposition.svg into the configured output directory, and returns
+    report.json's content.  Reruns with identical inputs and configuration
+    produce byte-identical files.
     """
     config.validate()
     counts = LoadReport()

@@ -60,16 +60,6 @@ class PlsModel:
         }
 
 
-def _sample_corr(a: np.ndarray, b: np.ndarray) -> float:
-    ac = a - a.mean()
-    bc = b - b.mean()
-    na = float(np.sqrt(ac @ ac))
-    nb = float(np.sqrt(bc @ bc))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateTargetError("correlation undefined for a constant vector")
-    return float(ac @ bc) / (na * nb)
-
-
 def anchor_sign(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Flip ``f`` if it correlates negatively with ``y``.
 
@@ -83,7 +73,11 @@ def anchor_sign(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
             f"anchor_sign: need two equal-length vectors of >= 2 points, "
             f"got {len(f)} and {len(y)}"
         )
-    sign = -1 if _sample_corr(f, y) < 0.0 else 1
+    fc, yc = f - f.mean(), y - y.mean()
+    if fc @ fc == 0.0 or yc @ yc == 0.0:
+        raise DegenerateTargetError("correlation undefined for a constant vector")
+    # the correlation has the sign of the centred cross-product
+    sign = -1 if float(fc @ yc) < 0.0 else 1
     return sign * f, sign
 
 

@@ -2,8 +2,8 @@
 
 The solver is QR-based for conditioning, and the design is factored once:
 rank is screened with an SVD of the small triangular factor R, and anything
-below ``RANK_RTOL`` times the largest singular value is treated as rank
-deficient.  Two-sided p-values come from the Student-t distribution
+at or below ``RANK_RTOL`` times the largest singular value (so also an
+all-zero design) is treated as rank deficient.  Two-sided p-values come from the Student-t distribution
 evaluated through the regularized incomplete beta function, not a normal
 approximation, so small-sample fits report correct tails.
 """
@@ -78,7 +78,7 @@ def _dependent_columns(names: tuple[str, ...], svals: np.ndarray,
                        vt: np.ndarray) -> list[str]:
     """Columns with significant weight in the near-null space of the design."""
     cutoff = RANK_RTOL * svals[0]
-    null_rows = vt[svals < cutoff, :]
+    null_rows = vt[svals <= cutoff, :]
     weight = np.max(np.abs(null_rows), axis=0)
     involved = weight > 0.1 * weight.max()
     return [names[i] for i in np.flatnonzero(involved)]
@@ -132,7 +132,7 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
         # design = QR with orthonormal Q, so R has the design's singular
         # values and right singular vectors
         _, svals, vt = np.linalg.svd(r)
-        if svals[-1] < RANK_RTOL * svals[0]:
+        if svals[-1] <= RANK_RTOL * svals[0]:
             cols = _dependent_columns(names, svals, vt)
             raise SingularDesignError(
                 f"design matrix is rank deficient; dependent columns: {cols}"

@@ -190,19 +190,19 @@ def test_criterion_4_cds_split_properties():
 def test_criterion_5_fixture_recovery(bundled_run):
     """Bundled fixture: betas within 3 analytic SEs, R2 and shares on target."""
     truth, report = bundled_run["truth"], bundled_run["report"]
-    assert report.n_observations == 2741
-    for row in report.regression["coefficients"]:
+    assert report["sample"]["n_observations"] == 2741
+    for row in report["regression"]["coefficients"]:
         true = truth["true_betas"][row["name"]]
         se = truth["analytic_stderr"][row["name"]]
         assert abs(row["estimate"] - true) < 3.0 * se, row["name"]
-    assert abs(report.regression["r_squared"] - 0.2245) < 0.05
-    shares = report.variance_shares["shares"]
+    assert abs(report["regression"]["r_squared"] - 0.2245) < 0.05
+    shares = report["variance_shares"]["shares"]
     for label, target in (("macro", 0.01), ("riscobr", 0.83), ("global", 0.16)):
         assert abs(shares[label] - target) < 0.05, label
     assert bundled_run["elapsed"] < 30.0
     _ok(
         5,
-        f"fixture recovery (n=2741, R2 {report.regression['r_squared']:.4f}, "
+        f"fixture recovery (n=2741, R2 {report['regression']['r_squared']:.4f}, "
         f"{bundled_run['elapsed']:.1f}s)",
     )
 

@@ -1,11 +1,14 @@
 """Tests for the command-line interface and its exit codes."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from di_decomp import DailySeries
-from di_decomp.cli import main
-from di_decomp.fixture import EXPECTATIONS_FILE, MARKET_FILE, TRUTH_FILE
+from di_decomp.cli import build_parser, main
+from di_decomp.errors import ConfigError
+from di_decomp.fixture import DEFAULT_FIXTURE_SEED, EXPECTATIONS_FILE, MARKET_FILE, TRUTH_FILE
 from di_decomp.ingestion import MarketDataset, write_market_csv
 from di_decomp.pipeline import (
     COMPONENTS_FILE,
@@ -15,6 +18,7 @@ from di_decomp.pipeline import (
     MODELS_FILE,
     REPORT_FILE,
     SVG_FILE,
+    load_config,
 )
 
 
@@ -164,3 +168,70 @@ class TestFetchFocusCommand:
         )
         assert rc == 2
         assert "CPI" in capsys.readouterr().err
+
+
+class TestFlags:
+    def test_every_flag_sets_a_config_key(self):
+        parser = build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        for command, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                key = tuple(action.dest.split("."))
+                assert len(key) == 2, (command, action.dest)
+                if action.const is not None:  # --strict, --lenient, --fetch
+                    load_config(None, env={}, overrides={key: action.const})
+                    continue
+                try:
+                    load_config(None, env={}, overrides={key: "?"})
+                except ConfigError as exc:
+                    assert not str(exc).startswith("unknown config key"), (command, key)
+
+
+# The summaries printed for the default fixture (seed 10, n=2741).
+REPORT_STDOUT = """\
+sample 2015-01-14..2025-07-16, 2741 observations
+coefficients:
+  const              0.174000   (p = 0.4952, Not significant)
+  macro_factor       0.667655   (p = 0.001401, Significant)
+  cds_dom          357.791109   (p = 1.182e-142, Highly Significant)
+  cds_glob         300.294824   (p = 1.241e-25, Highly Significant)
+R-squared 0.237642 (adjusted 0.236806)
+explained-variance shares: macro 1.20%, riscobr 85.67%, global 13.13%
+final cumulative change +1190.2 bps = const +476.9 + macro -10.6 + riscobr +0.0 \
++ global +723.9 + residual +0.0
+outputs written to OUT
+"""
+
+
+class TestDefaultFixtureStdout:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """The --market and --expectations flags of the default fixture."""
+        root = tmp_path_factory.mktemp("default_fixture")
+        seed = str(DEFAULT_FIXTURE_SEED)
+        assert main(["fixture", "--seed", seed, "--n", "2741", "--out", str(root)]) == 0
+        return (["--market", str(root / MARKET_FILE)],
+                ["--expectations", str(root / EXPECTATIONS_FILE)])
+
+    def stdout(self, capsys, out, *argv):
+        assert main([*argv, "--out", str(out)]) == 0
+        return capsys.readouterr().out.replace(str(out), "OUT")
+
+    def test_run(self, inputs, tmp_path, capsys):
+        market, expectations = inputs
+        assert self.stdout(capsys, tmp_path, "run", *market, *expectations) == REPORT_STDOUT
+
+    def test_staged_decompose(self, inputs, tmp_path, capsys):
+        market, expectations = inputs
+        assert self.stdout(capsys, tmp_path, "build-factors", *market, *expectations) == (
+            "macro factor fitted on 21 columns\noutputs written to OUT\n"
+        )
+        assert self.stdout(capsys, tmp_path, "split-cds", *market) == (
+            "CDS split fitted: alpha 0.000727, DXY 1.3217, CRB -0.6593, VIX 0.0888, "
+            "UST10 0.0443\noutputs written to OUT\n"
+        )
+        assert self.stdout(capsys, tmp_path, "decompose", *market) == REPORT_STDOUT

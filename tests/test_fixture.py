@@ -58,10 +58,10 @@ class TestGenerateFixture:
         report = run_pipeline(config_for(tmp_path / "fx", tmp_path / "out"))
         estimates = {
             row["name"]: row["estimate"]
-            for row in report.regression["coefficients"]
+            for row in report["regression"]["coefficients"]
         }
         true_vec = np.array([truth["true_betas"][k] for k in estimates])
         est_vec = np.array(list(estimates.values()))
         rel_error = np.linalg.norm(est_vec - true_vec) / np.linalg.norm(true_vec)
         assert rel_error < 1e-3
-        assert report.regression["r_squared"] > 0.999
+        assert report["regression"]["r_squared"] > 0.999

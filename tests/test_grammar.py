@@ -4,7 +4,9 @@ Dates are YYYY-MM-DD calendar days and values point-decimal reals in ASCII
 digits; an empty cell is a missing observation.  Every rejected cell below
 is an error in strict mode and one counted row in lenient mode, on every
 supported Python version (``date.fromisoformat`` and ``float`` alone would
-accept some of them, and which ones depends on the version).
+accept some of them, and which ones depends on the version).  Config dates
+and reals follow the same grammar, whether they come from an INI file, the
+environment or a CLI flag.
 """
 
 import logging
@@ -12,9 +14,11 @@ import logging
 import numpy as np
 import pytest
 
-from di_decomp import LoadReport, load_market_csv
-from di_decomp.errors import ParseError
+from di_decomp import LoadReport, ingestion, load_market_csv
+from di_decomp.cli import main
+from di_decomp.errors import ConfigError, ParseError
 from di_decomp.ingestion import read_focus_panel_csv
+from di_decomp.pipeline import load_config
 
 GOOD_ROW = "2015-01-14,12.60\n"
 
@@ -178,3 +182,53 @@ def test_accepted_panel_cells(tmp_path):
     )
     (record,) = read_focus_panel_csv(path).records
     assert (record.reference_year, record.median) == (2015, 5.0)
+
+
+# Config dates: each key with the subcommand and flag that set it.
+CONFIG_DATE_KEYS = {
+    "sample.start": ("run", "--start"),
+    "sample.end": ("run", "--end"),
+    "fetch.start": ("fetch-focus", "--fetch-start"),
+}
+
+
+@pytest.mark.parametrize("source", ["ini", "env", "flag"])
+@pytest.mark.parametrize("key", sorted(CONFIG_DATE_KEYS))
+@pytest.mark.parametrize("date", ["20150113", "2015-W03-2", "2015-02-30"])
+def test_rejected_config_date(tmp_path, monkeypatch, capsys, source, key, date):
+    def offline(url):
+        raise AssertionError(f"fetch-focus reached the network: {url}")
+
+    # a date that slipped through would make fetch-focus fetch
+    monkeypatch.setattr(ingestion, "_requests_transport", offline)
+    command, flag = CONFIG_DATE_KEYS[key]
+    section, name = key.split(".")
+    argv = [command, "--out", str(tmp_path / "out")]
+    if source == "ini":
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{name} = {date}\n", encoding="utf-8")
+        argv += ["--config", str(ini)]
+    elif source == "env":
+        monkeypatch.setenv(f"DI_DECOMP_{section.upper()}_{name.upper()}", date)
+    else:
+        argv += [flag, date]
+    assert main(argv) == 2
+    assert f"bad value for {key}: {date!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cut", ["0.00_1", "nan"])
+def test_rejected_significance_cut(cut):
+    env = {"DI_DECOMP_REPORT_SIGNIFICANCE_CUTS": f"{cut},0.01,0.05"}
+    with pytest.raises(ConfigError, match="bad value for report.significance_cuts"):
+        load_config(None, env=env)
+
+
+def test_accepted_config_values():
+    env = {
+        "DI_DECOMP_REPORT_SIGNIFICANCE_CUTS": " 1e-3, .01 ,5E-2",
+        "DI_DECOMP_SAMPLE_START": "2015-01-13",
+    }
+    config = load_config(None, env=env)
+    assert config.significance_cuts == (0.001, 0.01, 0.05)
+    assert str(config.start) == "2015-01-13"

@@ -28,6 +28,8 @@ from di_decomp.ingestion import (
 )
 
 D0 = dt.date(2004, 1, 2)
+PAGE_A = "https://example.test/page-a"
+PAGE_B = "https://example.test/page-b"
 
 
 def record(indicator, date, ref_year, median):
@@ -173,6 +175,28 @@ class TestFetchFocus:
 
         panel = fetch_focus(["IPCA"], (D0, dt.date(2004, 1, 5)), transport=transport)
         assert len(panel) == 2
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            {PAGE_A: PAGE_A},  # a page that links to itself
+            {PAGE_A: PAGE_B, PAGE_B: PAGE_A},  # A -> B -> A
+        ],
+    )
+    def test_pagination_cycle_is_fetch_error(self, links):
+        calls = []
+
+        def transport(url):
+            calls.append(url)
+            if len(calls) > 10:
+                raise AssertionError("pagination did not stop")
+            # the first page, the query URL, links to page A
+            payload = {"value": [], "@odata.nextLink": links.get(url, PAGE_A)}
+            return 200, json.dumps(payload).encode()
+
+        with pytest.raises(FetchError, match=f"IPCA.*{PAGE_A}"):
+            fetch_focus(["IPCA"], (D0, D0), transport=transport, sleep=lambda s: None)
+        assert len(calls) == len(links) + 1  # each page requested once
 
     def test_pagination_via_skip_top(self):
         first = [record("IPCA", "2004-01-02", 2004 + i, 6.0 - i) for i in range(2)]

@@ -64,28 +64,28 @@ def bundled(tmp_path_factory):
 
 class TestBundledFixtureRun:
     def test_observation_count(self, bundled):
-        assert bundled["report"].n_observations == 2741
+        assert bundled["report"]["sample"]["n_observations"] == 2741
 
     def test_betas_within_three_standard_errors(self, bundled):
         truth = bundled["truth"]
-        for row in bundled["report"].regression["coefficients"]:
+        for row in bundled["report"]["regression"]["coefficients"]:
             true = truth["true_betas"][row["name"]]
             se = truth["analytic_stderr"][row["name"]]
             assert abs(row["estimate"] - true) < 3.0 * se, row["name"]
 
     def test_r_squared_near_target(self, bundled):
-        assert bundled["report"].regression["r_squared"] == pytest.approx(
+        assert bundled["report"]["regression"]["r_squared"] == pytest.approx(
             bundled["truth"]["target_r_squared"], abs=0.05
         )
 
     def test_variance_shares_match_magnitudes(self, bundled):
-        shares = bundled["report"].variance_shares["shares"]
+        shares = bundled["report"]["variance_shares"]["shares"]
         assert shares["macro"] == pytest.approx(0.01, abs=0.05)
         assert shares["riscobr"] == pytest.approx(0.83, abs=0.05)
         assert shares["global"] == pytest.approx(0.16, abs=0.05)
 
     def test_std_dev_table_matches_construction_targets(self, bundled):
-        std = bundled["report"].std_dev_bps
+        std = bundled["report"]["std_dev_bps"]
         truth = bundled["truth"]
         targets = {
             "macro": truth["contribution_std_targets_bps"]["macro"],
@@ -98,8 +98,8 @@ class TestBundledFixtureRun:
             assert std[key] == pytest.approx(target, rel=0.10), key
 
     def test_fitted_variance_ratio_tracks_r_squared(self, bundled):
-        std = bundled["report"].std_dev_bps
-        r2 = bundled["report"].regression["r_squared"]
+        std = bundled["report"]["std_dev_bps"]
+        r2 = bundled["report"]["regression"]["r_squared"]
         assert std["fitted"] <= std["d_di5y"]
         ratio = std["fitted"] ** 2 / std["d_di5y"] ** 2
         assert ratio == pytest.approx(r2, rel=0.02)
@@ -107,7 +107,7 @@ class TestBundledFixtureRun:
     def test_contributions_csv_round_trip_identity(self, bundled):
         path = bundled["config"].out_dir / CONTRIBUTIONS_FILE
         rows = list(csv.DictReader(path.open(encoding="utf-8")))
-        assert len(rows) == bundled["report"].n_observations
+        assert len(rows) == bundled["report"]["sample"]["n_observations"]
         for row in rows:
             total = (
                 float(row["const_bps"])
@@ -149,14 +149,14 @@ class TestBundledFixtureRun:
         report_json = json.loads(
             (bundled["config"].out_dir / REPORT_FILE).read_text(encoding="utf-8")
         )
-        assert report_json["sample"]["n_observations"] == bundled["report"].n_observations
+        assert report_json["sample"]["n_observations"] == bundled["report"]["sample"]["n_observations"]
         assert report_json["version"]
 
     def test_rerun_is_byte_identical(self, bundled):
         out = bundled["config"].out_dir
         before = {name: (out / name).read_bytes() for name in OUTPUT_FILES}
         rerun = run_pipeline(bundled["config"])
-        assert rerun.n_observations == bundled["report"].n_observations
+        assert rerun["sample"]["n_observations"] == bundled["report"]["sample"]["n_observations"]
         for name in OUTPUT_FILES:
             assert (out / name).read_bytes() == before[name], name
 
@@ -164,9 +164,9 @@ class TestBundledFixtureRun:
         assert not (bundled["config"].out_dir / LOCK_FILE).exists()
 
     def test_sample_window_restricts_decomposition_join(self, bundled, tmp_path):
-        full = bundled["report"]
-        start = full.sample_start + dt.timedelta(days=365)
-        end = full.sample_end - dt.timedelta(days=365)
+        full = bundled["report"]["sample"]
+        start = dt.date.fromisoformat(full["start"]) + dt.timedelta(days=365)
+        end = dt.date.fromisoformat(full["end"]) - dt.timedelta(days=365)
         config = PipelineConfig(
             market_csv=bundled["config"].market_csv,
             expectations_csv=bundled["config"].expectations_csv,
@@ -174,10 +174,10 @@ class TestBundledFixtureRun:
             start=start,
             end=end,
         )
-        report = run_pipeline(config)
-        assert report.sample_start >= start
-        assert report.sample_end <= end
-        assert report.n_observations < full.n_observations
+        sample = run_pipeline(config)["sample"]
+        assert dt.date.fromisoformat(sample["start"]) >= start
+        assert dt.date.fromisoformat(sample["end"]) <= end
+        assert sample["n_observations"] < full["n_observations"]
 
 
 class TestFocusPanelSource:

@@ -70,6 +70,14 @@ class TestOlsFit:
         with pytest.raises(SingularDesignError, match="x2"):
             ols_fit(np.sin(x), frame({"x1": x, "x2": 2.0 * x, "x3": np.cos(x)}))
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b"]])
+    def test_all_zero_design_without_intercept_is_singular(self, names):
+        # every singular value is 0, so the rank screen must include equality
+        zeros = frame({name: np.zeros(6) for name in names})
+        with pytest.raises(SingularDesignError) as exc_info:
+            ols_fit(np.arange(6.0), zeros, intercept=False)
+        assert str(names) in str(exc_info.value)
+
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             ols_fit(np.array([1.0, 2.0]), frame({"x": [0.0, 1.0]}))
