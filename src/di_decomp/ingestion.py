@@ -4,7 +4,8 @@ The expectations client speaks the public OData dialect of the Central Bank
 of Brazil's open-data service for annual market expectations (median
 statistic only).  Pagination follows server-driven ``@odata.nextLink``
 when present and falls back to ``$skip``/``$top`` paging; transient
-failures are retried with exponential backoff.  All tests run against
+failures (an ``OSError`` from the transport or a 5xx status) are retried
+with exponential backoff.  All tests run against
 recorded payloads through the injectable ``transport`` callable, never the
 live service.
 
@@ -184,13 +185,13 @@ def _fetch_page(
     sleep: Callable[[float], None],
 ) -> dict:
     last_status: int | None = None
-    last_exc: Exception | None = None
+    last_exc: OSError | None = None
     for attempt in range(max_attempts):
         if attempt:
             sleep(backoff_s * 2 ** (attempt - 1))
         try:
             status, body = transport(url)
-        except Exception as exc:  # connectivity problems are transient
+        except OSError as exc:  # connectivity problems are transient
             last_exc, last_status = exc, None
             continue
         if status >= 500:
@@ -260,7 +261,12 @@ def fetch_focus(
         Base resource URL of the OData service.
     transport
         ``url -> (status, body)`` callable; defaults to a plain HTTP GET.
-        Tests inject recorded payloads here.
+        Tests inject recorded payloads here.  A transport reports a
+        connection failure by raising ``OSError`` (``ConnectionError``,
+        ``TimeoutError``, ``urllib.error.URLError`` and
+        ``requests.RequestException`` all are); that and a 5xx status are
+        retried with exponential backoff, up to ``max_attempts`` requests.
+        Any other exception propagates at once.
     report
         Optional counter sink for fetched / deduplicated records.
 

@@ -102,7 +102,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # A setting's parser takes the raw text and raises ValueError on a bad value.
-# Dates and reals follow the input grammar of the data files.
+# Dates and reals follow the input grammar of the data files; counts are
+# plain ASCII digits.
 
 
 def _bool(raw: str) -> bool:
@@ -112,6 +113,14 @@ def _bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError("expected a boolean")
+
+
+def _count(raw: str) -> int:
+    """A non-negative integer in ASCII digits; spaces and tabs around ignored."""
+    text = raw.strip(" \t")
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected ASCII digits 0-9")
+    return int(text)
 
 
 def _list(raw: str) -> tuple[str, ...]:
@@ -151,8 +160,8 @@ class PipelineConfig:
     out_dir: Path = _setting("output", "dir", Path, Path("out"))
     strict: bool = _setting("output", "strict", _bool, True)
     # the [fixture] settings are used only by the fixture command
-    seed: int = _setting("fixture", "seed", int, DEFAULT_FIXTURE_SEED)
-    fixture_n: int = _setting("fixture", "n", int, DEFAULT_N)
+    seed: int = _setting("fixture", "seed", _count, DEFAULT_FIXTURE_SEED)
+    fixture_n: int = _setting("fixture", "n", _count, DEFAULT_N)
     fixture_r2: float = _setting("fixture", "r2", _read_real, DEFAULT_R2)
     fixture_betas: tuple[float, float, float, float] = _setting(
         "fixture", "betas", _reals, DEFAULT_BETAS

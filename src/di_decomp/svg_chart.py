@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -31,6 +30,11 @@ SERIES_STYLE = (
 )
 
 __all__ = ["emit_svg", "SERIES_STYLE"]
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` in XML character data (``&`` first)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float, target_ticks: int = 6) -> float:
@@ -92,13 +96,13 @@ def emit_svg(cum: Frame, path: Path | str, title: str = "Cumulative decompositio
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
         f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">'
     )
-    parts.append(f"<title>{escape(title)}</title>")
+    parts.append(f"<title>{_escape(title)}</title>")
     parts.append(
         f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>'
     )
     parts.append(
         f'<text x="{MARGIN_L:.1f}" y="24" font-family="sans-serif" font-size="16" '
-        f'fill="#111111">{escape(title)}</text>'
+        f'fill="#111111">{_escape(title)}</text>'
     )
 
     # horizontal grid and y labels
@@ -152,7 +156,7 @@ def emit_svg(cum: Frame, path: Path | str, title: str = "Cumulative decompositio
         )
         parts.append(
             f'<text x="{lx + 28:.1f}" y="{ly:.1f}" font-family="sans-serif" '
-            f'font-size="11" fill="#111111">{escape(label)}</text>'
+            f'font-size="11" fill="#111111">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

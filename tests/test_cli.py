@@ -1,10 +1,15 @@
 """Tests for the command-line interface and its exit codes."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import di_decomp
 from di_decomp import DailySeries
 from di_decomp.cli import build_parser, main
 from di_decomp.errors import ConfigError
@@ -235,3 +240,16 @@ class TestDefaultFixtureStdout:
             "UST10 0.0443\noutputs written to OUT\n"
         )
         assert self.stdout(capsys, tmp_path, "decompose", *market) == REPORT_STDOUT
+
+
+def test_cli_import_loads_no_scipy_or_xml_sax():
+    # a fresh interpreter: this one has scipy loaded by the test oracles
+    src = str(Path(di_decomp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import di_decomp.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'xml.sax'))))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

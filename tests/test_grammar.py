@@ -5,8 +5,8 @@ digits; an empty cell is a missing observation.  Every rejected cell below
 is an error in strict mode and one counted row in lenient mode, on every
 supported Python version (``date.fromisoformat`` and ``float`` alone would
 accept some of them, and which ones depends on the version).  Config dates
-and reals follow the same grammar, whether they come from an INI file, the
-environment or a CLI flag.
+and reals follow the same grammar, and config counts are plain ASCII
+digits, whether they come from an INI file, the environment or a CLI flag.
 """
 
 import logging
@@ -217,6 +217,39 @@ def test_rejected_config_date(tmp_path, monkeypatch, capsys, source, key, date):
     assert not (tmp_path / "out").exists()
 
 
+# Fixture counts: each key with the flag that sets it.
+CONFIG_COUNT_KEYS = {"fixture.n": "--n", "fixture.seed": "--seed"}
+
+
+@pytest.mark.parametrize("source", ["ini", "env", "flag"])
+@pytest.mark.parametrize("key", sorted(CONFIG_COUNT_KEYS))
+@pytest.mark.parametrize(
+    "value",
+    [
+        "2_741",  # int() accepts digit grouping
+        "١٠",  # Arabic-Indic digits, which int() accepts
+        "-5",  # a negative seed reached numpy and crashed
+        "+5",
+        "1e3",
+        "12.0",
+    ],
+)
+def test_rejected_config_count(tmp_path, monkeypatch, capsys, source, key, value):
+    section, name = key.split(".")
+    argv = ["fixture", "--out", str(tmp_path / "out")]
+    if source == "ini":
+        ini = tmp_path / "fixture.ini"
+        ini.write_text(f"[{section}]\n{name} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(ini)]
+    elif source == "env":
+        monkeypatch.setenv(f"DI_DECOMP_{section.upper()}_{name.upper()}", value)
+    else:
+        argv += [CONFIG_COUNT_KEYS[key], value]
+    assert main(argv) == 2
+    assert f"bad value for {key}: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cut", ["0.00_1", "nan"])
 def test_rejected_significance_cut(cut):
     env = {"DI_DECOMP_REPORT_SIGNIFICANCE_CUTS": f"{cut},0.01,0.05"}
@@ -228,7 +261,10 @@ def test_accepted_config_values():
     env = {
         "DI_DECOMP_REPORT_SIGNIFICANCE_CUTS": " 1e-3, .01 ,5E-2",
         "DI_DECOMP_SAMPLE_START": "2015-01-13",
+        "DI_DECOMP_FIXTURE_N": " 2741\t",
+        "DI_DECOMP_FIXTURE_SEED": "010",
     }
     config = load_config(None, env=env)
     assert config.significance_cuts == (0.001, 0.01, 0.05)
     assert str(config.start) == "2015-01-13"
+    assert (config.fixture_n, config.seed) == (2741, 10)

@@ -235,6 +235,31 @@ class TestFetchFocus:
             )
         assert len(transport.calls) == 4  # >= 3 attempts
 
+    def test_connection_error_is_retried_then_fetch_error(self):
+        calls, sleeps = [], []
+
+        def transport(url):
+            calls.append(url)
+            raise ConnectionError("connection refused")
+
+        with pytest.raises(FetchError, match="failed after 3 attempts.*connection refused"):
+            fetch_focus(["IPCA"], (D0, D0), transport=transport,
+                        max_attempts=3, sleep=sleeps.append)
+        assert len(calls) == 3
+        assert len(sleeps) == 2
+
+    def test_non_connection_error_propagates_without_retry(self):
+        calls, sleeps = [], []
+
+        def transport(url):
+            calls.append(url)
+            raise TypeError("transport bug")
+
+        with pytest.raises(TypeError, match="transport bug"):
+            fetch_focus(["IPCA"], (D0, D0), transport=transport, sleep=sleeps.append)
+        assert len(calls) == 1
+        assert sleeps == []
+
     def test_client_error_is_immediate(self):
         calls = []
 

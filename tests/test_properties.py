@@ -1,5 +1,5 @@
-"""Property tests: CSV round trips, the date-index operations, OLS and the
-contribution accounting.
+"""Property tests: CSV round trips, the date-index operations, OLS, the PLS1
+factor and the contribution accounting.
 
 Calendars are drawn from 1900-2100, so many dates lie before 1970, where
 ``datetime64[D]`` day numbers are negative.
@@ -25,7 +25,9 @@ from di_decomp import (
     accumulate,
     contributions,
     inner_join,
+    macro_factor,
     ols_fit,
+    pls1_fit,
     validate_cumulative,
 )
 from di_decomp.decomposition import (
@@ -299,3 +301,34 @@ def test_accounting_identities_on_partly_overlapping_calendars(core, extras, see
     assert cum.names == CUMULATIVE_COLUMNS
     validate_cumulative(cum)
     np.testing.assert_allclose(cum.data[-1], c.data.sum(axis=0), rtol=1e-9, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 60),
+    k=st.integers(1, 6),
+    data=st.data(),
+)
+def test_pls1_factor_ignores_column_order_and_positive_scale(seed, n, k, data):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k) + rng.uniform(-5.0, 5.0, k)
+    y = x @ rng.standard_normal(k) + rng.standard_normal(n)
+    dates, names = _trading_days(n), [f"x{j}" for j in range(k)]
+    base_x = Frame(dates, names, x)
+    base = pls1_fit(base_x, y)
+    factor = macro_factor(base, base_x).values
+
+    order = data.draw(st.permutations(range(k)))
+    permuted_x = Frame(dates, [names[j] for j in order], x[:, order])
+    permuted = pls1_fit(permuted_x, y)
+    np.testing.assert_allclose(permuted.weights, base.weights[order], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(macro_factor(permuted, permuted_x).values, factor,
+                               rtol=0, atol=1e-10)
+
+    scales = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))
+    scaled_x = Frame(dates, names, x * np.array(scales))
+    scaled = pls1_fit(scaled_x, y)
+    np.testing.assert_allclose(scaled.weights, base.weights, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(macro_factor(scaled, scaled_x).values, factor,
+                               rtol=0, atol=1e-10)

@@ -1,6 +1,7 @@
 """Tests for the OLS kernel and the Student-t tail probability."""
 
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from di_decomp import Frame, ols_fit, student_t_two_sided_p
 from di_decomp.errors import InsufficientDataError, SingularDesignError
 
-from oracles import normal_equations_ols, quad_t_two_sided_p
+from oracles import mp_t_two_sided_p, normal_equations_ols, quad_t_two_sided_p
 
 
 def frame(columns, n=None):
@@ -182,3 +183,35 @@ class TestStudentT:
         grid = [student_t_two_sided_p(t, 8) for t in np.linspace(0.0, 6.0, 25)]
         assert all(b < a for a, b in zip(grid, grid[1:]))
         assert all(0.0 <= p <= 1.0 for p in grid)
+
+
+# High-precision grid: dof 29-31 straddle the switch from lgamma differences
+# to the asymptotic series (a = 15); |t| 1.7-2 sits at the switch between
+# the direct and the complementary fraction for large dof; (1.5e-4, 58943) is
+# a near-1 tail that scipy 1.17.1 betainc misses by 4.7e-9 relative.
+HP_DOFS = (1, 2, 3, 5, 10, 29, 30, 31, 100, 1000, 2737, 10000, 58943, 100000)
+HP_ABS_T = (1e-6, 1.5e-4, 0.01, 0.5, 1.0, 1.7, 1.75, 1.8, 2.0, 3.0, 5.0, 10.0, 27.01, 80.0)
+# (t, dof) whose two-sided tail lies between 1e-300 and 1e-100
+DEEP_TAILS = ((27.01, 2737), (80.0, 140), (61.06, 491), (25.0, 10000), (30.0, 100000))
+
+
+class TestStudentTHighPrecision:
+    @pytest.mark.parametrize("dof", HP_DOFS)
+    def test_matches_mpmath(self, dof):
+        for abs_t in HP_ABS_T:
+            if dof / 2 * math.log1p(abs_t**2 / dof) > 800:
+                # the tail is far below the smallest double, so both sides
+                # are 0, and the oracle needs seconds to say so
+                assert student_t_two_sided_p(abs_t, dof) == 0.0
+                continue
+            expected = mp_t_two_sided_p(abs_t, dof)
+            for t in (abs_t, -abs_t):
+                assert student_t_two_sided_p(t, dof) == pytest.approx(
+                    expected, rel=1e-11, abs=1e-15
+                ), (t, dof)
+
+    @pytest.mark.parametrize("t,dof", DEEP_TAILS)
+    def test_deep_tail_keeps_relative_accuracy(self, t, dof):
+        expected = mp_t_two_sided_p(t, dof)
+        assert 1e-300 < expected < 1e-100
+        assert student_t_two_sided_p(t, dof) == pytest.approx(expected, rel=1e-11, abs=0.0)
