@@ -97,26 +97,6 @@ __all__ = [
 ]
 
 
-def _business_days_forward(start: dt.date, count: int) -> list[dt.date]:
-    days = []
-    d = start
-    while len(days) < count:
-        if d.weekday() < 5:
-            days.append(d)
-        d += dt.timedelta(days=1)
-    return days
-
-
-def _business_days_backward(end_exclusive: dt.date, count: int) -> list[dt.date]:
-    days: list[dt.date] = []
-    d = end_exclusive - dt.timedelta(days=1)
-    while len(days) < count:
-        if d.weekday() < 5:
-            days.append(d)
-        d -= dt.timedelta(days=1)
-    return list(reversed(days))
-
-
 def _standardized(x: np.ndarray) -> np.ndarray:
     return (x - x.mean()) / x.std(ddof=1)
 
@@ -181,11 +161,11 @@ def generate_fixture(
     )
     noise_std = float(np.sqrt(explained_var * (1.0 - target_r2) / target_r2))
 
-    # calendars: full window for rates/expectations, decomposition window
-    # (n + 1 level dates -> n joined return dates) for the CDS block
-    post_dates = _business_days_forward(POST_START, n + 1)
-    pre_dates = _business_days_backward(POST_START, n_pre)
-    full_dates = pre_dates + post_dates
+    # weekday calendars: full window for rates/expectations, decomposition
+    # window (n + 1 level dates -> n joined return dates) for the CDS block
+    post_dates = np.busday_offset(POST_START, np.arange(n + 1), roll="forward")
+    pre_dates = np.busday_offset(POST_START, np.arange(-n_pre, 0), roll="forward")
+    full_dates = np.concatenate([pre_dates, post_dates])
     n_full_diff = len(full_dates) - 1  # daily-change dates, full window
 
     # latent macro shock, two regimes, standardized over the full window
@@ -226,13 +206,13 @@ def generate_fixture(
     ust10 = 2.2 + np.concatenate([[0.0], np.cumsum(x["UST10"])])
 
     series = {
-        "DI5Y": DailySeries("DI5Y", tuple(full_dates), di5y),
-        "CDS": DailySeries("CDS", tuple(post_dates), cds),
-        "DXY": DailySeries("DXY", tuple(post_dates), dxy),
-        "CRB": DailySeries("CRB", tuple(post_dates), crb),
-        "VIX": DailySeries("VIX", tuple(post_dates), vix),
-        "UST10": DailySeries("UST10", tuple(post_dates), ust10),
-        "SURPRISE": DailySeries("SURPRISE", tuple(full_dates), surprise),
+        "DI5Y": DailySeries("DI5Y", full_dates, di5y),
+        "CDS": DailySeries("CDS", post_dates, cds),
+        "DXY": DailySeries("DXY", post_dates, dxy),
+        "CRB": DailySeries("CRB", post_dates, crb),
+        "VIX": DailySeries("VIX", post_dates, vix),
+        "UST10": DailySeries("UST10", post_dates, ust10),
+        "SURPRISE": DailySeries("SURPRISE", full_dates, surprise),
     }
     dataset = MarketDataset(tuple(series[name] for name in MARKET_COLUMNS))
     write_market_csv(dataset, out_dir / MARKET_FILE)
@@ -256,8 +236,8 @@ def generate_fixture(
         "seed": int(seed),
         "n": int(n),
         "n_pre": int(n_pre),
-        "decomposition_start": post_dates[1].isoformat(),
-        "decomposition_end": post_dates[-1].isoformat(),
+        "decomposition_start": str(post_dates[1]),
+        "decomposition_end": str(post_dates[-1]),
         "true_betas": {
             "const": beta0,
             "macro_factor": beta_m,

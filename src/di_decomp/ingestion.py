@@ -14,7 +14,11 @@ YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
 above ``_read_table``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
 cell that does not parse rejects the row, fatally in strict mode.  Each
-file is parsed in one pass of record blocks, whole columns at a time.
+file is parsed in one pass of bounded blocks, whole columns at a time.
+Lines are read one physical line at a time until a block holds a '"'; from
+that block on, the csv module reads the rest of the file and only
+normalises its records, which then go through the same column checks.
+Only lines that fail a column check are split into cells.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ import re
 import time
 import urllib.parse
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import FetchError, ParseError, SchemaError
-from .series import DailySeries, Frame, TradingDate
+from .series import DailySeries, Frame, TradingDate, _frozen
 
 log = logging.getLogger(__name__)
 
@@ -387,9 +391,13 @@ _YEAR = re.compile(r"[0-9]{4}")
 # A newline, which a quoted cell may hold, is not one of them.
 _DATA_CHARS = b"0123456789eE+-. \t,"
 _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
+# Python 3.10's csv module rejects NUL, which later versions read as an
+# ordinary character, so NUL passes through it as \x01 "n" and \x01 itself
+# as \x01 "s".
+_CSV_ESCAPE = str.maketrans({"\x00": "\x01n", "\x01": "\x01s"})
 _FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 # Rows parsed or formatted at a time, which bounds the transient strings.
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 1024
 
 
 class _RowError(ValueError):
@@ -478,35 +486,54 @@ def _to_values(lines: list[str], k: int) -> np.ndarray | None:
     """
     if not k or not lines:
         return np.empty((len(lines), k))
-    body = _EMPTY_CELL.sub(",nan", "\n".join(lines)).split("\n")
+    body = "\n".join(lines)
+    # a text with an empty cell holds one of these or ends in a comma
+    if body.endswith(",") or any(m in body for m in (",,", ", ", ",\t", ",\n")):
+        lines = _EMPTY_CELL.sub(",nan", body).split("\n")
     try:
-        values = np.loadtxt(body, delimiter=",", usecols=range(1, k + 1),
+        values = np.loadtxt(lines, delimiter=",", usecols=range(1, k + 1),
                             comments=None, ndmin=2)
     except ValueError:
         return None
     return values if values.shape == (len(lines), k) else None
 
 
-def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]]]]:
-    """Blocks of non-blank data records: first physical line numbers, lines and cells.
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each record the csv module reads from ``lines``, after how many lines.
 
-    A record's line is its cells joined by commas.
+    A quoted cell may hold line breaks, so a record can span several lines.
     """
-    reader = csv.reader(fh)
+    reader = csv.reader(line.translate(_CSV_ESCAPE) if "\x00" in line or "\x01" in line
+                        else line for line in lines)
+    before = 0
+    for rec in reader:
+        yield before, [c.replace("\x01n", "\x00").replace("\x01s", "\x01") for c in rec]
+        before = reader.line_num
 
-    def numbered() -> Iterator[tuple[int, list[str]]]:
-        # the header is line 1 and was read before the reader; a quoted
-        # cell may hold line breaks, so a record can span several lines
-        start = 2
-        for rec in reader:
-            yield start, rec
-            start = reader.line_num + 2
 
-    records = numbered()
+def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]] | None]]:
+    """Blocks of non-blank data records: first physical line numbers, lines, cells.
+
+    The header, line 1, was read before.  Up to the first block that holds a
+    '"', a record is one physical line, split into cells only when it fails
+    a column check (``cells`` is None).  From that block on, the csv module
+    reads the records, and a record's line is its cells joined by commas.
+    """
+    no = 1
+    while chunk := list(islice(fh, _BLOCK_ROWS)):
+        if '"' in "".join(chunk):
+            break
+        lines = [line.rstrip("\n") for line in chunk]
+        kept = [i for i, line in enumerate(lines) if line.strip(" \t,")]
+        yield [no + 1 + i for i in kept], [lines[i] for i in kept], None
+        no += len(chunk)
+    else:
+        return
+    records = _records(chain(chunk, fh))
     while chunk := list(islice(records, _BLOCK_ROWS)):
-        block = [(no, rec) for no, rec in chunk if "".join(rec).strip(" \t")]
+        block = [(no + 1 + at, rec) for at, rec in chunk if "".join(rec).strip(" \t")]
         cells = [rec for _, rec in block]
-        yield [no for no, _ in block], list(map(",".join, cells)), cells
+        yield [n for n, _ in block], list(map(",".join, cells)), cells
 
 
 def _parse_block(nos, lines, cells, names):
@@ -519,12 +546,11 @@ def _parse_block(nos, lines, cells, names):
     k = len(names)
     foreign = _foreign("".join(lines))
     suspect = np.array([
-        len(rec) != k + 1
-        or line.count(",") != k  # a quoted comma
-        or (foreign and _foreign(line))
-        for rec, line in zip(cells, lines)
+        line.count(",") != k or (foreign and _foreign(line)) for line in lines
     ], dtype=bool)
-    dates = _to_dates([rec[0].strip(" \t") for rec in cells])
+    if cells is not None:  # a quoted cell may hold a comma
+        suspect |= np.array([len(rec) != k + 1 for rec in cells], dtype=bool)
+    dates = _to_dates([line.partition(",")[0].strip(" \t") for line in lines])
     suspect |= np.isnat(dates)
     fast = np.flatnonzero(~suspect)
     values = _to_values([lines[i] for i in fast], k)
@@ -541,7 +567,7 @@ def _parse_block(nos, lines, cells, names):
     rejected = []
     for i in np.flatnonzero(suspect).tolist():
         try:
-            date, row = _parse_row(cells[i], names)
+            date, row = _parse_row(lines[i].split(",") if cells is None else cells[i], names)
         except _RowError as exc:
             rejected.append((nos[i], str(exc), exc.date))
             continue
@@ -571,7 +597,7 @@ def _read_table(
         raise ParseError(f"file not found: {path}")
     with path.open(encoding="utf-8") as fh:  # universal newlines, as csv reads them
         first = fh.readline()
-        header = next(csv.reader([first]), []) if first else None
+        header = next(_records([first]))[1] if first else None
         if columns is None:
             if not header or header[0].strip() != "date":
                 raise SchemaError(f"{path}: first header column must be 'date', got {header}")
@@ -612,7 +638,7 @@ def _read_table(
         log.warning("%s: rejected row: %s", path, f"line {no}: {message}")
     if report is not None:
         report.rejected_rows += len(errors)
-    return names, unique, values[in_file_order[first]]
+    return names, _frozen(unique), _frozen(values[in_file_order[first]])
 
 
 def load_market_csv(
@@ -633,7 +659,7 @@ def load_market_csv(
     series = []
     for j, name in enumerate(names):
         present = ~np.isnan(values[:, j])
-        series.append(DailySeries(name, dates[present], values[present, j]))
+        series.append(DailySeries(name, _frozen(dates[present]), _frozen(values[present, j])))
     return MarketDataset(tuple(series))
 
 

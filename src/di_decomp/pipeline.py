@@ -395,7 +395,8 @@ def _build_factor(
         x_series.append(transformed.surprise_diff)
     inputs = x_series + [transformed.d_di5y]
     joined = _joined(inner_join(inputs), "factor estimation", inputs)
-    x_frame = joined.select([s.name for s in x_series])
+    del x_series, inputs  # the joined frame holds every value the fit needs
+    x_frame = joined.select(joined.names[:-1])
     model = pls1_fit(x_frame, joined.column(TARGET_NAME))
     return model, macro_factor(model, x_frame)
 

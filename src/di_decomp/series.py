@@ -8,6 +8,11 @@ calendars; differences and log returns always span consecutive *available*
 observations, with no adjustment for calendar gaps.  All containers are
 immutable after construction and every operation is a pure function, so
 values can be shared freely across threads.
+
+Arrays are held once.  A constructor keeps, uncopied, an array that nothing
+can write: a read-only array that owns its memory, or a view of one such as
+a window or column of another container.  It copies any other array.
+Functions that allocate a result freeze it with ``_frozen`` to hand it over.
 """
 
 from __future__ import annotations
@@ -42,18 +47,30 @@ __all__ = [
 ]
 
 
-def _readonly(values: Iterable[float]) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+def _shared(values, dtype: str) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array, uncopied if nothing can write it."""
+    if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
+        owner = values if values.base is None else values.base
+        if type(owner) is np.ndarray and owner.flags.owndata and not owner.flags.writeable:
+            return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Freeze an array its caller has just allocated, so a constructor keeps it."""
+    if isinstance(arr.base, np.ndarray):  # a fancy-index result's fresh buffer
+        arr.base.setflags(write=False)
     arr.setflags(write=False)
     return arr
 
 
 def date_index(dates: Iterable[TradingDate] | np.ndarray) -> np.ndarray:
-    """A read-only ``datetime64[D]`` copy of a date sequence."""
-    arr = np.array(dates, dtype="datetime64[D]")
+    """A date sequence as a read-only ``datetime64[D]`` array, uncopied if frozen."""
+    arr = _shared(dates, "datetime64[D]")
     if arr.ndim != 1:
         raise SchemaError(f"dates must be 1-dimensional, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -92,7 +109,7 @@ class DailySeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", date_index(self.dates))
-        object.__setattr__(self, "values", _readonly(self.values))
+        object.__setattr__(self, "values", _shared(self.values, "float64"))
         if self.values.ndim != 1:
             raise SchemaError(f"series '{self.name}': values must be 1-dimensional")
         if len(self.dates) != len(self.values):
@@ -106,13 +123,6 @@ class DailySeries:
             raise DomainError(
                 f"series '{self.name}': non-finite value at {self.dates[bad]}"
             )
-
-    @classmethod
-    def from_pairs(
-        cls, name: str, pairs: Iterable[tuple[TradingDate, float]]
-    ) -> "DailySeries":
-        items = list(pairs)
-        return cls(name, [d for d, _ in items], np.array([v for _, v in items]))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -142,10 +152,9 @@ class Frame:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", date_index(self.dates))
         object.__setattr__(self, "names", tuple(self.names))
-        arr = np.array(self.data, dtype=np.float64, copy=True)
+        arr = _shared(self.data, "float64")
         if arr.ndim != 2:
-            arr = arr.reshape(len(self.dates), len(self.names))
-        arr.setflags(write=False)
+            arr = _frozen(arr.reshape(len(self.dates), len(self.names)))
         object.__setattr__(self, "data", arr)
         if len(set(self.names)) != len(self.names):
             dupes = sorted({n for n in self.names if self.names.count(n) > 1})
@@ -180,7 +189,9 @@ class Frame:
         if missing:
             raise SchemaError(f"columns not in frame: {missing}")
         idx = [self.names.index(n) for n in names]
-        return Frame(self.dates, tuple(names), self.data[:, idx])
+        # a column-major copy: the matrix kernels' rounding depends on layout,
+        # so a strided view here would change the fitted factor's last bits
+        return Frame(self.dates, tuple(names), _frozen(self.data[:, idx]))
 
     def window(
         self, start: TradingDate | None = None, end: TradingDate | None = None
@@ -211,8 +222,8 @@ class StandardizationParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "means", _readonly(self.means))
-        object.__setattr__(self, "stds", _readonly(self.stds))
+        object.__setattr__(self, "means", _shared(self.means, "float64"))
+        object.__setattr__(self, "stds", _shared(self.stds, "float64"))
         if np.any(self.stds <= 0.0):
             bad = self.names[int(np.flatnonzero(self.stds <= 0.0)[0])]
             raise DegenerateColumnError(f"column '{bad}': standard deviation not > 0")
@@ -227,12 +238,14 @@ class StandardizationParams:
     def transform(self, frame: Frame) -> Frame:
         """Apply the stored (x - mean) / std to a frame with matching columns."""
         self._check_schema(frame)
-        return Frame(frame.dates, frame.names, (frame.data - self.means) / self.stds)
+        z = frame.data - self.means
+        z /= self.stds
+        return Frame(frame.dates, frame.names, _frozen(z))
 
     def inverse(self, frame: Frame) -> Frame:
         """Undo :meth:`transform`: x = z * std + mean."""
         self._check_schema(frame)
-        return Frame(frame.dates, frame.names, frame.data * self.stds + self.means)
+        return Frame(frame.dates, frame.names, _frozen(frame.data * self.stds + self.means))
 
 
 def _require_points(s: DailySeries, n: int, op: str) -> None:
@@ -256,13 +269,13 @@ def log_return(s: DailySeries) -> DailySeries:
             f"log_return: non-positive value {s.values[bad]} at {s.dates[bad]} "
             f"in series '{s.name}'"
         )
-    return DailySeries(s.name, s.dates[1:], np.diff(np.log(s.values)))
+    return DailySeries(s.name, s.dates[1:], _frozen(np.diff(np.log(s.values))))
 
 
 def diff(s: DailySeries) -> DailySeries:
     """First differences over consecutive available observations, dated at the later one."""
     _require_points(s, 2, "diff")
-    return DailySeries(s.name, s.dates[1:], np.diff(s.values))
+    return DailySeries(s.name, s.dates[1:], _frozen(np.diff(s.values)))
 
 
 def to_bps_change(s: DailySeries) -> DailySeries:
@@ -271,7 +284,7 @@ def to_bps_change(s: DailySeries) -> DailySeries:
     A move from 13.25 to 13.35 (percentage points) is +10 bps.
     """
     d = diff(s)
-    return DailySeries(s.name, d.dates, d.values * 100.0)
+    return DailySeries(s.name, d.dates, _frozen(d.values * 100.0))
 
 
 def inner_join(series: Sequence[DailySeries]) -> Frame:
@@ -296,13 +309,18 @@ def inner_join(series: Sequence[DailySeries]) -> Frame:
         raise SchemaError(f"inner_join: duplicate series names: {dupes}")
     common = series[0].dates
     for s in series[1:]:
+        if np.array_equal(s.dates, common):
+            continue
         # both indexes are sorted and unique: keep the dates s also has
         at = np.searchsorted(s.dates, common)
         hit = at < len(s)
         hit[hit] = s.dates[at[hit]] == common[hit]
         common = common[hit]
-    cols = [s.values[np.searchsorted(s.dates, common)] for s in series]
-    return Frame(common, tuple(names), np.column_stack(cols))
+    data = np.empty((len(common), len(series)))
+    for j, s in enumerate(series):
+        same = np.array_equal(s.dates, common)
+        data[:, j] = s.values if same else s.values[np.searchsorted(s.dates, common)]
+    return Frame(common, tuple(names), _frozen(data))
 
 
 def standardize(frame: Frame) -> tuple[Frame, StandardizationParams]:
@@ -323,10 +341,11 @@ def standardize(frame: Frame) -> tuple[Frame, StandardizationParams]:
         raise DegenerateColumnError(
             f"column '{frame.names[int(zero[0])]}' has zero sample variance"
         )
-    z = (frame.data - means) / stds
+    z = frame.data - means
+    z /= stds
     # second de-meaning pass keeps |mean| at machine precision even for
     # large-offset columns
-    z = z - z.mean(axis=0)
-    return Frame(frame.dates, frame.names, z), StandardizationParams(
+    z -= z.mean(axis=0)
+    return Frame(frame.dates, frame.names, _frozen(z)), StandardizationParams(
         frame.names, means, stds
     )

@@ -9,7 +9,9 @@ and reals follow the same grammar, and config counts are plain ASCII
 digits, whether they come from an INI file, the environment or a CLI flag.
 """
 
+import csv
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +150,40 @@ def test_line_numbers_count_physical_lines(tmp_path, caplog):
     assert len(messages) == 2
     assert messages[0].endswith("line 2: column 'DI5Y': cannot parse '12.5\\n' as a point-decimal real")
     assert messages[1].endswith("line 4: column 'DI5Y': cannot parse 'x' as a point-decimal real")
+
+
+# A NUL is a foreign character like any other.  Python 3.10's csv module
+# raises on it where later versions read it as part of the cell, so the
+# quoted-file case also runs with a csv reader that refuses NUL the 3.10 way.
+NUL_ROWS = [
+    ("2015-01-13,2\x00\n", "column 'DI5Y': cannot parse '2\\x00'"),
+    ('2015-01-13,"2\x00"\n', "column 'DI5Y': cannot parse '2\\x00'"),
+    ('"2015-01-13",2\x01\x00\n', "column 'DI5Y': cannot parse '2\\x01\\x00'"),
+    ('"2015-01-13\x00",2\n', "cannot parse date '2015-01-13\\x00'"),
+]
+
+
+_CSV_READER = csv.reader
+
+
+def _csv_reader_refusing_nul(lines, *args, **kwargs):
+    def checked():
+        for line in lines:
+            if "\x00" in line:
+                raise csv.Error("line contains NUL")
+            yield line
+    return _CSV_READER(checked(), *args, **kwargs)
+
+
+@pytest.mark.parametrize("refuse_nul", [False, True])
+@pytest.mark.parametrize("row, message", NUL_ROWS)
+def test_nul_is_rejected_as_a_cell(tmp_path, monkeypatch, row, message, refuse_nul):
+    if refuse_nul:
+        monkeypatch.setattr(ingestion.csv, "reader", _csv_reader_refusing_nul)
+    path = _market(tmp_path, row)
+    with pytest.raises(ParseError, match="line 2: " + re.escape(message)):
+        load_market_csv(path, columns=("DI5Y",))
+    _assert_rejected(path)
 
 
 # The focus panel CSV: the median follows the real grammar above and must be

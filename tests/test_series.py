@@ -1,6 +1,7 @@
 """Tests for daily series containers and the standard transforms."""
 
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +231,67 @@ class TestProperties:
         s = series(np.abs(rng.normal(100, 5, 60)) + 1.0)
         for out in (log_return(s), diff(s), to_bps_change(s)):
             assert np.all(np.isfinite(out.values))
+
+
+class TestSharing:
+    """Containers hold each array once: views of frozen arrays are kept,
+    anything a caller could still write is copied."""
+
+    def frame(self):
+        data = np.arange(30, dtype=float).reshape(10, 3)
+        return Frame(days(10), ("a", "b", "c"), data)
+
+    def test_window_series_and_column_share_the_frame_memory(self):
+        f = self.frame()
+        window = f.window(dt.date(2020, 1, 3), dt.date(2020, 1, 7))
+        assert np.shares_memory(window.data, f.data)
+        assert np.shares_memory(window.dates, f.dates)
+        s = f.series("b")
+        assert np.shares_memory(s.values, f.data)
+        assert np.shares_memory(s.dates, f.dates)
+        assert np.shares_memory(s.window(end=dt.date(2020, 1, 5)).values, f.data)
+        assert np.shares_memory(f.column("c"), f.data)
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        base = np.arange(10, dtype=float)
+        view = base[:]
+        view.setflags(write=False)
+        s = DailySeries("s", days(10), view)
+        base2 = np.arange(20, dtype=float)
+        view2 = base2.reshape(10, 2)
+        view2.setflags(write=False)
+        f = Frame(days(10), ("a", "b"), view2)
+        base[:] = -1.0
+        base2[:] = -1.0
+        np.testing.assert_array_equal(s.values, np.arange(10.0))
+        np.testing.assert_array_equal(f.data, np.arange(20.0).reshape(10, 2))
+
+    def test_writeable_input_is_copied_and_frozen(self):
+        values = np.arange(5, dtype=float)
+        s = DailySeries("s", days(5), values)
+        values[0] = 99.0
+        assert s.values[0] == 0.0
+        assert not s.values.flags.writeable
+
+    def test_inner_join_on_one_calendar_allocates_about_its_output(self):
+        n, k = 20000, 21
+        dates = np.arange(np.datetime64("1950-01-01"), np.datetime64("1950-01-01") + n)
+        dates.setflags(write=False)
+        rng = np.random.default_rng(3)
+        inputs = []
+        for j in range(k):
+            values = rng.standard_normal(n)
+            values.setflags(write=False)
+            inputs.append(DailySeries(f"s{j}", dates, values))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            joined = inner_join(inputs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert joined.data.nbytes == n * k * 8
+        assert peak <= 1.5 * joined.data.nbytes
+        for j, s in enumerate(inputs):
+            np.testing.assert_array_equal(joined.data[:, j], s.values)
