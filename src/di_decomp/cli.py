@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Sequence
 
 from .errors import DiDecompError, exit_code_for
 from .fixture import generate_fixture
-from .ingestion import read_frame_csv
 from .pipeline import (
     CUMULATIVE_FILE,
     load_config,
@@ -135,17 +135,13 @@ def _print_report(report: dict, out_dir) -> None:
         "explained-variance shares: "
         + ", ".join(f"{k} {100 * v:.2f}%" for k, v in shares.items())
     )
-    # final cumulative line from the written file, 1 decimal, sign always shown
-    cum = read_frame_csv(Path(out_dir) / CUMULATIVE_FILE)
-    last = dict(zip(cum.names, cum.data[-1].tolist()))
-    print(
-        f"final cumulative change {last['di5y_change_cum']:+.1f} bps = "
-        f"const {last['const_cum']:+.1f} "
-        f"+ macro {last['macro_cum']:+.1f} "
-        f"+ riscobr {last['riscobr_cum']:+.1f} "
-        f"+ global {last['global_cum']:+.1f} "
-        f"+ residual {last['residual_cum']:+.1f}"
-    )
+    # the written file's last record, whose cells follow CUMULATIVE_COLUMNS,
+    # rounded to 4 decimals there and to 1 here, sign always shown
+    with (Path(out_dir) / CUMULATIVE_FILE).open(encoding="utf-8") as fh:
+        total, *parts = map(float, deque(fh, maxlen=1)[0].split(",")[1:])
+    print(f"final cumulative change {total:+.1f} bps = " + " + ".join(
+        f"{label} {value:+.1f}"
+        for label, value in zip(("const", "macro", "riscobr", "global", "residual"), parts)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

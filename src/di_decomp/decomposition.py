@@ -86,20 +86,14 @@ class DecompositionModel:
         self, cuts: Sequence[float] = DEFAULT_SIGNIFICANCE_CUTS
     ) -> list[dict]:
         """Coefficient table: estimate, stderr, t, p, significance per row."""
-        rows = []
-        for i, name in enumerate(self.fit.column_names):
-            p = float(self.fit.p_values[i])
-            rows.append(
-                {
-                    "name": name,
-                    "estimate": float(self.fit.coefficients[i]),
-                    "stderr": float(self.fit.stderr[i]),
-                    "t_statistic": float(self.fit.t_statistics[i]),
-                    "p_value": p,
-                    "significance": significance_label(p, cuts),
-                }
-            )
-        return rows
+        fit = self.fit
+        return [
+            {"name": name, "estimate": float(beta), "stderr": float(se),
+             "t_statistic": float(t), "p_value": float(p),
+             "significance": significance_label(float(p), cuts)}
+            for name, beta, se, t, p in zip(fit.column_names, fit.coefficients,
+                                            fit.stderr, fit.t_statistics, fit.p_values)
+        ]
 
     def to_dict(self, cuts: Sequence[float] = DEFAULT_SIGNIFICANCE_CUTS) -> dict:
         return {

@@ -83,6 +83,7 @@ _BASE_LEVELS = {
 _GAMMA_BASE = {"DXY": 1.2, "CRB": -0.5, "VIX": 0.08, "UST10": 0.04}
 _X_STD = {"DXY": 0.004, "CRB": 0.008, "VIX": 0.05, "UST10": 0.05}
 _CDS_ALPHA = 0.0002
+_TERMS = ("const", "macro_factor", "cds_dom", "cds_glob")  # the regression's, in order
 
 __all__ = [
     "generate_fixture",
@@ -238,18 +239,8 @@ def generate_fixture(
         "n_pre": int(n_pre),
         "decomposition_start": str(post_dates[1]),
         "decomposition_end": str(post_dates[-1]),
-        "true_betas": {
-            "const": beta0,
-            "macro_factor": beta_m,
-            "cds_dom": beta_d,
-            "cds_glob": beta_g,
-        },
-        "analytic_stderr": {
-            "const": float(se[0]),
-            "macro_factor": float(se[1]),
-            "cds_dom": float(se[2]),
-            "cds_glob": float(se[3]),
-        },
+        "true_betas": dict(zip(_TERMS, betas)),
+        "analytic_stderr": dict(zip(_TERMS, map(float, se))),
         "target_r_squared": float(target_r2),
         "noise_std_bps": noise_std,
         "contribution_std_targets_bps": {

@@ -13,12 +13,12 @@ Market data arrives as CSV only: header row, first column ``date`` as
 YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
 above ``_read_table``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
-cell that does not parse rejects the row, fatally in strict mode.  Each
-file is parsed in one pass of bounded blocks, whole columns at a time.
-Lines are read one physical line at a time until a block holds a '"'; from
-that block on, the csv module reads the rest of the file and only
-normalises its records, which then go through the same column checks.
-Only lines that fail a column check are split into cells.
+cell that does not parse rejects the row, fatally in strict mode.  A
+file's newlines are counted first, to size one value matrix; it is then
+parsed in bounded blocks, whole columns at a time: one physical line at
+a time until a block holds a '"', and from there on by the csv module,
+which only normalises its records for the same column checks.  Only
+lines that fail a column check are split into cells.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 import time
 import urllib.parse
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -72,7 +72,6 @@ __all__ = [
     "LoadReport",
     "MarketDataset",
     "horizon_column",
-    "horizon_columns",
     "fetch_focus",
     "reshape_horizons",
     "load_market_csv",
@@ -89,12 +88,8 @@ def horizon_column(indicator: str, k: int) -> str:
     return f"{indicator}_year" if k == 0 else f"{indicator}_year_{k}"
 
 
-def horizon_columns() -> tuple[str, ...]:
-    """The 20 horizon columns, indicator-major, nearest horizon first."""
-    return tuple(horizon_column(ind, k) for ind in INDICATORS for k in HORIZONS)
-
-
-HORIZON_COLUMNS = horizon_columns()
+# The 20 horizon columns, indicator-major, nearest horizon first.
+HORIZON_COLUMNS = tuple(horizon_column(ind, k) for ind in INDICATORS for k in HORIZONS)
 
 
 @dataclass(frozen=True)
@@ -481,73 +476,85 @@ def _parse_row(cells: Sequence[str], names: Sequence[str]) -> tuple[np.datetime6
 def _to_values(lines: list[str], k: int) -> np.ndarray | None:
     """Cells 1..k of every line as floats, NaN for empty cells.
 
-    None if some cell is not a real.  The grammar has no "nan", so filling
-    empty cells with it first marks exactly the missing observations.
+    None if some cell is not a real.  ``np.loadtxt`` rejects an empty or
+    blank cell, so only when it fails are the empty cells filled with
+    "nan", which the grammar does not have, and the lines read again.
     """
     if not k or not lines:
         return np.empty((len(lines), k))
-    body = "\n".join(lines)
-    # a text with an empty cell holds one of these or ends in a comma
-    if body.endswith(",") or any(m in body for m in (",,", ", ", ",\t", ",\n")):
-        lines = _EMPTY_CELL.sub(",nan", body).split("\n")
+    form = dict(delimiter=",", usecols=range(1, k + 1), comments=None, ndmin=2)
     try:
-        values = np.loadtxt(lines, delimiter=",", usecols=range(1, k + 1),
-                            comments=None, ndmin=2)
+        values = np.loadtxt(lines, **form)
     except ValueError:
-        return None
+        try:
+            values = np.loadtxt(_EMPTY_CELL.sub(",nan", "\n".join(lines)).split("\n"), **form)
+        except ValueError:
+            return None
     return values if values.shape == (len(lines), k) else None
 
 
-def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]]:
     """Each record the csv module reads from ``lines``, after how many lines.
 
     A quoted cell may hold line breaks, so a record can span several lines.
+    A record the csv module refuses (a cell over its field size limit) comes
+    as the ``csv.Error``, and reading goes on at the next line.
     """
     reader = csv.reader(line.translate(_CSV_ESCAPE) if "\x00" in line or "\x01" in line
                         else line for line in lines)
     before = 0
-    for rec in reader:
-        yield before, [c.replace("\x01n", "\x00").replace("\x01s", "\x01") for c in rec]
+    while True:
+        try:
+            rec = [c.replace("\x01n", "\x00").replace("\x01s", "\x01") for c in next(reader)]
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            rec = exc
+        yield before, rec
         before = reader.line_num
 
 
-def _blocks(fh: TextIO) -> Iterator[tuple[list[int], list[str], list[list[str]] | None]]:
-    """Blocks of non-blank data records: first physical line numbers, lines, cells.
+def _blocks(fh: TextIO) -> Iterator[tuple[Sequence[int], list[str], list | None, list]]:
+    """Blocks of data records: first physical line numbers, lines, cells, rejected.
 
     The header, line 1, was read before.  Up to the first block that holds a
-    '"', a record is one physical line, split into cells only when it fails
-    a column check (``cells`` is None).  From that block on, the csv module
-    reads the records, and a record's line is its cells joined by commas.
+    '"', a record is one physical line, blank or not, split into cells only
+    when it fails a column check (``cells`` is None).  From that block on,
+    the csv module reads the records, a record's line is its cells joined by
+    commas, blank records are left out and refused ones are rejected.
     """
     no = 1
     while chunk := list(islice(fh, _BLOCK_ROWS)):
-        if '"' in "".join(chunk):
+        text = "".join(chunk)
+        if '"' in text:
             break
-        lines = [line.rstrip("\n") for line in chunk]
-        kept = [i for i, line in enumerate(lines) if line.strip(" \t,")]
-        yield [no + 1 + i for i in kept], [lines[i] for i in kept], None
+        lines = text.removesuffix("\n").split("\n")
+        yield range(no + 1, no + 1 + len(lines)), lines, None, []
         no += len(chunk)
     else:
         return
     records = _records(chain(chunk, fh))
     while chunk := list(islice(records, _BLOCK_ROWS)):
-        block = [(no + 1 + at, rec) for at, rec in chunk if "".join(rec).strip(" \t")]
+        refused = [(no + 1 + at, f"unreadable record ({rec})", None)
+                   for at, rec in chunk if isinstance(rec, csv.Error)]
+        block = [(no + 1 + at, rec) for at, rec in chunk
+                 if isinstance(rec, list) and "".join(rec).strip(" \t")]
         cells = [rec for _, rec in block]
-        yield [n for n, _ in block], list(map(",".join, cells)), cells
+        yield [n for n, _ in block], list(map(",".join, cells)), cells, refused
 
 
-def _parse_block(nos, lines, cells, names):
+def _parse_block(nos, lines, cells, rejected, names):
     """Accepted (line numbers, dates, values) and rejected (line, message, date).
 
     Whole columns are checked and converted at once; only records that
     fail a column check are taken apart cell by cell, which also words
-    their error messages.
+    their error messages.  A blank line fails its comma count or its date
+    check, and is skipped there.
     """
     k = len(names)
-    foreign = _foreign("".join(lines))
-    suspect = np.array([
-        line.count(",") != k or (foreign and _foreign(line)) for line in lines
-    ], dtype=bool)
+    suspect = np.array(list(map(str.count, lines, repeat(","))), dtype=int) != k
+    if _foreign("".join(lines)):
+        suspect |= np.array(list(map(_foreign, lines)), dtype=bool)
     if cells is not None:  # a quoted cell may hold a comma
         suspect |= np.array([len(rec) != k + 1 for rec in cells], dtype=bool)
     dates = _to_dates([line.partition(",")[0].strip(" \t") for line in lines])
@@ -564,8 +571,9 @@ def _parse_block(nos, lines, cells, names):
     fast = np.flatnonzero(~suspect)
 
     good_nos, good_dates, good_values = [np.asarray(nos)[fast]], [dates[fast]], [values]
-    rejected = []
     for i in np.flatnonzero(suspect).tolist():
+        if cells is None and not lines[i].strip(" \t,"):
+            continue
         try:
             date, row = _parse_row(lines[i].split(",") if cells is None else cells[i], names)
         except _RowError as exc:
@@ -598,6 +606,8 @@ def _read_table(
     with path.open(encoding="utf-8") as fh:  # universal newlines, as csv reads them
         first = fh.readline()
         header = next(_records([first]))[1] if first else None
+        if isinstance(header, csv.Error):
+            raise ParseError(f"{path}: line 1: unreadable header ({header})")
         if columns is None:
             if not header or header[0].strip() != "date":
                 raise SchemaError(f"{path}: first header column must be 'date', got {header}")
@@ -610,13 +620,18 @@ def _read_table(
                 raise SchemaError(
                     f"{path}: header {header} does not match expected {['date', *names]}"
                 )
-        parts = [_parse_block(*block, names) for block in _blocks(fh)]
+        # a row per line after the header; an accepted record fills its line's row
+        start, chunks = fh.tell(), iter(lambda: fh.read(1 << 20), "")
+        values = np.empty((sum(text.count("\n") for text in chunks) + 1, len(names)))
+        fh.seek(start)
+        parts = []
+        for nos, dates, rows, rejected in (_parse_block(*b, names) for b in _blocks(fh)):
+            values[nos - 2] = rows
+            parts.append((nos, dates, rejected))
 
     nos = np.concatenate([np.empty(0, np.int64), *(p[0] for p in parts)])
     dates = np.concatenate([np.empty(0, "datetime64[D]"), *(p[1] for p in parts)])
-    values = np.concatenate([np.empty((0, len(names))), *(p[2] for p in parts)])
-    rejected = [r for p in parts for r in p[3]]
-    del parts
+    rejected = [r for p in parts for r in p[2]]
     in_file_order = np.argsort(nos, kind="stable")
     nos, dates = nos[in_file_order], dates[in_file_order]
     # the first accepted row of each date wins, as if read line by line
@@ -638,7 +653,10 @@ def _read_table(
         log.warning("%s: rejected row: %s", path, f"line {no}: {message}")
     if report is not None:
         report.rejected_rows += len(errors)
-    return names, _frozen(unique), _frozen(values[in_file_order[first]])
+    rows = nos[first] - 2
+    # a sorted file without repeated dates or gaps keeps its first rows in place
+    values = values[:len(rows)] if np.array_equal(rows, np.arange(len(rows))) else values[rows]
+    return names, _frozen(unique), _frozen(values)
 
 
 def load_market_csv(
@@ -737,14 +755,13 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
         raise ParseError(f"file not found: {path}")
     records = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _records(fh)
+        header = next(rows, (0, None))[1]
         if header != ["survey_date", "indicator", "reference_year", "median"]:
             raise SchemaError(f"{path}: unexpected panel header {header}")
-        start = 2
-        for raw in reader:
-            # a quoted cell may hold line breaks: name the record's first line
-            line_no, start = start, reader.line_num + 1
+        for before, raw in rows:
+            if isinstance(raw, csv.Error):
+                raise ParseError(f"{path}: line {before + 1}: unreadable record ({raw})")
             if not raw or all(not c.strip() for c in raw):
                 continue
             try:
@@ -757,7 +774,7 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
                     )
                 )
             except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}: line {line_no}: {exc}") from exc
+                raise ParseError(f"{path}: line {before + 1}: {exc}") from exc
     for r in records:
         if r.indicator not in INDICATORS:
             raise SchemaError(f"{path}: unknown indicator '{r.indicator}'")

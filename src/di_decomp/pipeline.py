@@ -64,6 +64,7 @@ from .ingestion import (
 )
 from .pls import FACTOR_NAME, PlsModel, macro_factor, pls1_fit
 from .series import DailySeries, Frame, diff, inner_join, log_return, to_bps_change
+from .series import _frozen, _require_points
 from .svg_chart import emit_svg
 
 SURPRISE_DIFF_NAME = "SURPRISE_diff"
@@ -82,6 +83,7 @@ FOCUS_PANEL_FILE = "focus_panel.csv"
 EXPECTATIONS_OUT_FILE = "expectations.csv"
 LOAD_REPORT_FILE = "load_report.json"
 LOCK_FILE = ".di-decomp.lock"
+_GATHER_ROWS = 256  # factor design rows gathered at a time: bounds the temporaries
 
 _ENV_PREFIX = "DI_DECOMP_"
 
@@ -310,16 +312,15 @@ def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
         lock.unlink(missing_ok=True)
 
 
-def _joined(frame: Frame, what: str, inputs: Sequence[DailySeries]) -> Frame:
-    """``frame`` if it has rows, else a DataError naming each input's range."""
-    if frame.n_rows == 0:
+def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) -> None:
+    """A DataError naming each (name, dates) input's range if a join kept no rows."""
+    if n_rows == 0:
         detail = "; ".join(
-            f"{s.name}: {s.dates[0]}..{s.dates[-1]} ({len(s)} points)"
-            if len(s) else f"{s.name}: empty"
-            for s in inputs
+            f"{name}: {dates[0]}..{dates[-1]} ({len(dates)} points)"
+            if len(dates) else f"{name}: empty"
+            for name, dates in inputs
         )
         raise DataError(f"{what} join produced 0 rows ({detail})")
-    return frame
 
 
 def _fetch(config: PipelineConfig, report: LoadReport, transport=None) -> FocusPanel:
@@ -383,22 +384,39 @@ def _transform_market(market: MarketDataset, end: dt.date | None) -> _Transforme
     )
 
 
-def _build_factor(
+def _factor_design(
     transformed: _Transformed, expectations: Frame, config: PipelineConfig
-) -> tuple[PlsModel, DailySeries]:
-    """Fit the supervised factor on the intersection of inputs and the target."""
-    x_series = [
-        diff(expectations.series(col).window(end=config.end))
-        for col in config.factor_columns if col != SURPRISE_DIFF_NAME
-    ]
-    if SURPRISE_DIFF_NAME in config.factor_columns:
-        x_series.append(transformed.surprise_diff)
-    inputs = x_series + [transformed.d_di5y]
-    joined = _joined(inner_join(inputs), "factor estimation", inputs)
-    del x_series, inputs  # the joined frame holds every value the fit needs
-    x_frame = joined.select(joined.names[:-1])
-    model = pls1_fit(x_frame, joined.column(TARGET_NAME))
-    return model, macro_factor(model, x_frame)
+) -> tuple[Frame, np.ndarray]:
+    """The factor's regressors and target on the dates every input has.
+
+    Each horizon column's daily change, ``col[pos] - col[pos-1]`` as ``diff``
+    makes it, goes straight into one column-major matrix (the layout the
+    fit's rounding was pinned with), a bounded block of rows at a time.
+    """
+    horizons = [c for c in config.factor_columns if c != SURPRISE_DIFF_NAME]
+    cols = [expectations.index(c) for c in horizons]
+    level = expectations.window(end=config.end)
+    if cols:  # the check diff makes, on the first column
+        _require_points(level.series(horizons[0]), 2, "diff")
+    x_series = [transformed.surprise_diff] if SURPRISE_DIFF_NAME in config.factor_columns else []
+    tail = inner_join(x_series + [transformed.d_di5y])
+    at = np.searchsorted(level.dates, tail.dates)
+    keep = np.ones(tail.n_rows, dtype=bool)
+    if cols:  # a day's change needs the day before it
+        keep = (at > 0) & (at < level.n_rows)
+        keep[keep] = level.dates[at[keep]] == tail.dates[keep]
+    dates, at = _frozen(tail.dates[keep]), at[keep]
+    _joined(len(dates), "factor estimation", [(c, level.dates[1:]) for c in horizons]
+            + [(s.name, s.dates) for s in (*x_series, transformed.d_di5y)])
+    x = np.empty((len(dates), len(cols) + len(x_series)), order="F")
+    for lo in range(0, len(at) if cols else 0, _GATHER_ROWS):
+        pos = at[lo:lo + _GATHER_ROWS, None]
+        np.subtract(level.data[pos, cols], level.data[pos - 1, cols],
+                    out=x[lo:lo + len(pos), :len(cols)])
+    x[:, len(cols):] = tail.data[keep, :-1]
+    names, y = (*horizons, *tail.names[:-1]), tail.data[keep, -1]
+    del tail, at  # freed before the frame's checks allocate
+    return Frame(dates, names, _frozen(x)), y
 
 
 def _split_cds(t: _Transformed) -> tuple[CdsSplitModel, CdsComponents]:
@@ -413,10 +431,8 @@ def _decompose(
 ) -> tuple[DecompositionModel, Frame, Frame]:
     """The final regression with its contribution and cumulative frames."""
     inputs = (d_di5y, factor, components.dom, components.glob)
-    joined = _joined(
-        join_decomposition_inputs(*inputs).window(config.start, config.end),
-        "decomposition", inputs,
-    )
+    joined = join_decomposition_inputs(*inputs).window(config.start, config.end)
+    _joined(joined.n_rows, "decomposition", [(s.name, s.dates) for s in inputs])
     model = fit_decomposition_frame(joined)
     contribs = contributions(model, joined)
     return model, contribs, accumulate(contribs)
@@ -472,11 +488,8 @@ def _emit_factor(stage: _Stage, model: PlsModel, factor: DailySeries) -> None:
 
 def _emit_cds(stage: _Stage, model: CdsSplitModel, components: CdsComponents) -> None:
     """cds_components.csv and cds_model.json."""
-    frame = Frame(
-        components.glob.dates,
-        (GLOBAL_NAME, DOMESTIC_NAME),
-        np.column_stack([components.glob.values, components.dom.values]),
-    )
+    data = np.column_stack([components.glob.values, components.dom.values])
+    frame = Frame(components.glob.dates, (GLOBAL_NAME, DOMESTIC_NAME), data)
     frame_to_csv(frame, stage.path(COMPONENTS_FILE))
     _write_json(stage.path(CDS_MODEL_FILE), model.to_dict())
 
@@ -527,8 +540,11 @@ def run_build_factors(config: PipelineConfig) -> PlsModel:
         market = _load_market(config, report)
         expectations = _load_expectations(config, report)
         transformed = _transform_market(market, config.end)
-        model, factor = _build_factor(transformed, expectations, config)
-        _emit_factor(stage, model, factor)
+        del market  # the transforms hold every value the later stages use
+        x, y = _factor_design(transformed, expectations, config)
+        del expectations  # the design holds every value the fit needs
+        model = pls1_fit(x, y)
+        _emit_factor(stage, model, macro_factor(model, x))
     return model
 
 
@@ -583,9 +599,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
         stage.label = "transform"
         transformed = _transform_market(market, config.end)
+        del market  # the transforms hold every value the later stages use
 
         stage.label = "factors"
-        pls_model, factor = _build_factor(transformed, expectations, config)
+        x, y = _factor_design(transformed, expectations, config)
+        del expectations  # the design holds every value the fit needs
+        pls_model = pls1_fit(x, y)
+        factor = macro_factor(pls_model, x)
+        del x, y
 
         stage.label = "cds-split"
         cds_model, components = _split_cds(transformed)

@@ -37,7 +37,7 @@ class OlsFit:
 
     ``coefficients`` is ordered intercept-first when an intercept was
     requested; ``column_names`` carries the matching labels ("const" for
-    the intercept).  ``n_regressors`` counts slope terms only.
+    the intercept).
     """
 
     column_names: tuple[str, ...]
@@ -50,8 +50,6 @@ class OlsFit:
     fitted: np.ndarray
     residuals: np.ndarray
     n_observations: int
-    n_regressors: int
-    has_intercept: bool
     dof_residual: int
 
     def __post_init__(self) -> None:
@@ -236,15 +234,8 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
     p_vals = np.array([student_t_two_sided_p(t, dof) if np.isfinite(t) else 0.0
                        for t in t_stats])
 
-    if intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
-    if tss > 0.0:
-        r2 = 1.0 - rss / tss
-    else:
-        r2 = 0.0
-    r2 = min(1.0, max(0.0, r2))
+    tss = float(np.sum((y - y.mean()) ** 2)) if intercept else float(y @ y)
+    r2 = min(1.0, max(0.0, 1.0 - rss / tss)) if tss > 0.0 else 0.0
     scale = (n - 1) / dof if intercept else n / dof
     adj_r2 = 1.0 - (1.0 - r2) * scale
 
@@ -259,7 +250,5 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
         fitted=fitted,
         residuals=residuals,
         n_observations=n,
-        n_regressors=X.n_cols,
-        has_intercept=intercept,
         dof_residual=dof,
     )

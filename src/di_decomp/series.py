@@ -176,10 +176,13 @@ class Frame:
     def n_cols(self) -> int:
         return len(self.names)
 
-    def column(self, name: str) -> np.ndarray:
+    def index(self, name: str) -> int:
         if name not in self.names:
             raise SchemaError(f"no column '{name}' in frame {list(self.names)}")
-        return self.data[:, self.names.index(name)]
+        return self.names.index(name)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.data[:, self.index(name)]
 
     def series(self, name: str) -> DailySeries:
         return DailySeries(name, self.dates, self.column(name))
@@ -288,18 +291,10 @@ def to_bps_change(s: DailySeries) -> DailySeries:
 
 
 def inner_join(series: Sequence[DailySeries]) -> Frame:
-    """Align several series on the sorted intersection of their dates.
+    """Align one or more uniquely named series on the dates every one has.
 
-    Parameters
-    ----------
-    series
-        One or more uniquely named series.
-
-    Returns
-    -------
-    Frame
-        One column per input series, restricted to dates every input has.
-        A disjoint calendar yields an empty (0-row) frame, not an error.
+    The frame has one column per series, in order.  A disjoint calendar
+    yields an empty (0-row) frame, not an error.
     """
     if not series:
         raise InsufficientDataError("inner_join: need at least one series")

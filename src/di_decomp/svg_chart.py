@@ -160,4 +160,5 @@ def emit_svg(cum: Frame, path: Path | str, title: str = "Cumulative decompositio
         )
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:  # one part at a time
+        fh.writelines(part + "\n" for part in parts)

@@ -19,7 +19,7 @@ import pytest
 from di_decomp import LoadReport, ingestion, load_market_csv
 from di_decomp.cli import main
 from di_decomp.errors import ConfigError, ParseError
-from di_decomp.ingestion import read_focus_panel_csv
+from di_decomp.ingestion import read_focus_panel_csv, read_frame_csv
 from di_decomp.pipeline import load_config
 
 GOOD_ROW = "2015-01-14,12.60\n"
@@ -184,6 +184,46 @@ def test_nul_is_rejected_as_a_cell(tmp_path, monkeypatch, row, message, refuse_n
     with pytest.raises(ParseError, match="line 2: " + re.escape(message)):
         load_market_csv(path, columns=("DI5Y",))
     _assert_rejected(path)
+
+
+# The csv module refuses a cell over its field size limit (131072 characters
+# by default).  That record is one rejected row like any other, and reading
+# goes on at the next line.
+BIG_CELL = '"' + "1" * 200_000 + '"'
+
+
+def test_cell_over_the_csv_field_limit_is_a_rejected_row(tmp_path):
+    path = _market(tmp_path, f"2015-01-13,{BIG_CELL}\n")
+    with pytest.raises(ParseError, match=r"line 2: unreadable record \(field larger"):
+        load_market_csv(path, columns=("DI5Y",))
+    _assert_rejected(path)
+    path = tmp_path / "frame.csv"
+    path.write_text(f"date,x\n{GOOD_ROW}2015-01-15,{BIG_CELL}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 3: unreadable record \(field larger"):
+        read_frame_csv(path)
+    report = LoadReport()
+    frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 1
+    assert [str(d) for d in frame.dates] == ["2015-01-14"]
+    path.write_text(f"date,{BIG_CELL}\n{GOOD_ROW}", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 1: unreadable header \(field larger"):
+        read_frame_csv(path, strict=False)
+
+
+@pytest.mark.parametrize("refuse_nul", [False, True])
+def test_panel_cells_over_the_field_limit_or_with_nul_are_rejected(
+    tmp_path, monkeypatch, refuse_nul
+):
+    if refuse_nul:
+        monkeypatch.setattr(ingestion.csv, "reader", _csv_reader_refusing_nul)
+    path = tmp_path / "panel.csv"
+    head = "survey_date,indicator,reference_year,median\n2015-01-13,IPCA,2016,6.25\n"
+    path.write_text(head + "2015-01-13,IPCA,2015,6\x005\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape("line 3: cannot parse '6\\x005'")):
+        read_focus_panel_csv(path)
+    path.write_text(head + f"2015-01-13,IPCA,2015,{BIG_CELL}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 3: unreadable record \(field larger"):
+        read_focus_panel_csv(path)
 
 
 # The focus panel CSV: the median follows the real grammar above and must be

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import json
+import tracemalloc
 import urllib.parse
 import xml.etree.ElementTree as ET
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from di_decomp import DailySeries, Frame
-from di_decomp.errors import ConfigError, DataError, StageError
+from di_decomp import pipeline
+from di_decomp.errors import ConfigError, DataError, InsufficientDataError, StageError
 from di_decomp.fixture import (
     DEFAULT_FIXTURE_SEED,
     EXPECTATIONS_FILE,
@@ -180,6 +182,45 @@ class TestBundledFixtureRun:
         assert sample["n_observations"] < full["n_observations"]
 
 
+class _Stop(Exception):
+    """Ends a run at the point a test has measured."""
+
+
+def test_factor_design_peaks_near_its_own_bytes(bundled, tmp_path, monkeypatch):
+    """From the transformed inputs to ``pls1_fit``, memory peaks at <= 1.5x the design."""
+    seen = {}
+    transform = pipeline._transform_market
+
+    def transform_then_reset(market, end):
+        seen["market"] = market  # held here, so dropping it frees nothing
+        result = transform(market, end)
+        tracemalloc.reset_peak()
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        return result
+
+    def fit(x, y):
+        seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["before"]
+        seen["shape"], seen["bytes"] = x.data.shape, x.data.nbytes
+        raise _Stop
+
+    monkeypatch.setattr(pipeline, "_transform_market", transform_then_reset)
+    monkeypatch.setattr(pipeline, "pls1_fit", fit)
+    config = PipelineConfig(
+        market_csv=bundled["config"].market_csv,
+        expectations_csv=bundled["config"].expectations_csv,
+        out_dir=tmp_path / "out",
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(StageError, match="factors"):
+            run_pipeline(config)
+    finally:
+        tracemalloc.stop()
+    assert seen["shape"][1] == len(HORIZON_COLUMNS) + 1
+    assert seen["bytes"] == seen["shape"][0] * seen["shape"][1] * 8
+    assert seen["peak"] <= 1.5 * seen["bytes"]
+
+
 class TestFocusPanelSource:
     def test_panel_cache_reproduces_horizon_csv_run(self, tmp_path):
         """A cached panel and the reshaped horizon CSV drive identical factors."""
@@ -255,11 +296,14 @@ def business_days(start, n):
     return tuple(out)
 
 
-def write_disjoint_market(tmp_path):
+DATES_A = business_days(dt.date(2020, 1, 1), 40)
+DATES_B = business_days(dt.date(2021, 1, 1), 40)
+
+
+def write_disjoint_market(tmp_path, expectation_dates=DATES_A):
     """DI5Y/SURPRISE and the CDS block live on disjoint calendars."""
     rng = np.random.default_rng(0)
-    dates_a = business_days(dt.date(2020, 1, 1), 40)
-    dates_b = business_days(dt.date(2021, 1, 1), 40)
+    dates_a, dates_b = DATES_A, DATES_B
     series = [
         DailySeries("DI5Y", dates_a, 12.0 + np.cumsum(rng.standard_normal(40)) * 0.01),
         DailySeries("CDS", dates_b, 180.0 * np.exp(np.cumsum(rng.standard_normal(40)) * 0.01)),
@@ -272,11 +316,12 @@ def write_disjoint_market(tmp_path):
     market_path = tmp_path / "market.csv"
     write_market_csv(MarketDataset(tuple(series)), market_path)
 
+    n = len(expectation_dates)
     levels = {
-        col: 5.0 + np.cumsum(rng.standard_normal(40)) * 0.03 for col in HORIZON_COLUMNS
+        col: 5.0 + np.cumsum(rng.standard_normal(n)) * 0.03 for col in HORIZON_COLUMNS
     }
     expectations_path = tmp_path / "expectations.csv"
-    frame_to_csv(Frame.from_columns(dates_a, levels), expectations_path)
+    frame_to_csv(Frame.from_columns(expectation_dates, levels), expectations_path)
     return market_path, expectations_path
 
 
@@ -292,6 +337,32 @@ class TestPipelineErrors:
         assert isinstance(cause, DataError)
         assert "0 rows" in str(cause)
         assert "d_di5y_bps" in str(cause)  # per-input diagnostics
+
+    def test_empty_factor_join_reports_each_input_range(self, tmp_path):
+        market, expectations = write_disjoint_market(tmp_path, expectation_dates=DATES_B)
+        config = PipelineConfig(
+            market_csv=market, expectations_csv=expectations, out_dir=tmp_path / "out"
+        )
+        with pytest.raises(StageError, match="factors") as exc_info:
+            run_build_factors(config)
+        cause = exc_info.value.cause
+        assert isinstance(cause, DataError)
+        a, b = (f"{dates[1]}..{dates[-1]} (39 points)" for dates in (DATES_A, DATES_B))
+        detail = [f"{col}: {b}" for col in HORIZON_COLUMNS]
+        detail += [f"SURPRISE_diff: {a}", f"d_di5y_bps: {a}"]
+        assert str(cause) == f"factor estimation join produced 0 rows ({'; '.join(detail)})"
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_expectations_of_fewer_than_two_rows_are_insufficient(self, tmp_path, rows):
+        market, expectations = write_disjoint_market(tmp_path, expectation_dates=DATES_A[:rows])
+        config = PipelineConfig(
+            market_csv=market, expectations_csv=expectations, out_dir=tmp_path / "out"
+        )
+        with pytest.raises(StageError, match="factors") as exc_info:
+            run_pipeline(config)
+        cause = exc_info.value.cause
+        assert isinstance(cause, InsufficientDataError)
+        assert str(cause) == f"diff: series 'IPCA_year' has {rows} points, needs at least 2"
 
     def test_no_market_source_is_config_error(self, tmp_path):
         config = PipelineConfig(out_dir=tmp_path / "out")
