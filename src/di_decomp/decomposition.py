@@ -26,7 +26,7 @@ from .errors import DegenerateColumnError, InsufficientDataError, NumericalError
 from .pls import FACTOR_NAME
 from .cds import DOMESTIC_NAME, GLOBAL_NAME
 from .regression import OlsFit, ols_fit
-from .series import DailySeries, Frame, inner_join
+from .series import DailySeries, Frame, _frozen, _shared, inner_join
 
 TARGET_NAME = "d_di5y_bps"
 FACTOR_ORDER = (FACTOR_NAME, DOMESTIC_NAME, GLOBAL_NAME)
@@ -82,22 +82,17 @@ class DecompositionModel:
 
     fit: OlsFit
 
-    def report_rows(
-        self, cuts: Sequence[float] = DEFAULT_SIGNIFICANCE_CUTS
-    ) -> list[dict]:
-        """Coefficient table: estimate, stderr, t, p, significance per row."""
-        fit = self.fit
-        return [
-            {"name": name, "estimate": float(beta), "stderr": float(se),
-             "t_statistic": float(t), "p_value": float(p),
-             "significance": significance_label(float(p), cuts)}
-            for name, beta, se, t, p in zip(fit.column_names, fit.coefficients,
-                                            fit.stderr, fit.t_statistics, fit.p_values)
-        ]
-
     def to_dict(self, cuts: Sequence[float] = DEFAULT_SIGNIFICANCE_CUTS) -> dict:
+        """The coefficient table (estimate, stderr, t, p, significance) and fit sizes."""
+        fit = self.fit
         return {
-            "coefficients": self.report_rows(cuts),
+            "coefficients": [
+                {"name": name, "estimate": float(beta), "stderr": float(se),
+                 "t_statistic": float(t), "p_value": float(p),
+                 "significance": significance_label(float(p), cuts)}
+                for name, beta, se, t, p in zip(fit.column_names, fit.coefficients,
+                                                fit.stderr, fit.t_statistics, fit.p_values)
+            ],
             "r_squared": self.fit.r_squared,
             "adj_r_squared": self.fit.adj_r_squared,
             "n_observations": self.fit.n_observations,
@@ -114,9 +109,7 @@ class VarianceShares:
 
     def __post_init__(self) -> None:
         for field in ("shares", "correlations"):
-            arr = np.asarray(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+            object.__setattr__(self, field, _shared(getattr(self, field), "float64"))
 
     def to_dict(self) -> dict:
         return {
@@ -158,18 +151,11 @@ def join_decomposition_inputs(
     )
 
 
-def _require_columns(frame: Frame, names: Sequence[str], context: str) -> None:
-    for name in names:
-        if name not in frame.names:
-            raise SchemaError(f"{context}: frame lacks column '{name}'")
-
-
 def fit_decomposition_frame(joined: Frame) -> DecompositionModel:
-    _require_columns(joined, (TARGET_NAME,) + FACTOR_ORDER, "fit_decomposition")
+    y, X = joined.column(TARGET_NAME), joined.select(FACTOR_ORDER)
     if joined.n_rows == 0:
         raise InsufficientDataError("fit_decomposition: joined sample is empty")
-    fit = ols_fit(joined.column(TARGET_NAME), joined.select(list(FACTOR_ORDER)))
-    return DecompositionModel(fit)
+    return DecompositionModel(ols_fit(y, X))
 
 
 def contributions(model: DecompositionModel, joined: Frame) -> Frame:
@@ -179,7 +165,6 @@ def contributions(model: DecompositionModel, joined: Frame) -> Frame:
     (canonical names, as produced by :func:`join_decomposition_inputs`).
     The result has the columns :data:`CONTRIBUTION_COLUMNS`.
     """
-    _require_columns(joined, (TARGET_NAME,) + FACTOR_ORDER, "contributions")
     fit = model.fit
     d = joined.column(TARGET_NAME)
     macro = fit.coefficient(FACTOR_NAME) * joined.column(FACTOR_NAME)
@@ -229,7 +214,7 @@ def variance_shares(c: Frame) -> VarianceShares:
     corr = np.divide(cov, scale, out=np.zeros_like(cov), where=scale > 0.0)
     np.fill_diagonal(corr, 1.0)
     return VarianceShares(
-        labels=CONTRIBUTION_LABELS, shares=variances / total, correlations=corr
+        labels=CONTRIBUTION_LABELS, shares=_frozen(variances / total), correlations=_frozen(corr)
     )
 
 

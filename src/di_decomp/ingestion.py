@@ -15,10 +15,10 @@ above ``_read_table``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
 cell that does not parse rejects the row, fatally in strict mode.  A
 file's newlines are counted first, to size one value matrix; it is then
-parsed in bounded blocks, whole columns at a time: one physical line at
-a time until a block holds a '"', and from there on by the csv module,
-which only normalises its records for the same column checks.  Only
-lines that fail a column check are split into cells.
+parsed in bounded blocks, whole columns at a time, by one mechanism for
+the whole file: one physical line at a time if no line holds a '"', else
+the csv module, which only normalises its records for the same column
+checks.  Only lines that fail a column check are split into cells.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 import time
 import urllib.parse
 from dataclasses import asdict, dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -169,11 +169,16 @@ class MarketDataset:
 Transport = Callable[[str], tuple[int, bytes]]
 
 
-def _requests_transport(url: str) -> tuple[int, bytes]:
-    import requests
+def _urllib_transport(url: str) -> tuple[int, bytes]:
+    import urllib.error
+    import urllib.request
 
-    resp = requests.get(url, timeout=60)
-    return resp.status_code, resp.content
+    try:
+        with urllib.request.urlopen(url, timeout=60) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:  # an OSError, but the server did answer
+        with exc:
+            return exc.code, exc.read()
 
 
 def _fetch_page(
@@ -262,10 +267,9 @@ def fetch_focus(
         ``url -> (status, body)`` callable; defaults to a plain HTTP GET.
         Tests inject recorded payloads here.  A transport reports a
         connection failure by raising ``OSError`` (``ConnectionError``,
-        ``TimeoutError``, ``urllib.error.URLError`` and
-        ``requests.RequestException`` all are); that and a 5xx status are
-        retried with exponential backoff, up to ``max_attempts`` requests.
-        Any other exception propagates at once.
+        ``TimeoutError`` and ``urllib.error.URLError`` all are); that and a
+        5xx status are retried with exponential backoff, up to
+        ``max_attempts`` requests.  Any other exception propagates at once.
     report
         Optional counter sink for fetched / deduplicated records.
 
@@ -281,7 +285,7 @@ def fetch_focus(
     unknown = [i for i in indicators if i not in INDICATOR_QUERY_NAMES]
     if unknown:
         raise SchemaError(f"unknown indicators {unknown}; expected from {INDICATORS}")
-    transport = transport or _requests_transport
+    transport = transport or _urllib_transport
     reverse_names = {v: k for k, v in INDICATOR_QUERY_NAMES.items()}
 
     cells: dict[tuple[TradingDate, str, int], FocusRecord] = {}
@@ -498,11 +502,17 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]
 
     A quoted cell may hold line breaks, so a record can span several lines.
     A record the csv module refuses (a cell over its field size limit) comes
-    as the ``csv.Error``, and reading goes on at the next line.
+    as the ``csv.Error``.  It runs on to the first line that leaves it an
+    even number of '"', and reading goes on after that line.
     """
-    reader = csv.reader(line.translate(_CSV_ESCAPE) if "\x00" in line or "\x01" in line
-                        else line for line in lines)
-    before = 0
+    lines, taken = iter(lines), []  # taken: the physical lines of this record
+
+    def fed():
+        for line in lines:
+            taken.append(line)
+            yield line.translate(_CSV_ESCAPE) if "\x00" in line or "\x01" in line else line
+
+    reader, before = csv.reader(fed()), 0
     while True:
         try:
             rec = [c.replace("\x01n", "\x00").replace("\x01s", "\x01") for c in next(reader)]
@@ -510,34 +520,34 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]
             return
         except csv.Error as exc:
             rec = exc
+            while sum(map(str.count, taken, repeat('"'))) % 2 and (line := next(lines, None)):
+                taken.append(line)
         yield before, rec
-        before = reader.line_num
+        before += len(taken)
+        taken.clear()
 
 
-def _blocks(fh: TextIO) -> Iterator[tuple[Sequence[int], list[str], list | None, list]]:
+def _blocks(fh: TextIO, quoted: bool) -> Iterator[tuple]:
     """Blocks of data records: first physical line numbers, lines, cells, rejected.
 
-    The header, line 1, was read before.  Up to the first block that holds a
-    '"', a record is one physical line, blank or not, split into cells only
-    when it fails a column check (``cells`` is None).  From that block on,
-    the csv module reads the records, a record's line is its cells joined by
-    commas, blank records are left out and refused ones are rejected.
+    The header, line 1, was read before.  If the file holds no '"', a record
+    is one physical line, blank or not, split into cells only when it fails
+    a column check (``cells`` is None).  Otherwise the csv module reads every
+    record, a record's line is its cells joined by commas, blank records are
+    left out and refused ones are rejected.
     """
-    no = 1
-    while chunk := list(islice(fh, _BLOCK_ROWS)):
-        text = "".join(chunk)
-        if '"' in text:
-            break
-        lines = text.removesuffix("\n").split("\n")
-        yield range(no + 1, no + 1 + len(lines)), lines, None, []
-        no += len(chunk)
-    else:
+    if not quoted:
+        no = 1
+        while chunk := list(islice(fh, _BLOCK_ROWS)):
+            lines = "".join(chunk).removesuffix("\n").split("\n")
+            yield range(no + 1, no + 1 + len(lines)), lines, None, []
+            no += len(chunk)
         return
-    records = _records(chain(chunk, fh))
+    records = _records(fh)
     while chunk := list(islice(records, _BLOCK_ROWS)):
-        refused = [(no + 1 + at, f"unreadable record ({rec})", None)
+        refused = [(2 + at, f"unreadable record ({rec})", None)
                    for at, rec in chunk if isinstance(rec, csv.Error)]
-        block = [(no + 1 + at, rec) for at, rec in chunk
+        block = [(2 + at, rec) for at, rec in chunk
                  if isinstance(rec, list) and "".join(rec).strip(" \t")]
         cells = [rec for _, rec in block]
         yield [n for n, _ in block], list(map(",".join, cells)), cells, refused
@@ -622,10 +632,12 @@ def _read_table(
                 )
         # a row per line after the header; an accepted record fills its line's row
         start, chunks = fh.tell(), iter(lambda: fh.read(1 << 20), "")
-        values = np.empty((sum(text.count("\n") for text in chunks) + 1, len(names)))
+        counts = [(text.count("\n"), '"' in text) for text in chunks]
+        values = np.empty((sum(n for n, _ in counts) + 1, len(names)))
         fh.seek(start)
         parts = []
-        for nos, dates, rows, rejected in (_parse_block(*b, names) for b in _blocks(fh)):
+        for block in _blocks(fh, any(quoted for _, quoted in counts)):
+            nos, dates, rows, rejected = _parse_block(*block, names)
             values[nos - 2] = rows
             parts.append((nos, dates, rejected))
 

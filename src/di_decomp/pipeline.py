@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .cds import CdsComponents, CdsSplitModel, DOMESTIC_NAME, GLOBAL_NAME, split_cds
+from .cds import REGRESSOR_ORDER
 from .decomposition import (
     DEFAULT_SIGNIFICANCE_CUTS,
     DecompositionModel,
@@ -357,35 +358,22 @@ def _target(market: MarketDataset, end: dt.date | None) -> DailySeries:
     return to_bps_change(market["DI5Y"].window(end=end)).with_name(TARGET_NAME)
 
 
-@dataclass(frozen=True)
-class _Transformed:
-    d_di5y: DailySeries
-    cds_ret: DailySeries
-    dxy_ret: DailySeries
-    crb_ret: DailySeries
-    vix_ret: DailySeries
-    ust10_diff: DailySeries
-    surprise_diff: DailySeries
-
-
-def _transform_market(market: MarketDataset, end: dt.date | None) -> _Transformed:
+def _transform_market(market: MarketDataset, end: dt.date | None) -> MarketDataset:
     """Daily transforms over the full available history up to ``end``."""
+    # each on its own calendar: a frame's inner join would drop the factor fit's pre-CDS days
     def upto(name: str) -> DailySeries:
         return market[name].window(end=end)
 
-    return _Transformed(
-        d_di5y=_target(market, end),
-        cds_ret=log_return(upto("CDS")),
-        dxy_ret=log_return(upto("DXY")),
-        crb_ret=log_return(upto("CRB")),
-        vix_ret=log_return(upto("VIX")),
-        ust10_diff=diff(upto("UST10")),
-        surprise_diff=diff(upto("SURPRISE")).with_name(SURPRISE_DIFF_NAME),
-    )
+    return MarketDataset((
+        _target(market, end),
+        *(log_return(upto(name)) for name in ("CDS", "DXY", "CRB", "VIX")),
+        diff(upto("UST10")),
+        diff(upto("SURPRISE")).with_name(SURPRISE_DIFF_NAME),
+    ))
 
 
 def _factor_design(
-    transformed: _Transformed, expectations: Frame, config: PipelineConfig
+    transformed: MarketDataset, expectations: Frame, config: PipelineConfig
 ) -> tuple[Frame, np.ndarray]:
     """The factor's regressors and target on the dates every input has.
 
@@ -398,8 +386,9 @@ def _factor_design(
     level = expectations.window(end=config.end)
     if cols:  # the check diff makes, on the first column
         _require_points(level.series(horizons[0]), 2, "diff")
-    x_series = [transformed.surprise_diff] if SURPRISE_DIFF_NAME in config.factor_columns else []
-    tail = inner_join(x_series + [transformed.d_di5y])
+    x_series = [transformed[n] for n in (SURPRISE_DIFF_NAME,) if n in config.factor_columns]
+    target = transformed[TARGET_NAME]
+    tail = inner_join(x_series + [target])
     at = np.searchsorted(level.dates, tail.dates)
     keep = np.ones(tail.n_rows, dtype=bool)
     if cols:  # a day's change needs the day before it
@@ -407,7 +396,7 @@ def _factor_design(
         keep[keep] = level.dates[at[keep]] == tail.dates[keep]
     dates, at = _frozen(tail.dates[keep]), at[keep]
     _joined(len(dates), "factor estimation", [(c, level.dates[1:]) for c in horizons]
-            + [(s.name, s.dates) for s in (*x_series, transformed.d_di5y)])
+            + [(s.name, s.dates) for s in (*x_series, target)])
     x = np.empty((len(dates), len(cols) + len(x_series)), order="F")
     for lo in range(0, len(at) if cols else 0, _GATHER_ROWS):
         pos = at[lo:lo + _GATHER_ROWS, None]
@@ -419,8 +408,8 @@ def _factor_design(
     return Frame(dates, names, _frozen(x)), y
 
 
-def _split_cds(t: _Transformed) -> tuple[CdsSplitModel, CdsComponents]:
-    return split_cds(t.cds_ret, t.dxy_ret, t.crb_ret, t.vix_ret, t.ust10_diff)
+def _split_cds(t: MarketDataset) -> tuple[CdsSplitModel, CdsComponents]:
+    return split_cds(t["CDS"], *(t[n] for n in REGRESSOR_ORDER))
 
 
 def _decompose(
@@ -612,7 +601,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         cds_model, components = _split_cds(transformed)
 
         stage.label = "decompose"
-        model, contribs, cum = _decompose(transformed.d_di5y, factor, components, config)
+        model, contribs, cum = _decompose(transformed[TARGET_NAME], factor, components, config)
 
         stage.label = "emit"
         _emit_factor(stage, pls_model, factor)

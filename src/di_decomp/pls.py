@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTargetError, InsufficientDataError
-from .series import DailySeries, Frame, StandardizationParams, standardize
+from .series import DailySeries, Frame, StandardizationParams, _frozen, _shared, standardize
 
 FACTOR_NAME = "macro_factor"
 
@@ -40,9 +40,7 @@ class PlsModel:
     factor_std: float
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _shared(self.weights, "float64"))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if not self.factor_std > 0.0:
@@ -112,7 +110,7 @@ def pls1_fit(X: Frame, y: np.ndarray) -> PlsModel:
         raise DegenerateTargetError("pls1_fit: projected factor is constant")
     return PlsModel(
         column_names=X.names,
-        weights=w,
+        weights=_frozen(w),
         input_params=params,
         sign=sign,
         factor_mean=float(anchored.mean()),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError, SingularDesignError
-from .series import Frame
+from .series import Frame, _frozen, _shared
 
 RANK_RTOL = 1e-10
 # Continued fraction: smallest magnitude a Lentz denominator may take, the
@@ -55,9 +55,7 @@ class OlsFit:
     def __post_init__(self) -> None:
         for field in ("coefficients", "stderr", "t_statistics", "p_values",
                       "fitted", "residuals"):
-            arr = np.asarray(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+            object.__setattr__(self, field, _shared(getattr(self, field), "float64"))
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.column_names.index(name)])
@@ -241,14 +239,14 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
 
     return OlsFit(
         column_names=names,
-        coefficients=beta,
-        stderr=stderr,
-        t_statistics=t_stats,
-        p_values=p_vals,
+        coefficients=_frozen(beta),
+        stderr=_frozen(stderr),
+        t_statistics=_frozen(t_stats),
+        p_values=_frozen(p_vals),
         r_squared=r2,
         adj_r_squared=adj_r2,
-        fitted=fitted,
-        residuals=residuals,
+        fitted=_frozen(fitted),
+        residuals=_frozen(residuals),
         n_observations=n,
         dof_residual=dof,
     )

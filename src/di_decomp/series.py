@@ -188,10 +188,7 @@ class Frame:
         return DailySeries(name, self.dates, self.column(name))
 
     def select(self, names: Sequence[str]) -> "Frame":
-        missing = [n for n in names if n not in self.names]
-        if missing:
-            raise SchemaError(f"columns not in frame: {missing}")
-        idx = [self.names.index(n) for n in names]
+        idx = [self.index(n) for n in names]
         # a column-major copy: the matrix kernels' rounding depends on layout,
         # so a strided view here would change the fitted factor's last bits
         return Frame(self.dates, tuple(names), _frozen(self.data[:, idx]))

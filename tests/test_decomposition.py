@@ -8,6 +8,7 @@ import pytest
 from di_decomp import (
     DailySeries,
     Frame,
+    VarianceShares,
     accumulate,
     contributions,
     fit_decomposition,
@@ -256,3 +257,13 @@ class TestVarianceShares:
         c = contribution_frame_from([1.0], [2.0], [3.0])
         with pytest.raises(InsufficientDataError):
             variance_shares(c)
+
+    def test_keeps_its_own_arrays(self):
+        """A caller's array stays writeable, and later writes to it do not show."""
+        owned, base = np.eye(3), np.arange(6.0)
+        shares = VarianceShares(("macro", "riscobr", "global"), base[:3], owned)
+        assert owned.flags.writeable and base.flags.writeable
+        owned[:], base[:] = -1.0, -1.0
+        np.testing.assert_array_equal(shares.shares, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(shares.correlations, np.eye(3))
+        assert not (shares.shares.flags.writeable or shares.correlations.flags.writeable)

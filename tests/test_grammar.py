@@ -188,7 +188,7 @@ def test_nul_is_rejected_as_a_cell(tmp_path, monkeypatch, row, message, refuse_n
 
 # The csv module refuses a cell over its field size limit (131072 characters
 # by default).  That record is one rejected row like any other, and reading
-# goes on at the next line.
+# goes on after the line that closes its quotes.
 BIG_CELL = '"' + "1" * 200_000 + '"'
 
 
@@ -208,6 +208,38 @@ def test_cell_over_the_csv_field_limit_is_a_rejected_row(tmp_path):
     path.write_text(f"date,{BIG_CELL}\n{GOOD_ROW}", encoding="utf-8")
     with pytest.raises(ParseError, match=r"line 1: unreadable header \(field larger"):
         read_frame_csv(path, strict=False)
+
+
+# A refused cell that runs over several lines: the lines inside its quotes
+# belong to the refused record, even where one looks like a data row.
+SPANNING_RECORD = '2015-01-13,"' + "1" * 200_000 + '\n2015-01-15,7\n8"\n'
+AFTER_SPANNING_RECORD = '2015-01-14,1\n2015-01-16,"2"\n'
+
+
+def test_refused_record_spanning_lines_is_one_rejected_row(tmp_path, caplog):
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n" + SPANNING_RECORD + AFTER_SPANNING_RECORD, encoding="utf-8")
+    report = LoadReport()
+    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
+        frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 1
+    assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
+        "line 2: unreadable record (field larger than field limit (131072))"
+    ]
+    assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-16"]
+    assert frame.data.ravel().tolist() == [1.0, 2.0]
+
+
+def test_refused_record_spanning_lines_fails_strict_at_its_first_line(tmp_path):
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n2015-01-12,0\n" + SPANNING_RECORD + "2015-01-14,x\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 3: unreadable record \(field larger"):
+        read_frame_csv(path)
+    report = LoadReport()
+    frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 2  # the spanning record and line 6
+    assert [str(d) for d in frame.dates] == ["2015-01-12"]
 
 
 @pytest.mark.parametrize("refuse_nul", [False, True])
@@ -276,7 +308,7 @@ def test_rejected_config_date(tmp_path, monkeypatch, capsys, source, key, date):
         raise AssertionError(f"fetch-focus reached the network: {url}")
 
     # a date that slipped through would make fetch-focus fetch
-    monkeypatch.setattr(ingestion, "_requests_transport", offline)
+    monkeypatch.setattr(ingestion, "_urllib_transport", offline)
     command, flag = CONFIG_DATE_KEYS[key]
     section, name = key.split(".")
     argv = [command, "--out", str(tmp_path / "out")]

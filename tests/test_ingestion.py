@@ -1,8 +1,12 @@
 """Tests for the expectations client, the panel reshape, and CSV contracts."""
 
 import datetime as dt
+import http.server
 import json
 import logging
+import socket
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -285,6 +289,81 @@ class TestFetchFocus:
         with pytest.raises(FetchError):
             fetch_focus(["IPCA"], (D0, dt.date(2003, 1, 1)),
                         transport=single_page_transport([]))
+
+
+@pytest.fixture
+def loopback():
+    """An HTTP server on 127.0.0.1 answering each GET with the next queued reply.
+
+    Yields (endpoint, replies, paths): queue (status, body) pairs on
+    ``replies``; ``paths`` collects the requested paths.
+    """
+    replies, paths = [], []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            paths.append(self.path)
+            status, body = replies.pop(0)
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/odata", replies, paths
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestDefaultTransport:
+    """The standard-library transport against a loopback server."""
+
+    @pytest.fixture(autouse=True)
+    def no_requests(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "requests", raising=False)
+        yield
+        assert "requests" not in sys.modules
+
+    def test_ok_page_parses(self, loopback):
+        endpoint, replies, paths = loopback
+        replies.append((200, json.dumps({"value": FIRST_ROW_RECORDS}).encode()))
+        panel = fetch_focus(["IPCA"], (D0, D0), endpoint, sleep=lambda s: None)
+        assert [r.median for r in panel.records] == [6.0, 5.0, 4.5, 4.0]
+        assert len(paths) == 1 and "Indicador+eq+%27IPCA%27" in paths[0]
+
+    def test_server_error_is_retried(self, loopback):
+        endpoint, replies, paths = loopback
+        replies += [(503, b"busy"), (200, json.dumps({"value": FIRST_ROW_RECORDS}).encode())]
+        sleeps = []
+        panel = fetch_focus(["IPCA"], (D0, D0), endpoint, sleep=sleeps.append)
+        assert len(panel) == 4
+        assert len(paths) == 2 and len(sleeps) == 1
+
+    def test_client_error_is_one_request(self, loopback):
+        endpoint, replies, paths = loopback
+        replies.append((404, b"not here"))
+        with pytest.raises(FetchError, match="returned status 404"):
+            fetch_focus(["IPCA"], (D0, D0), endpoint, sleep=lambda s: None)
+        assert len(paths) == 1
+
+    def test_closed_port_is_retried_then_fetch_error(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        sleeps = []
+        with pytest.raises(FetchError, match="failed after 3 attempts"):
+            fetch_focus(["IPCA"], (D0, D0), f"http://127.0.0.1:{port}/odata",
+                        max_attempts=3, sleep=sleeps.append)
+        assert len(sleeps) == 2
 
 
 def full_panel_for(date, values_by_indicator):

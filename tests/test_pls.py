@@ -5,7 +5,15 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from di_decomp import Frame, anchor_sign, macro_factor, pls1_fit, standardize
+from di_decomp import (
+    Frame,
+    PlsModel,
+    StandardizationParams,
+    anchor_sign,
+    macro_factor,
+    pls1_fit,
+    standardize,
+)
 from di_decomp.errors import (
     DegenerateColumnError,
     DegenerateTargetError,
@@ -181,3 +189,16 @@ class TestMacroFactor:
         wrong = frame({"b": rng.standard_normal(30), "a": rng.standard_normal(30)})
         with pytest.raises(SchemaError):
             macro_factor(model, wrong)
+
+
+
+def test_model_keeps_its_own_weights():
+    """A caller's array stays writeable, and later writes to it do not show."""
+    params = StandardizationParams(("a", "b"), [0.0, 0.0], [1.0, 1.0])
+    owned, base = np.array([0.6, 0.8]), np.array([0.6, 0.8, 9.0])
+    models = [PlsModel(("a", "b"), w, params, 1, 0.0, 1.0) for w in (owned, base[:2])]
+    assert owned.flags.writeable and base.flags.writeable
+    owned[:], base[:] = -1.0, -1.0
+    for model in models:
+        np.testing.assert_array_equal(model.weights, [0.6, 0.8])
+        assert not model.weights.flags.writeable

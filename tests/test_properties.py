@@ -1,5 +1,5 @@
 """Property tests: CSV round trips, the date-index operations, OLS, the PLS1
-factor and the contribution accounting.
+factor, the CDS split and the contribution accounting.
 
 Calendars are drawn from 1900-2100, so many dates lie before 1970, where
 ``datetime64[D]`` day numbers are negative.
@@ -28,6 +28,7 @@ from di_decomp import (
     macro_factor,
     ols_fit,
     pls1_fit,
+    split_cds,
     validate_cumulative,
 )
 from di_decomp.decomposition import (
@@ -301,6 +302,36 @@ def test_accounting_identities_on_partly_overlapping_calendars(core, extras, see
     assert cum.names == CUMULATIVE_COLUMNS
     validate_cumulative(cum)
     np.testing.assert_allclose(cum.data[-1], c.data.sum(axis=0), rtol=1e-9, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(
+    core=st.lists(days, min_size=10, max_size=40, unique=True),
+    extras=st.lists(st.lists(days, max_size=10, unique=True), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cds_split_adds_up_and_is_orthogonal_on_partly_overlapping_calendars(
+    core, extras, seed
+):
+    """CDS and the four regressors each have the shared dates plus their own.
+    On the joined dates glob + dom is CDS, and dom has zero mean and is
+    orthogonal to every regressor."""
+    rng = np.random.default_rng(seed)
+    calendars = [sorted(set(core) | set(own)) for own in extras]
+    cds, *regressors = [
+        DailySeries(f"s{i}", cal, rng.standard_normal(len(cal)) * scale)
+        for i, (cal, scale) in enumerate(zip(calendars, (0.02, 0.004, 0.008, 0.06, 0.05)))
+    ]
+    _, parts = split_cds(cds, *regressors)
+    joined = inner_join([cds, *regressors])
+    assert joined.dates.tolist() == sorted(set.intersection(*map(set, calendars)))
+    np.testing.assert_array_equal(parts.glob.dates, joined.dates)
+    np.testing.assert_array_equal(parts.dom.dates, joined.dates)
+    y, x, dom = joined.data[:, 0], joined.data[:, 1:], parts.dom.values
+    np.testing.assert_allclose(parts.glob.values + dom, y, rtol=0, atol=1e-12 * np.abs(y).max())
+    scale = np.linalg.norm(y) * np.sqrt(len(y))
+    assert abs(dom.mean()) <= 1e-12 * scale
+    assert np.all(np.abs(x.T @ dom) <= 1e-12 * scale * np.linalg.norm(x, axis=0))
 
 
 @PROPERTY_SETTINGS

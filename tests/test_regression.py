@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from di_decomp import Frame, ols_fit, student_t_two_sided_p
+from di_decomp import Frame, OlsFit, ols_fit, student_t_two_sided_p
 from di_decomp.errors import InsufficientDataError, SingularDesignError
 
 from oracles import mp_t_two_sided_p, normal_equations_ols, quad_t_two_sided_p
@@ -86,6 +86,19 @@ class TestOlsFit:
     def test_length_mismatch(self):
         with pytest.raises(InsufficientDataError):
             ols_fit(np.ones(5), frame({"x": [0.0, 1.0, 2.0]}))
+
+    def test_keeps_its_own_arrays(self):
+        """A caller's array stays writeable, and later writes to it do not show."""
+        fields = ("coefficients", "stderr", "t_statistics", "p_values", "fitted", "residuals")
+        owned, base = np.arange(2.0), np.arange(10.0)
+        arrays = dict(zip(fields, [owned] + [base[2 * i:2 * i + 2] for i in range(5)]))
+        fit = OlsFit(column_names=("a", "b"), r_squared=0.5, adj_r_squared=0.4,
+                     n_observations=4, dof_residual=2, **arrays)
+        assert owned.flags.writeable and base.flags.writeable
+        owned[:], base[:] = -1.0, -1.0
+        np.testing.assert_array_equal(fit.coefficients, [0.0, 1.0])
+        np.testing.assert_array_equal(fit.residuals, [8.0, 9.0])
+        assert not any(getattr(fit, f).flags.writeable for f in fields)
 
 
 class TestOlsProperties:
