@@ -3,22 +3,22 @@
 The expectations client speaks the public OData dialect of the Central Bank
 of Brazil's open-data service for annual market expectations (median
 statistic only).  Pagination follows server-driven ``@odata.nextLink``
-when present and falls back to ``$skip``/``$top`` paging; transient
-failures (an ``OSError`` from the transport or a 5xx status) are retried
-with exponential backoff.  All tests run against
-recorded payloads through the injectable ``transport`` callable, never the
-live service.
+when present and falls back to ``$skip``/``$top`` paging, for at most
+``_MAX_PAGES`` pages per indicator; transient failures (an ``OSError``
+from the transport or a 5xx status) are retried with exponential backoff.
+All tests run against recorded payloads through the injectable
+``transport`` callable, never the live service.
 
 Market data arrives as CSV only: header row, first column ``date`` as
 YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
 above ``_read_table``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
 cell that does not parse rejects the row, fatally in strict mode.  A
-file's newlines are counted first, to size one value matrix; it is then
-parsed in bounded blocks, whole columns at a time, by one mechanism for
-the whole file: one physical line at a time if no line holds a '"', else
-the csv module, which only normalises its records for the same column
-checks.  Only lines that fail a column check are split into cells.
+file's newlines are counted first, to size a date array and a value matrix
+with a row per line, so rows stay in file order.  Records come one physical
+line at a time if no line holds a '"', else from the csv module, which only
+normalises them.  In each block of 1024, those with k commas are read in one
+``np.loadtxt`` call; only the records that fail it are split into cells.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import math
 import re
 import time
 import urllib.parse
+from contextlib import suppress
 from dataclasses import asdict, dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -59,6 +60,8 @@ DEFAULT_ENDPOINT = (
     "https://olinda.bcb.gov.br/olinda/servico/Expectativas/"
     "versao/v1/odata/ExpectativasMercadoAnuais"
 )
+
+_MAX_PAGES = 10_000  # pages one indicator's query may take
 
 MARKET_COLUMNS = ("DI5Y", "CDS", "DXY", "CRB", "VIX", "UST10", "SURPRISE")
 
@@ -274,10 +277,10 @@ def fetch_focus(
         Optional counter sink for fetched / deduplicated records.
 
     Duplicate (date, indicator, year) cells keep the last occurrence and
-    log a warning.  A page link that repeats a URL already requested for
-    the same indicator raises ``FetchError``.  The merged panel is sorted
-    by date, indicator and reference year, so the result is deterministic
-    for fixed server data.
+    log a warning.  Paging that returns to a URL already requested for the
+    same indicator, or runs past ``_MAX_PAGES``, raises ``FetchError``.  The
+    merged panel is sorted by date, indicator and reference year, so the
+    result is deterministic for fixed server data.
     """
     start, end = date_range
     if start > end:
@@ -310,6 +313,8 @@ def fetch_focus(
         while url is not None:
             if url in requested:
                 raise FetchError(f"pagination for {indicator} returns to {url}")
+            if len(requested) == _MAX_PAGES:
+                raise FetchError(f"pagination for {indicator} runs past {_MAX_PAGES} pages")
             requested.add(url)
             payload = _fetch_page(url, transport, max_attempts, backoff_s, sleep)
             items = payload["value"]
@@ -394,6 +399,8 @@ _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
 # ordinary character, so NUL passes through it as \x01 "n" and \x01 itself
 # as \x01 "s".
 _CSV_ESCAPE = str.maketrans({"\x00": "\x01n", "\x01": "\x01s"})
+# Plain runs to cut to "x," or "x": the csv module finds the same record bounds.
+_PLAIN_RUN = re.compile(r'[^"\r\n]*(,)|[^",\r\n]+')
 _FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 # Rows parsed or formatted at a time, which bounds the transient strings.
 _BLOCK_ROWS = 1024
@@ -477,24 +484,31 @@ def _parse_row(cells: Sequence[str], names: Sequence[str]) -> tuple[np.datetime6
     return date, values
 
 
-def _to_values(lines: list[str], k: int) -> np.ndarray | None:
-    """Cells 1..k of every line as floats, NaN for empty cells.
+def _to_rows(lines: list[str], k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each line's date and k reals (NaN if empty); NaT for a line to refuse.
 
-    None if some cell is not a real.  ``np.loadtxt`` rejects an empty or
-    blank cell, so only when it fails are the empty cells filled with
-    "nan", which the grammar does not have, and the lines read again.
+    None if a line is blank, is not k + 1 cells or has a cell that is not a
+    real.  ``np.loadtxt`` rejects an empty cell too, so only then are empty
+    cells filled with "nan", which the grammar does not have, and the lines
+    read again.  A line is refused if a real is infinite or its date is not
+    YYYY-MM-DD, and a date cell that fills its 16-character field may go on.
     """
-    if not k or not lines:
-        return np.empty((len(lines), k))
-    form = dict(delimiter=",", usecols=range(1, k + 1), comments=None, ndmin=2)
+    if not any(lines):  # loadtxt warns that it read no data
+        return None
+    form = dict(dtype=[("date", "U16"), ("values", "f8", (k,))], delimiter=",", ndmin=1)
     try:
-        values = np.loadtxt(lines, **form)
+        rows = np.loadtxt(lines, **form)
     except ValueError:
         try:
-            values = np.loadtxt(_EMPTY_CELL.sub(",nan", "\n".join(lines)).split("\n"), **form)
+            rows = np.loadtxt(_EMPTY_CELL.sub(",nan", "\n".join(lines)).split("\n"), **form)
         except ValueError:
             return None
-    return values if values.shape == (len(lines), k) else None
+    if len(rows) != len(lines):
+        return None
+    dates = _to_dates(np.char.strip(rows["date"], " \t"))
+    cut = np.char.str_len(rows["date"]) == 16
+    dates[cut | np.isinf(rows["values"]).any(axis=1)] = np.datetime64("NaT")
+    return dates, rows["values"]
 
 
 def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]]:
@@ -502,8 +516,8 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]
 
     A quoted cell may hold line breaks, so a record can span several lines.
     A record the csv module refuses (a cell over its field size limit) comes
-    as the ``csv.Error``.  It runs on to the first line that leaves it an
-    even number of '"', and reading goes on after that line.
+    as the ``csv.Error``, and reading goes on after its last line, where a
+    fresh reader ends it once its runs of plain characters are cut short.
     """
     lines, taken = iter(lines), []  # taken: the physical lines of this record
 
@@ -520,8 +534,9 @@ def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]
             return
         except csv.Error as exc:
             rec = exc
-            while sum(map(str.count, taken, repeat('"'))) % 2 and (line := next(lines, None)):
-                taken.append(line)
+            shortened = (_PLAIN_RUN.sub(r"x\1", line) for line in chain(taken[:], fed()))
+            with suppress(csv.Error):  # unless even the shortened record is too long
+                next(csv.reader(shortened))
         yield before, rec
         before += len(taken)
         taken.clear()
@@ -553,13 +568,13 @@ def _blocks(fh: TextIO, quoted: bool) -> Iterator[tuple]:
         yield [n for n, _ in block], list(map(",".join, cells)), cells, refused
 
 
-def _parse_block(nos, lines, cells, rejected, names):
-    """Accepted (line numbers, dates, values) and rejected (line, message, date).
+def _parse_block(nos, lines, cells, rejected, names, dates, values):
+    """Write each accepted record to row ``no - 2`` of ``dates`` and ``values``.
 
-    Whole columns are checked and converted at once; only records that
-    fail a column check are taken apart cell by cell, which also words
-    their error messages.  A blank line fails its comma count or its date
-    check, and is skipped there.
+    Returns ``rejected`` plus each rejected record's (line, message, date).
+    Records with k commas and only ``_DATA_CHARS`` are read in one
+    ``np.loadtxt`` call; the others and those it fails are taken apart cell
+    by cell, which also words their messages.  A blank line is skipped.
     """
     k = len(names)
     suspect = np.array(list(map(str.count, lines, repeat(","))), dtype=int) != k
@@ -567,33 +582,20 @@ def _parse_block(nos, lines, cells, rejected, names):
         suspect |= np.array(list(map(_foreign, lines)), dtype=bool)
     if cells is not None:  # a quoted cell may hold a comma
         suspect |= np.array([len(rec) != k + 1 for rec in cells], dtype=bool)
-    dates = _to_dates([line.partition(",")[0].strip(" \t") for line in lines])
-    suspect |= np.isnat(dates)
     fast = np.flatnonzero(~suspect)
-    values = _to_values([lines[i] for i in fast], k)
-    if values is None:  # some cell is not a real: check every record
-        suspect[:] = True
-        values = np.empty((0, k))
-    else:
-        inf = np.isinf(values).any(axis=1)
-        suspect[fast[inf]] = True
-        values = values[~inf]
-    fast = np.flatnonzero(~suspect)
-
-    good_nos, good_dates, good_values = [np.asarray(nos)[fast]], [dates[fast]], [values]
-    for i in np.flatnonzero(suspect).tolist():
+    at = np.asarray(nos, np.int64) - 2
+    rows = _to_rows([lines[i] for i in fast], k)
+    if rows is not None:
+        dates[at[fast]], values[at[fast]] = rows
+    for i in np.flatnonzero(np.isnat(dates[at])).tolist():
         if cells is None and not lines[i].strip(" \t,"):
             continue
         try:
-            date, row = _parse_row(lines[i].split(",") if cells is None else cells[i], names)
+            dates[at[i]], values[at[i]] = _parse_row(
+                lines[i].split(",") if cells is None else cells[i], names)
         except _RowError as exc:
             rejected.append((nos[i], str(exc), exc.date))
-            continue
-        good_nos.append(np.array([nos[i]]))
-        good_dates.append(np.array([date]))
-        good_values.append(np.array([row]).reshape(1, k))
-    return (np.concatenate(good_nos).astype(np.int64), np.concatenate(good_dates),
-            np.concatenate(good_values), rejected)
+    return rejected
 
 
 def _read_table(
@@ -634,18 +636,14 @@ def _read_table(
         start, chunks = fh.tell(), iter(lambda: fh.read(1 << 20), "")
         counts = [(text.count("\n"), '"' in text) for text in chunks]
         values = np.empty((sum(n for n, _ in counts) + 1, len(names)))
+        dates = np.full(len(values), np.datetime64("NaT", "D"))
+        rejected = []
         fh.seek(start)
-        parts = []
         for block in _blocks(fh, any(quoted for _, quoted in counts)):
-            nos, dates, rows, rejected = _parse_block(*block, names)
-            values[nos - 2] = rows
-            parts.append((nos, dates, rejected))
+            rejected += _parse_block(*block, names, dates, values)
 
-    nos = np.concatenate([np.empty(0, np.int64), *(p[0] for p in parts)])
-    dates = np.concatenate([np.empty(0, "datetime64[D]"), *(p[1] for p in parts)])
-    rejected = [r for p in parts for r in p[2]]
-    in_file_order = np.argsort(nos, kind="stable")
-    nos, dates = nos[in_file_order], dates[in_file_order]
+    nos = np.flatnonzero(~np.isnat(dates)) + 2  # accepted rows, in file order
+    dates = dates[nos - 2]
     # the first accepted row of each date wins, as if read line by line
     unique, first = np.unique(dates, return_index=True)
     repeat = np.ones(len(dates), dtype=bool)

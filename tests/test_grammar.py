@@ -33,6 +33,9 @@ REJECTED_DATES = [
     "2015-01-13T00:00",  # a timestamp, not a date
     "0000-01-01",  # year zero
     "١٢٠١-01-13",  # Arabic-Indic digits
+    "2015-01-131",  # a date and more, which a fixed-width text field could cut
+    "2015-01-13 1",
+    "2015-01-13      1",  # its first 16 characters are a padded date
 ]
 
 REJECTED_VALUES = [
@@ -56,6 +59,7 @@ ACCEPTED = [
     # (data row, expected DI5Y value or None for a missing observation)
     ("2015-01-13, 12.50 \n", 12.5),
     (" 2015-01-13 ,12.50\n", 12.5),
+    ("   2015-01-13 \t ,12.50\n", 12.5),  # fills a 16-character field
     ("2015-01-13,\t12.50\t\n", 12.5),
     ("2015-01-13,+.5\n", 0.5),
     ("2015-01-13,-.5\n", -0.5),
@@ -188,7 +192,7 @@ def test_nul_is_rejected_as_a_cell(tmp_path, monkeypatch, row, message, refuse_n
 
 # The csv module refuses a cell over its field size limit (131072 characters
 # by default).  That record is one rejected row like any other, and reading
-# goes on after the line that closes its quotes.
+# goes on after the line where the record ends.
 BIG_CELL = '"' + "1" * 200_000 + '"'
 
 
@@ -240,6 +244,99 @@ def test_refused_record_spanning_lines_fails_strict_at_its_first_line(tmp_path):
     frame = read_frame_csv(path, strict=False, report=report)
     assert report.rejected_rows == 2  # the spanning record and line 6
     assert [str(d) for d in frame.dates] == ["2015-01-12"]
+
+
+def test_refused_record_spanning_lines_with_many_commas_is_one_rejected_row(tmp_path):
+    # with each run of digits cut to one character, these 70,000 numbers
+    # would still be over the limit
+    record = '2015-01-13,"' + ",".join("1" * 70_000) + '\n2015-01-15,7\n8"\n'
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n" + record + AFTER_SPANNING_RECORD, encoding="utf-8")
+    report = LoadReport()
+    frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 1
+    assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-16"]
+
+
+# An over-limit cell that is not quoted ends at its line, even with a '"'
+# inside it: the csv module opens quoting only at a '"' that starts a cell.
+STRAY_QUOTE_RECORD = "2015-01-13," + "1" * 200_000 + 'x"y\n'
+AFTER_STRAY_QUOTE = '2015-01-14,1\n2015-01-15,2\n2015-01-16,"3"\n2015-01-17,4\n'
+
+
+def test_refused_record_with_a_stray_quote_ends_at_its_line(tmp_path, caplog):
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE, encoding="utf-8")
+    report = LoadReport()
+    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
+        frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 1
+    assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
+        "line 2: unreadable record (field larger than field limit (131072))"
+    ]
+    assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-15", "2015-01-16",
+                                             "2015-01-17"]
+    assert frame.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_refused_record_with_a_stray_quote_fails_strict_at_its_line(tmp_path):
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE + "2015-01-18,x\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 2: unreadable record \(field larger"):
+        read_frame_csv(path)
+    report = LoadReport()
+    frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 2  # the refused record and line 7
+    assert len(frame.dates) == 4
+
+
+# A block of 1024 lines is read in one np.loadtxt call.  A record that fails
+# it is the only one taken apart cell by cell; a blank line is skipped.
+BLOCK_LINES = [f"{day},{i}.5,-{i}" for i, day in enumerate(
+    np.datetime_as_string(np.datetime64("2015-01-01") + np.arange(1024)).tolist())]
+
+
+@pytest.fixture
+def cell_reads(monkeypatch):
+    """The records ``_parse_row`` takes apart cell by cell."""
+    calls, parse_row = [], ingestion._parse_row
+    monkeypatch.setattr(ingestion, "_parse_row", lambda *a: calls.append(a) or parse_row(*a))
+    return calls
+
+
+@pytest.mark.parametrize("line_500, rows, rejected, reads", [
+    (BLOCK_LINES[499], 1024, 0, 0),
+    (BLOCK_LINES[499] + ",7", 1023, 1, 1),  # an extra cell
+    ("", 1023, 0, 0),
+], ids=["clean", "extra cell", "blank line"])
+def test_only_a_failing_record_is_read_cell_by_cell(
+    tmp_path, cell_reads, line_500, rows, rejected, reads
+):
+    assert ingestion._BLOCK_ROWS == len(BLOCK_LINES)
+    path = tmp_path / "frame.csv"
+    lines = [*BLOCK_LINES[:499], line_500, *BLOCK_LINES[500:]]
+    path.write_text("date,x,y\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    report = LoadReport()
+    frame = read_frame_csv(path, strict=False, report=report)
+    assert (len(frame.dates), report.rejected_rows, len(cell_reads)) == (rows, rejected, reads)
+    assert frame.data[:3].tolist() == [[0.5, -0.0], [1.5, -1.0], [2.5, -2.0]]
+
+
+def test_all_blank_block_gives_no_rows_and_no_warning(tmp_path, cell_reads):
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n" + "\n" * 2 * ingestion._BLOCK_ROWS, encoding="utf-8")
+    frame = read_frame_csv(path)  # a warning fails the test suite
+    assert len(frame.dates) == 0 and cell_reads == []
+
+
+def test_padded_dates_are_not_read_cell_by_cell(tmp_path, cell_reads):
+    path = tmp_path / "frame.csv"
+    lines = [f" \t{line[:10]} {line[10:]}" for line in BLOCK_LINES]
+    path.write_text("date,x,y\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    frame = read_frame_csv(path)
+    assert (len(frame.dates), len(cell_reads)) == (1024, 0)
+    assert frame.data[:2].tolist() == [[0.5, -0.0], [1.5, -1.0]]
 
 
 @pytest.mark.parametrize("refuse_nul", [False, True])

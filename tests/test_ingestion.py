@@ -18,6 +18,7 @@ from di_decomp import (
     LoadReport,
     MarketDataset,
     fetch_focus,
+    ingestion,
     load_market_csv,
     reshape_horizons,
 )
@@ -215,6 +216,20 @@ class TestFetchFocus:
             ["IPCA"], (D0, D0), transport=transport, page_size=2
         )
         assert len(panel) == 3
+
+    def test_skip_paging_stops_at_the_page_bound(self, monkeypatch):
+        monkeypatch.setattr(ingestion, "_MAX_PAGES", 3)
+        calls = []
+
+        def transport(url):  # every page full, each at a new $skip offset
+            calls.append(url)
+            if len(calls) > 2 * ingestion._MAX_PAGES:
+                raise AssertionError("pagination did not stop")
+            return 200, json.dumps({"value": [record("IPCA", "2004-01-02", 2004, 6.0)]}).encode()
+
+        with pytest.raises(FetchError, match="pagination for IPCA runs past 3 pages"):
+            fetch_focus(["IPCA"], (D0, D0), transport=transport, page_size=1)
+        assert len(calls) == 3
 
     def test_transient_failures_are_retried(self):
         transport = RecordedTransport(

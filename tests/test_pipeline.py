@@ -108,7 +108,8 @@ class TestBundledFixtureRun:
 
     def test_contributions_csv_round_trip_identity(self, bundled):
         path = bundled["config"].out_dir / CONTRIBUTIONS_FILE
-        rows = list(csv.DictReader(path.open(encoding="utf-8")))
+        with path.open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == bundled["report"]["sample"]["n_observations"]
         for row in rows:
             total = (
@@ -123,7 +124,8 @@ class TestBundledFixtureRun:
 
     def test_cumulative_csv_final_row_adds_up(self, bundled):
         path = bundled["config"].out_dir / CUMULATIVE_FILE
-        rows = list(csv.DictReader(path.open(encoding="utf-8")))
+        with path.open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         last = rows[-1]
         parts = sum(
             float(last[k])
