@@ -97,7 +97,7 @@ def split_cds(
         )
     X = joined.select(list(REGRESSOR_ORDER))
     y = joined.column("CDS")
-    fit = ols_fit(y, X, intercept=True)
+    fit = ols_fit(y, X)
     model = CdsSplitModel(fit)
     components = CdsComponents(
         glob=DailySeries(GLOBAL_NAME, joined.dates, fit.fitted),

@@ -184,12 +184,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             gammas = ", ".join(f"{k} {v:.4f}" for k, v in model.gamma.items())
             print(f"CDS split fitted: alpha {model.alpha:.6f}, {gammas}")
         print(f"outputs written to {config.out_dir}")
-    except DiDecompError as exc:
+    except (DiDecompError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -42,6 +42,7 @@ CUMULATIVE_COLUMNS = (
 EXPLAINED_COLUMNS = CONTRIBUTION_COLUMNS[2:5]  # in CONTRIBUTION_LABELS order
 
 DEFAULT_SIGNIFICANCE_CUTS = (0.001, 0.01, 0.05)
+CUMULATIVE_TOL = 1e-6  # bps a cumulative row may miss its identity by
 
 __all__ = [
     "DecompositionModel",
@@ -223,17 +224,17 @@ def row_sum_gap(total: float, components: Sequence[float]) -> float:
     return abs(float(total) - float(np.sum(np.asarray(components, dtype=float))))
 
 
-def validate_cumulative(cum: Frame, tol: float = 1e-6) -> None:
+def validate_cumulative(cum: Frame) -> None:
     """Check the additive identity on every cumulative row.
 
     Raises ``NumericalError`` with the worst offending row if any gap
-    exceeds ``tol`` (in bps).
+    exceeds ``CUMULATIVE_TOL`` (in bps).
     """
     parts = cum.select(CUMULATIVE_COLUMNS[1:]).data.sum(axis=1)
     gaps = np.abs(cum.column(CUMULATIVE_COLUMNS[0]) - parts)
     worst = int(np.argmax(gaps))
-    if gaps[worst] > tol:
+    if gaps[worst] > CUMULATIVE_TOL:
         raise NumericalError(
             f"cumulative identity violated by {gaps[worst]:.3e} bps "
-            f"at {cum.dates[worst]} (tolerance {tol:.1e})"
+            f"at {cum.dates[worst]} (tolerance {CUMULATIVE_TOL:.1e})"
         )

@@ -62,6 +62,7 @@ DEFAULT_ENDPOINT = (
 )
 
 _MAX_PAGES = 10_000  # pages one indicator's query may take
+_BACKOFF_S = 0.5  # the first retry's wait; each later one doubles it
 
 MARKET_COLUMNS = ("DI5Y", "CDS", "DXY", "CRB", "VIX", "UST10", "SURPRISE")
 
@@ -188,14 +189,13 @@ def _fetch_page(
     url: str,
     transport: Transport,
     max_attempts: int,
-    backoff_s: float,
     sleep: Callable[[float], None],
 ) -> dict:
     last_status: int | None = None
     last_exc: OSError | None = None
     for attempt in range(max_attempts):
         if attempt:
-            sleep(backoff_s * 2 ** (attempt - 1))
+            sleep(_BACKOFF_S * 2 ** (attempt - 1))
         try:
             status, body = transport(url)
         except OSError as exc:  # connectivity problems are transient
@@ -252,7 +252,6 @@ def fetch_focus(
     transport: Transport | None = None,
     page_size: int = 10_000,
     max_attempts: int = 4,
-    backoff_s: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
     report: LoadReport | None = None,
 ) -> FocusPanel:
@@ -316,7 +315,7 @@ def fetch_focus(
             if len(requested) == _MAX_PAGES:
                 raise FetchError(f"pagination for {indicator} runs past {_MAX_PAGES} pages")
             requested.add(url)
-            payload = _fetch_page(url, transport, max_attempts, backoff_s, sleep)
+            payload = _fetch_page(url, transport, max_attempts, sleep)
             items = payload["value"]
             for item in items:
                 record = _parse_record(item, reverse_names)

@@ -2,12 +2,11 @@
 
 The solver is QR-based for conditioning, and the design is factored once:
 rank is screened with an SVD of the small triangular factor R, and anything
-at or below ``RANK_RTOL`` times the largest singular value (so also an
-all-zero design) is treated as rank deficient.  Two-sided p-values come
-from the Student-t distribution evaluated through the regularized
-incomplete beta function, not a normal approximation, so small-sample fits
-report correct tails.  The incomplete beta is computed here with the
-standard library's ``math`` module.
+at or below ``RANK_RTOL`` times the largest singular value is treated as
+rank deficient.  Two-sided p-values come from the Student-t distribution
+evaluated through the regularized incomplete beta function, not a normal
+approximation, so small-sample fits report correct tails.  The incomplete
+beta is computed here with the standard library's ``math`` module.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ __all__ = ["OlsFit", "ols_fit", "student_t_two_sided_p"]
 class OlsFit:
     """Coefficients and inference statistics of one OLS estimation.
 
-    ``coefficients`` is ordered intercept-first when an intercept was
-    requested; ``column_names`` carries the matching labels ("const" for
-    the intercept).
+    ``coefficients`` is ordered intercept-first; ``column_names`` carries
+    the matching labels ("const" for the intercept).
     """
 
     column_names: tuple[str, ...]
@@ -160,17 +158,16 @@ def _dependent_columns(names: tuple[str, ...], svals: np.ndarray,
     return [names[i] for i in np.flatnonzero(involved)]
 
 
-def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
-    """Fit y on the columns of ``X`` by ordinary least squares.
+def ols_fit(y: np.ndarray, X: Frame) -> OlsFit:
+    """Fit y on a constant and the columns of ``X`` by ordinary least squares.
 
     Parameters
     ----------
     y
         Response vector, same length as the frame's rows.
     X
-        Regressor frame (no constant column; use ``intercept`` instead).
-    intercept
-        Prepend a constant regressor labelled "const".
+        Regressor frame without a constant column; the constant, labelled
+        "const", is always prepended.
 
     Returns
     -------
@@ -192,11 +189,8 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
         raise InsufficientDataError(
             f"ols_fit: y has length {y.shape} but design has {X.n_rows} rows"
         )
-    names: tuple[str, ...] = X.names
-    design = X.data
-    if intercept:
-        design = np.column_stack([np.ones(X.n_rows), X.data])
-        names = ("const",) + X.names
+    design = np.column_stack([np.ones(X.n_rows), X.data])
+    names = ("const",) + X.names
     n, p = design.shape
     if n <= p:
         raise InsufficientDataError(
@@ -204,15 +198,14 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
         )
 
     q, r = np.linalg.qr(design)
-    if p:
-        # design = QR with orthonormal Q, so R has the design's singular
-        # values and right singular vectors
-        _, svals, vt = np.linalg.svd(r)
-        if svals[-1] <= RANK_RTOL * svals[0]:
-            cols = _dependent_columns(names, svals, vt)
-            raise SingularDesignError(
-                f"design matrix is rank deficient; dependent columns: {cols}"
-            )
+    # design = QR with orthonormal Q, so R has the design's singular values
+    # and right singular vectors
+    _, svals, vt = np.linalg.svd(r)
+    if svals[-1] <= RANK_RTOL * svals[0]:
+        cols = _dependent_columns(names, svals, vt)
+        raise SingularDesignError(
+            f"design matrix is rank deficient; dependent columns: {cols}"
+        )
 
     beta = np.linalg.solve(r, q.T @ y)
     fitted = design @ beta
@@ -232,10 +225,9 @@ def ols_fit(y: np.ndarray, X: Frame, intercept: bool = True) -> OlsFit:
     p_vals = np.array([student_t_two_sided_p(t, dof) if np.isfinite(t) else 0.0
                        for t in t_stats])
 
-    tss = float(np.sum((y - y.mean()) ** 2)) if intercept else float(y @ y)
+    tss = float(np.sum((y - y.mean()) ** 2))
     r2 = min(1.0, max(0.0, 1.0 - rss / tss)) if tss > 0.0 else 0.0
-    scale = (n - 1) / dof if intercept else n / dof
-    adj_r2 = 1.0 - (1.0 - r2) * scale
+    adj_r2 = 1.0 - (1.0 - r2) * ((n - 1) / dof)
 
     return OlsFit(
         column_names=names,

@@ -172,10 +172,6 @@ class Frame:
     def n_rows(self) -> int:
         return len(self.dates)
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.names)
-
     def index(self, name: str) -> int:
         if name not in self.names:
             raise SchemaError(f"no column '{name}' in frame {list(self.names)}")

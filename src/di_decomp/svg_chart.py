@@ -18,6 +18,8 @@ from .series import Frame
 
 WIDTH, HEIGHT = 960.0, 540.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 24.0, 46.0, 58.0
+TITLE = "Cumulative decomposition (bps)"
+_TARGET_TICKS = 6  # y-axis ticks aimed at; the step is rounded to a nice value
 
 SERIES_STYLE = (
     # (cumulative column, legend label, color, stroke width)
@@ -37,8 +39,8 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
-    raw = span / max(target_ticks, 1)
+def _nice_step(span: float) -> float:
+    raw = span / _TARGET_TICKS
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:
@@ -57,7 +59,7 @@ def _axis_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def emit_svg(cum: Frame, path: Path | str, title: str = "Cumulative decomposition (bps)") -> None:
+def emit_svg(cum: Frame, path: Path | str) -> None:
     """Render the six cumulative series to a well-formed standalone SVG file.
 
     ``cum`` is a frame with the columns named in :data:`SERIES_STYLE`, as
@@ -96,13 +98,13 @@ def emit_svg(cum: Frame, path: Path | str, title: str = "Cumulative decompositio
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
         f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">'
     )
-    parts.append(f"<title>{_escape(title)}</title>")
+    parts.append(f"<title>{_escape(TITLE)}</title>")
     parts.append(
         f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>'
     )
     parts.append(
         f'<text x="{MARGIN_L:.1f}" y="24" font-family="sans-serif" font-size="16" '
-        f'fill="#111111">{_escape(title)}</text>'
+        f'fill="#111111">{_escape(TITLE)}</text>'
     )
 
     # horizontal grid and y labels

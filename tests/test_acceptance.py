@@ -103,7 +103,7 @@ def test_criterion_1_accounting_identities():
         )
         assert np.max(np.abs(recomposed - d_di5y)) < 1e-9
         cum = accumulate(c)
-        validate_cumulative(cum, tol=1e-6)
+        validate_cumulative(cum)
         assert abs(cum.column("residual_cum")[-1]) < 1e-6 * n * np.std(d_di5y)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"identity suite took {elapsed:.1f}s"

@@ -163,7 +163,7 @@ class TestAccumulate:
         model = fit_decomposition(*inputs)
         c = contributions(model, join_decomposition_inputs(*inputs))
         cum = accumulate(c)
-        validate_cumulative(cum, tol=1e-6)
+        validate_cumulative(cum)
         expected_const = model.fit.coefficient("const") * np.arange(1, cum.n_rows + 1)
         np.testing.assert_allclose(cum.column("const_cum"), expected_const, atol=1e-9)
 

@@ -222,29 +222,26 @@ designs = st.fixed_dictionaries({
     "extra_rows": st.integers(2, 40),
     "scales": st.lists(st.floats(0.1, 10.0), max_size=4),
     "offset": st.floats(-5.0, 5.0),
-    "intercept": st.booleans(),
 })
 
 
 def _design(d):
     rng = np.random.default_rng(d["seed"])
     k = len(d["scales"])
-    n = k + d["intercept"] + d["extra_rows"]
+    n = k + 1 + d["extra_rows"]
     x = rng.standard_normal((n, k)) * d["scales"] + d["offset"]
-    y = x @ rng.standard_normal(k) + 3.0 * d["intercept"] + rng.standard_normal(n)
+    y = x @ rng.standard_normal(k) + 3.0 + rng.standard_normal(n)
     return y, x
 
 
 @PROPERTY_SETTINGS
 @given(d=designs)
 def test_ols_matches_normal_equations(d):
-    assume(d["scales"] or d["intercept"])
     y, x = _design(d)
     n, k = x.shape
-    design = np.column_stack([np.ones(n), x]) if d["intercept"] else x
+    design = np.column_stack([np.ones(n), x])
     assume(np.linalg.cond(design) < 1e4)  # normal equations lose cond**2
-    fit = ols_fit(y, Frame(_trading_days(n), [f"x{j}" for j in range(k)], x),
-                  intercept=d["intercept"])
+    fit = ols_fit(y, Frame(_trading_days(n), [f"x{j}" for j in range(k)], x))
     oracle = normal_equations_ols(y, design)
     tol = 1e-7 * (1.0 + np.abs(oracle["beta"]).max())
     np.testing.assert_allclose(fit.coefficients, oracle["beta"], rtol=1e-7, atol=tol)
@@ -266,7 +263,7 @@ def test_duplicated_or_rescaled_column_is_named(d, column, factor):
     x = np.column_stack([x, factor * x[:, column]])
     names = [f"x{j}" for j in range(k)] + ["copy"]
     with pytest.raises(SingularDesignError) as exc_info:
-        ols_fit(y, Frame(_trading_days(n), names, x), intercept=d["intercept"])
+        ols_fit(y, Frame(_trading_days(n), names, x))
     message = str(exc_info.value)
     assert f"'x{column}'" in message and "'copy'" in message
 

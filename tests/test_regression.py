@@ -72,11 +72,12 @@ class TestOlsFit:
             ols_fit(np.sin(x), frame({"x1": x, "x2": 2.0 * x, "x3": np.cos(x)}))
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b"]])
-    def test_all_zero_design_without_intercept_is_singular(self, names):
-        # every singular value is 0, so the rank screen must include equality
+    def test_zero_columns_are_singular(self, names):
+        # each zero column's singular value is exactly 0, so the rank screen
+        # must include equality
         zeros = frame({name: np.zeros(6) for name in names})
         with pytest.raises(SingularDesignError) as exc_info:
-            ols_fit(np.arange(6.0), zeros, intercept=False)
+            ols_fit(np.arange(6.0), zeros)
         assert str(names) in str(exc_info.value)
 
     def test_too_few_rows(self):
@@ -150,18 +151,6 @@ class TestOlsProperties:
         fit = ols_fit(rng.standard_normal(25), f)
         assert fit.adj_r_squared <= fit.r_squared
         assert 0.0 <= fit.r_squared <= 1.0
-
-    def test_no_intercept_fit(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        fit = ols_fit(2.0 * x, frame({"x": x}), intercept=False)
-        assert fit.column_names == ("x",)
-        assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        rng = np.random.default_rng(31)
-        noisy = ols_fit(rng.standard_normal(30), frame({"x": rng.standard_normal(30)}),
-                        intercept=False)
-        assert 0.0 <= noisy.r_squared <= 1.0
-        assert noisy.adj_r_squared <= noisy.r_squared
 
 
 class TestStudentT:
