@@ -12,8 +12,8 @@ declared once, on its ``PipelineConfig`` field.
 
 Outputs are deterministic: identical inputs, configuration and software
 version produce byte-identical files.  A lock file gives each run exclusive
-ownership of its output directory, and partially written outputs are
-removed if a stage fails.
+ownership of its output directory, and a stage's files replace the previous
+run's only once the whole stage has succeeded.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import configparser
 import datetime as dt
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -272,23 +272,26 @@ class _Stage:
     def __init__(self, out_dir: Path, label: str):
         self.out_dir = out_dir
         self.label = label  # the label a failure is reported under
-        self.written: list[Path] = []
+        self.written: list[tuple[Path, Path]] = []  # (temporary, final) paths
 
     def path(self, name: str) -> Path:
-        """The output path of ``name``, removed again if the run fails."""
-        p = self.out_dir / name
-        self.written.append(p)
-        return p
+        """A temporary path for ``name``, moved into place if the stage succeeds."""
+        temp = self.out_dir / f".{name}.tmp"
+        self.written.append((temp, self.out_dir / name))
+        return temp
 
 
 @contextmanager
 def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
     """Run a stage with exclusive ownership of the output directory.
 
-    Creating the directory or finding it locked raises ``ConfigError`` as
-    is.  Any other failure removes the files registered so far and is
+    An invalid config, failing to create the directory, or finding it
+    locked raises ``ConfigError`` as is.  Files are written under temporary
+    names and renamed into place once the stage succeeds.  Any other
+    failure removes the temporary files and those renamed so far, and is
     re-raised as a ``StageError`` under the stage's current label.
     """
+    config.validate()
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -300,14 +303,16 @@ def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
     except FileExistsError:
         raise ConfigError(f"output directory is locked by another run: {lock}") from None
     stage = _Stage(out, label)
+    renamed: list[Path] = []
     try:
         yield stage
+        for temp, final in stage.written:
+            os.replace(temp, final)
+            renamed.append(final)
     except Exception as exc:
-        for p in stage.written:
-            try:
+        for p in renamed + [temp for temp, _ in stage.written]:
+            with suppress(OSError):
                 p.unlink()
-            except OSError:
-                pass
         raise StageError(stage.label, exc) from exc
     finally:
         lock.unlink(missing_ok=True)
@@ -580,7 +585,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report.json's content.  Reruns with identical inputs and configuration
     produce byte-identical files.
     """
-    config.validate()
     counts = LoadReport()
     with _stage(config, "ingest") as stage:
         market = _load_market(config, counts)

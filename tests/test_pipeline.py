@@ -403,6 +403,37 @@ class TestPipelineErrors:
             assert not (out / name).exists(), name
         assert not (out / LOCK_FILE).exists()
 
+    def test_failed_rerun_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        fixture_dir = tmp_path / "fx"
+        generate_fixture(5, 300, path=fixture_dir)
+        out = tmp_path / "out"
+        config = PipelineConfig(
+            market_csv=fixture_dir / MARKET_FILE,
+            expectations_csv=fixture_dir / EXPECTATIONS_FILE,
+            out_dir=out,
+        )
+        run_pipeline(config)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 9
+
+        def disk_full(cum, path):
+            path.write_text("<svg", encoding="utf-8")  # a partial chart
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "emit_svg", disk_full)
+        with pytest.raises(StageError, match="emit"):
+            run_pipeline(config)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("entry", [
+        run_pipeline, run_fetch_focus, run_build_factors, run_split_cds, run_decompose,
+    ])
+    def test_every_entry_point_validates_its_config(self, tmp_path, entry):
+        config = PipelineConfig(significance_cuts=(0.5, 0.2, 0.1), out_dir=tmp_path / "out")
+        with pytest.raises(ConfigError, match="significance cuts"):
+            entry(config)
+        assert not config.out_dir.exists()
+
 
 class TestConfigLayering:
     def test_file_env_flags_precedence(self, tmp_path):
