@@ -72,10 +72,10 @@ def anchor_sign(f: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
             f"got {len(f)} and {len(y)}"
         )
     fc, yc = f - f.mean(), y - y.mean()
-    if fc @ fc == 0.0 or yc @ yc == 0.0:
+    if np.einsum("i,i", fc, fc) == 0.0 or np.einsum("i,i", yc, yc) == 0.0:
         raise DegenerateTargetError("correlation undefined for a constant vector")
     # the correlation has the sign of the centred cross-product
-    sign = -1 if float(fc @ yc) < 0.0 else 1
+    sign = -1 if float(np.einsum("i,i", fc, yc)) < 0.0 else 1
     return sign * f, sign
 
 
@@ -96,14 +96,14 @@ def pls1_fit(X: Frame, y: np.ndarray) -> PlsModel:
     if np.std(y) == 0.0:
         raise DegenerateTargetError("pls1_fit: target is constant")
     x_std, params = standardize(X)
-    cov = x_std.data.T @ (y - y.mean())
+    cov = np.einsum("ij,i", x_std.data, y - y.mean())
     norm = float(np.linalg.norm(cov))
     if norm == 0.0:
         raise DegenerateTargetError(
             "pls1_fit: target has zero sample covariance with every column"
         )
     w = cov / norm
-    raw = x_std.data @ w
+    raw = np.einsum("ij,j", x_std.data, w)
     anchored, sign = anchor_sign(raw, y)
     std = float(anchored.std(ddof=1))
     if std == 0.0:
@@ -126,6 +126,6 @@ def macro_factor(model: PlsModel, X_new: Frame) -> DailySeries:
     sample standard deviation.
     """
     z = model.input_params.transform(X_new)  # schema-checked
-    f = model.sign * (z.data @ model.weights)
+    f = model.sign * np.einsum("ij,j", z.data, model.weights)
     out = (f - model.factor_mean) / model.factor_std
     return DailySeries(FACTOR_NAME, X_new.dates, out)

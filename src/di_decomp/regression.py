@@ -207,12 +207,12 @@ def ols_fit(y: np.ndarray, X: Frame) -> OlsFit:
             f"design matrix is rank deficient; dependent columns: {cols}"
         )
 
-    beta = np.linalg.solve(r, q.T @ y)
-    fitted = design @ beta
+    beta = np.linalg.solve(r, np.einsum("ij,i", q, y))
+    fitted = np.einsum("ij,j", design, beta)
     residuals = y - fitted
 
     dof = n - p
-    rss = float(residuals @ residuals)
+    rss = float(np.einsum("i,i", residuals, residuals))
     sigma2 = rss / dof
     r_inv = np.linalg.solve(r, np.eye(p))
     xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)

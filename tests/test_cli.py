@@ -253,3 +253,19 @@ def test_cli_import_loads_no_scipy_or_xml_sax():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits products over its threads from about 10000 rows on
+    fixture, out = tmp_path / "fx", tmp_path / "out"
+    assert main(["fixture", "--seed", "1", "--n", "20000", "--out", str(fixture)]) == 0
+    src = str(Path(di_decomp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = []
+    for threads in ("1", "4"):
+        subprocess.run([sys.executable, "-m", "di_decomp.cli", *run_args(fixture, out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
+                       check=True)
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(runs[0]) == 9
+    assert runs[0] == runs[1]
