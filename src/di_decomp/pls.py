@@ -103,7 +103,7 @@ def pls1_fit(X: Frame, y: np.ndarray) -> PlsModel:
             "pls1_fit: target has zero sample covariance with every column"
         )
     w = cov / norm
-    raw = np.einsum("ij,j", x_std.data, w)
+    raw = np.einsum("ij,j", x_std.data, w)  # einsum, not BLAS: same bits on any thread count
     anchored, sign = anchor_sign(raw, y)
     std = float(anchored.std(ddof=1))
     if std == 0.0:

@@ -208,7 +208,7 @@ def ols_fit(y: np.ndarray, X: Frame) -> OlsFit:
         )
 
     beta = np.linalg.solve(r, np.einsum("ij,i", q, y))
-    fitted = np.einsum("ij,j", design, beta)
+    fitted = np.einsum("ij,j", design, beta)  # einsum, not BLAS: same bits on any thread count
     residuals = y - fitted
 
     dof = n - p
