@@ -73,8 +73,7 @@ class TestOlsFit:
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b"]])
     def test_zero_columns_are_singular(self, names):
-        # each zero column's singular value is exactly 0, so the rank screen
-        # must include equality
+        # beside the constant, each zero column adds a singular value of 0
         zeros = frame({name: np.zeros(6) for name in names})
         with pytest.raises(SingularDesignError) as exc_info:
             ols_fit(np.arange(6.0), zeros)
