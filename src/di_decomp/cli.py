@@ -67,8 +67,6 @@ def _add_data(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fetch", dest="fetch.enabled", action="store_const", const="true",
                    help="fetch expectations from the API")
     _add_endpoint(p)
-    p.add_argument("--columns", dest="factors.columns", metavar="LIST",
-                   help="comma-separated factor columns")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint(p_fetch)
     p_fetch.add_argument("--fetch-start", dest="fetch.start", metavar="YYYY-MM-DD",
                          help="first survey date")
-    p_fetch.add_argument("--indicators", dest="fetch.indicators", metavar="LIST",
-                         help="comma-separated indicators")
 
     p_factors = sub.add_parser("build-factors", help="estimate the macro factor")
     _add_common(p_factors)

@@ -63,11 +63,9 @@ __all__ = [
 ]
 
 
-def significance_label(
-    p_value: float, cuts: Sequence[float] = DEFAULT_SIGNIFICANCE_CUTS
-) -> str:
+def significance_label(p_value: float) -> str:
     """Label a p-value: highly significant / significant / weak / not significant."""
-    high, sig, weak = cuts
+    high, sig, weak = DEFAULT_SIGNIFICANCE_CUTS
     if p_value < high:
         return "Highly Significant"
     if p_value < sig:
@@ -83,14 +81,14 @@ class DecompositionModel:
 
     fit: OlsFit
 
-    def to_dict(self, cuts: Sequence[float] = DEFAULT_SIGNIFICANCE_CUTS) -> dict:
+    def to_dict(self) -> dict:
         """The coefficient table (estimate, stderr, t, p, significance) and fit sizes."""
         fit = self.fit
         return {
             "coefficients": [
                 {"name": name, "estimate": float(beta), "stderr": float(se),
                  "t_statistic": float(t), "p_value": float(p),
-                 "significance": significance_label(float(p), cuts)}
+                 "significance": significance_label(float(p))}
                 for name, beta, se, t, p in zip(fit.column_names, fit.coefficients,
                                                 fit.stderr, fit.t_statistics, fit.p_values)
             ],

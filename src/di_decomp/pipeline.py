@@ -11,15 +11,16 @@ CLI flags override both.  Each setting's section, key and parser are
 declared once, on its ``PipelineConfig`` field.
 
 Outputs are deterministic: identical inputs, configuration and software
-version produce byte-identical files.  A lock file gives each run exclusive
-ownership of its output directory, and a stage's files replace the previous
-run's only once the whole stage has succeeded.
+version produce byte-identical files.  A stage holds a ``flock`` on its
+output directory, which ends with its process, even a killed one, and its
+files replace the previous run's only once the whole stage has succeeded.
 """
 
 from __future__ import annotations
 
 import configparser
 import datetime as dt
+import fcntl
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -33,7 +34,6 @@ from . import __version__
 from .cds import CdsComponents, CdsSplitModel, DOMESTIC_NAME, GLOBAL_NAME, split_cds
 from .cds import REGRESSOR_ORDER
 from .decomposition import (
-    DEFAULT_SIGNIFICANCE_CUTS,
     DecompositionModel,
     TARGET_NAME,
     accumulate,
@@ -69,7 +69,6 @@ from .series import _frozen, _require_points
 from .svg_chart import emit_svg
 
 SURPRISE_DIFF_NAME = "SURPRISE_diff"
-DEFAULT_FACTOR_COLUMNS = HORIZON_COLUMNS + (SURPRISE_DIFF_NAME,)
 
 CONTRIBUTIONS_FILE = "contributions.csv"
 CUMULATIVE_FILE = "cumulative.csv"
@@ -83,7 +82,10 @@ CDS_MODEL_FILE = "cds_model.json"
 FOCUS_PANEL_FILE = "focus_panel.csv"
 EXPECTATIONS_OUT_FILE = "expectations.csv"
 LOAD_REPORT_FILE = "load_report.json"
-LOCK_FILE = ".di-decomp.lock"
+# every file a stage writes, each first as ".{name}.tmp"
+_STAGE_FILES = (CONTRIBUTIONS_FILE, CUMULATIVE_FILE, MODELS_FILE, REPORT_FILE, SVG_FILE,
+                FACTOR_FILE, COMPONENTS_FILE, PLS_MODEL_FILE, CDS_MODEL_FILE,
+                FOCUS_PANEL_FILE, EXPECTATIONS_OUT_FILE, LOAD_REPORT_FILE)
 _GATHER_ROWS = 256  # factor design rows gathered at a time: bounds the temporaries
 
 _ENV_PREFIX = "DI_DECOMP_"
@@ -96,7 +98,6 @@ __all__ = [
     "run_split_cds",
     "run_decompose",
     "SURPRISE_DIFF_NAME",
-    "DEFAULT_FACTOR_COLUMNS",
 ]
 
 
@@ -126,12 +127,8 @@ def _count(raw: str) -> int:
     return int(text)
 
 
-def _list(raw: str) -> tuple[str, ...]:
-    return tuple(item.strip() for item in raw.split(",") if item.strip())
-
-
 def _reals(raw: str) -> tuple[float, ...]:
-    return tuple(_read_real(item) for item in _list(raw))
+    return tuple(_read_real(item.strip()) for item in raw.split(",") if item.strip())
 
 
 def _setting(section: str, key: str, parse: Callable[[str], object], default):
@@ -150,16 +147,9 @@ class PipelineConfig:
     components_csv: Path | None = _setting("data", "components_csv", Path, None)
     fetch_enabled: bool = _setting("fetch", "enabled", _bool, False)
     endpoint: str = _setting("fetch", "endpoint", str, DEFAULT_ENDPOINT)
-    indicators: tuple[str, ...] = _setting("fetch", "indicators", _list, INDICATORS)
     fetch_start: dt.date = _setting("fetch", "start", _read_date, dt.date(2004, 1, 1))
     start: dt.date | None = _setting("sample", "start", _read_date, None)
     end: dt.date | None = _setting("sample", "end", _read_date, None)
-    factor_columns: tuple[str, ...] = _setting(
-        "factors", "columns", _list, DEFAULT_FACTOR_COLUMNS
-    )
-    significance_cuts: tuple[float, float, float] = _setting(
-        "report", "significance_cuts", _reals, DEFAULT_SIGNIFICANCE_CUTS
-    )
     out_dir: Path = _setting("output", "dir", Path, Path("out"))
     strict: bool = _setting("output", "strict", _bool, True)
     # the [fixture] settings are used only by the fixture command
@@ -173,22 +163,6 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.start is not None and self.end is not None and self.start >= self.end:
             raise ConfigError(f"sample start {self.start} must precede end {self.end}")
-        allowed = set(HORIZON_COLUMNS) | {SURPRISE_DIFF_NAME}
-        bad = [c for c in self.factor_columns if c not in allowed]
-        if bad:
-            raise ConfigError(
-                f"factor columns {bad} are not horizon columns or '{SURPRISE_DIFF_NAME}'"
-            )
-        if not self.factor_columns:
-            raise ConfigError("factor column selection is empty")
-        cuts = self.significance_cuts
-        if len(cuts) != 3 or not (0.0 < cuts[0] < cuts[1] < cuts[2] < 1.0):
-            raise ConfigError(
-                f"significance cuts must be three increasing values in (0,1), got {cuts}"
-            )
-        unknown = [i for i in self.indicators if i not in INDICATORS]
-        if unknown:
-            raise ConfigError(f"unknown indicators {unknown}")
 
     def echo(self) -> dict:
         """Configuration snapshot for the run report, without the [fixture] settings."""
@@ -274,9 +248,12 @@ class _Stage:
         self.label = label  # the label a failure is reported under
         self.written: list[tuple[Path, Path]] = []  # (temporary, final) paths
 
+    def temp(self, name: str) -> Path:
+        return self.out_dir / f".{name}.tmp"
+
     def path(self, name: str) -> Path:
         """A temporary path for ``name``, moved into place if the stage succeeds."""
-        temp = self.out_dir / f".{name}.tmp"
+        temp = self.temp(name)
         self.written.append((temp, self.out_dir / name))
         return temp
 
@@ -287,24 +264,30 @@ def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
 
     An invalid config, failing to create the directory, or finding it
     locked raises ``ConfigError`` as is.  Files are written under temporary
-    names and renamed into place once the stage succeeds.  Any other
-    failure removes the temporary files and those renamed so far, and is
-    re-raised as a ``StageError`` under the stage's current label.
+    names, after those a killed run left are removed, and renamed into place
+    once the stage succeeds.  Any other failure removes the temporary files
+    and those renamed so far, and is re-raised as a ``StageError`` under the
+    stage's current label.
     """
     config.validate()
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        lock = os.open(out, os.O_RDONLY)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    lock = out / LOCK_FILE
     try:
-        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        raise ConfigError(f"output directory is locked by another run: {lock}") from None
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
+        os.close(lock)
+        if isinstance(exc, BlockingIOError):
+            raise ConfigError(f"output directory is locked by another run: {out}") from None
+        raise
     stage = _Stage(out, label)
     renamed: list[Path] = []
     try:
+        for name in _STAGE_FILES:
+            stage.temp(name).unlink(missing_ok=True)
         yield stage
         for temp, final in stage.written:
             os.replace(temp, final)
@@ -315,7 +298,7 @@ def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
                 p.unlink()
         raise StageError(stage.label, exc) from exc
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(lock)
 
 
 def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) -> None:
@@ -332,7 +315,7 @@ def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) ->
 def _fetch(config: PipelineConfig, report: LoadReport, transport=None) -> FocusPanel:
     end = config.end or dt.date.today()
     return fetch_focus(
-        config.indicators, (config.fetch_start, end), config.endpoint,
+        INDICATORS, (config.fetch_start, end), config.endpoint,
         transport=transport, report=report,
     )
 
@@ -378,37 +361,33 @@ def _transform_market(market: MarketDataset, end: dt.date | None) -> MarketDatas
 
 
 def _factor_design(
-    transformed: MarketDataset, expectations: Frame, config: PipelineConfig
+    transformed: MarketDataset, expectations: Frame, end: dt.date | None
 ) -> tuple[Frame, np.ndarray]:
     """The factor's regressors and target on the dates every input has.
 
-    Each horizon column's daily change, ``col[pos] - col[pos-1]`` as ``diff``
+    The regressors are the twenty horizon columns' daily changes followed by
+    ``SURPRISE_diff``.  Each change, ``col[pos] - col[pos-1]`` as ``diff``
     makes it, goes straight into one column-major matrix (the layout the
     fit's rounding was pinned with), a bounded block of rows at a time.
     """
-    horizons = [c for c in config.factor_columns if c != SURPRISE_DIFF_NAME]
-    cols = [expectations.index(c) for c in horizons]
-    level = expectations.window(end=config.end)
-    if cols:  # the check diff makes, on the first column
-        _require_points(level.series(horizons[0]), 2, "diff")
-    x_series = [transformed[n] for n in (SURPRISE_DIFF_NAME,) if n in config.factor_columns]
-    target = transformed[TARGET_NAME]
-    tail = inner_join(x_series + [target])
+    cols = [expectations.index(c) for c in HORIZON_COLUMNS]
+    level = expectations.window(end=end)
+    _require_points(level.series(HORIZON_COLUMNS[0]), 2, "diff")  # the check diff makes
+    surprise, target = transformed[SURPRISE_DIFF_NAME], transformed[TARGET_NAME]
+    tail = inner_join([surprise, target])
     at = np.searchsorted(level.dates, tail.dates)
-    keep = np.ones(tail.n_rows, dtype=bool)
-    if cols:  # a day's change needs the day before it
-        keep = (at > 0) & (at < level.n_rows)
-        keep[keep] = level.dates[at[keep]] == tail.dates[keep]
+    keep = (at > 0) & (at < level.n_rows)  # a day's change needs the day before it
+    keep[keep] = level.dates[at[keep]] == tail.dates[keep]
     dates, at = _frozen(tail.dates[keep]), at[keep]
-    _joined(len(dates), "factor estimation", [(c, level.dates[1:]) for c in horizons]
-            + [(s.name, s.dates) for s in (*x_series, target)])
-    x = np.empty((len(dates), len(cols) + len(x_series)), order="F")
-    for lo in range(0, len(at) if cols else 0, _GATHER_ROWS):
+    _joined(len(dates), "factor estimation", [(c, level.dates[1:]) for c in HORIZON_COLUMNS]
+            + [(s.name, s.dates) for s in (surprise, target)])
+    x = np.empty((len(dates), len(cols) + 1), order="F")
+    for lo in range(0, len(at), _GATHER_ROWS):
         pos = at[lo:lo + _GATHER_ROWS, None]
         np.subtract(level.data[pos, cols], level.data[pos - 1, cols],
                     out=x[lo:lo + len(pos), :len(cols)])
     x[:, len(cols):] = tail.data[keep, :-1]
-    names, y = (*horizons, *tail.names[:-1]), tail.data[keep, -1]
+    names, y = (*HORIZON_COLUMNS, SURPRISE_DIFF_NAME), tail.data[keep, -1]
     del tail, at  # freed before the frame's checks allocate
     return Frame(dates, names, _frozen(x)), y
 
@@ -462,7 +441,7 @@ def _build_report(
             "end": contribs.dates[-1].item().isoformat(),
             "n_observations": contribs.n_rows,
         },
-        "regression": model.to_dict(config.significance_cuts),
+        "regression": model.to_dict(),
         "std_dev_bps": _std_dev_table(contribs, model.fit.fitted),
         "variance_shares": variance_shares(contribs).to_dict(),
         "counts": counts.to_dict(),
@@ -535,7 +514,7 @@ def run_build_factors(config: PipelineConfig) -> PlsModel:
         expectations = _load_expectations(config, report)
         transformed = _transform_market(market, config.end)
         del market  # the transforms hold every value the later stages use
-        x, y = _factor_design(transformed, expectations, config)
+        x, y = _factor_design(transformed, expectations, config.end)
         del expectations  # the design holds every value the fit needs
         model = pls1_fit(x, y)
         _emit_factor(stage, model, macro_factor(model, x))
@@ -568,8 +547,7 @@ def run_decompose(config: PipelineConfig) -> dict:
 
         model, contribs, cum = _decompose(d_di5y, factor, components, config)
 
-        models_payload = {"pls": None, "cds_split": None,
-                          "decomposition": model.to_dict(config.significance_cuts)}
+        models_payload = {"pls": None, "cds_split": None, "decomposition": model.to_dict()}
         for key, side in (("pls", factor_path.parent / PLS_MODEL_FILE),
                           ("cds_split", comp_path.parent / CDS_MODEL_FILE)):
             if side.exists():
@@ -595,7 +573,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         del market  # the transforms hold every value the later stages use
 
         stage.label = "factors"
-        x, y = _factor_design(transformed, expectations, config)
+        x, y = _factor_design(transformed, expectations, config.end)
         del expectations  # the design holds every value the fit needs
         pls_model = pls1_fit(x, y)
         factor = macro_factor(pls_model, x)
@@ -613,6 +591,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         models_payload = {
             "pls": pls_model.to_dict(),
             "cds_split": cds_model.to_dict(),
-            "decomposition": model.to_dict(config.significance_cuts),
+            "decomposition": model.to_dict(),
         }
         return _emit_final(stage, config, model, contribs, cum, counts, models_payload)

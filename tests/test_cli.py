@@ -162,17 +162,36 @@ class TestStagedCommands:
         assert rc == 3
 
 
-class TestFetchFocusCommand:
-    def test_unknown_indicator_is_config_error(self, tmp_path, capsys):
-        rc = main(
-            [
-                "fetch-focus",
-                "--indicators", "IPCA,CPI",
-                "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert rc == 2
-        assert "CPI" in capsys.readouterr().err
+# The model specification is fixed, so each former way to set it is refused:
+# (command, INI text, environment, extra flags, what the error names).
+REMOVED_SETTINGS = {
+    "ini-factors": ("run", "[factors]\ncolumns = IPCA_year\n", {}, [], "[factors]"),
+    "ini-report": ("run", "[report]\nsignificance_cuts = 0.01,0.05,0.1\n", {}, [],
+                   "[report]"),
+    "env-indicators": ("fetch-focus", None, {"DI_DECOMP_FETCH_INDICATORS": "IPCA"}, [],
+                       "fetch.indicators"),
+    "flag-indicators": ("fetch-focus", None, {}, ["--indicators", "IPCA"], "--indicators"),
+    "flag-columns": ("run", None, {}, ["--columns", "IPCA_year"], "--columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_SETTINGS))
+def test_removed_setting_is_config_error(tmp_path, monkeypatch, capsys, case):
+    command, ini_text, env, flags, named = REMOVED_SETTINGS[case]
+    argv = [command, "--out", str(tmp_path / "out"), *flags]
+    if ini_text is not None:
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text, encoding="utf-8")
+        argv += ["--config", str(ini)]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag itself
+        rc = exc.code
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestFlags:

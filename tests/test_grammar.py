@@ -455,21 +455,21 @@ def test_rejected_config_count(tmp_path, monkeypatch, capsys, source, key, value
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("cut", ["0.00_1", "nan"])
-def test_rejected_significance_cut(cut):
-    env = {"DI_DECOMP_REPORT_SIGNIFICANCE_CUTS": f"{cut},0.01,0.05"}
-    with pytest.raises(ConfigError, match="bad value for report.significance_cuts"):
+@pytest.mark.parametrize("cell", ["0.00_1", "nan"])
+def test_rejected_betas_cell(cell):
+    env = {"DI_DECOMP_FIXTURE_BETAS": f"{cell},0.01,0.05,300"}
+    with pytest.raises(ConfigError, match="bad value for fixture.betas"):
         load_config(None, env=env)
 
 
 def test_accepted_config_values():
     env = {
-        "DI_DECOMP_REPORT_SIGNIFICANCE_CUTS": " 1e-3, .01 ,5E-2",
+        "DI_DECOMP_FIXTURE_BETAS": " 1e-3, .01 ,5E-2,300",
         "DI_DECOMP_SAMPLE_START": "2015-01-13",
         "DI_DECOMP_FIXTURE_N": " 2741\t",
         "DI_DECOMP_FIXTURE_SEED": "010",
     }
     config = load_config(None, env=env)
-    assert config.significance_cuts == (0.001, 0.01, 0.05)
+    assert config.fixture_betas == (0.001, 0.01, 0.05, 300.0)
     assert str(config.start) == "2015-01-13"
     assert (config.fixture_n, config.seed) == (2741, 10)

@@ -2,10 +2,16 @@
 
 import csv
 import datetime as dt
+import fcntl
 import json
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 import urllib.parse
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +33,7 @@ from di_decomp.ingestion import (
     write_market_csv,
 )
 from di_decomp.pipeline import (
+    CDS_MODEL_FILE,
     COMPONENTS_FILE,
     CONTRIBUTIONS_FILE,
     CUMULATIVE_FILE,
@@ -34,8 +41,8 @@ from di_decomp.pipeline import (
     FACTOR_FILE,
     FOCUS_PANEL_FILE,
     LOAD_REPORT_FILE,
-    LOCK_FILE,
     MODELS_FILE,
+    PLS_MODEL_FILE,
     REPORT_FILE,
     SVG_FILE,
     PipelineConfig,
@@ -48,6 +55,7 @@ from di_decomp.pipeline import (
 )
 
 OUTPUT_FILES = (CONTRIBUTIONS_FILE, CUMULATIVE_FILE, MODELS_FILE, REPORT_FILE, SVG_FILE)
+STAGE_OUTPUTS = {*OUTPUT_FILES, FACTOR_FILE, COMPONENTS_FILE, PLS_MODEL_FILE, CDS_MODEL_FILE}
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +173,7 @@ class TestBundledFixtureRun:
             assert (out / name).read_bytes() == before[name], name
 
     def test_lock_removed_after_run(self, bundled):
-        assert not (bundled["config"].out_dir / LOCK_FILE).exists()
+        assert {p.name for p in bundled["config"].out_dir.iterdir()} == STAGE_OUTPUTS
 
     def test_sample_window_restricts_decomposition_join(self, bundled, tmp_path):
         full = bundled["report"]["sample"]
@@ -327,6 +335,51 @@ def write_disjoint_market(tmp_path, expectation_dates=DATES_A):
     return market_path, expectations_path
 
 
+def _small_run(tmp_path) -> PipelineConfig:
+    """A config over a small fixture, with ``tmp_path / "out"`` as output directory."""
+    fixture_dir = tmp_path / "fx"
+    generate_fixture(5, 300, path=fixture_dir)
+    return PipelineConfig(
+        market_csv=fixture_dir / MARKET_FILE,
+        expectations_csv=fixture_dir / EXPECTATIONS_FILE,
+        out_dir=tmp_path / "out",
+    )
+
+
+# A CLI run whose chart writer writes part of the chart, says so on stdout
+# and then stalls, so that the run can be killed while it emits.
+_STALLED_RUN = """
+import sys, time
+from di_decomp import cli, pipeline
+
+def stalled(cum, path):
+    path.write_text("<svg", encoding="utf-8")
+    print("emitting", flush=True)
+    time.sleep(120)
+
+pipeline.emit_svg = stalled
+cli.main(sys.argv[1:])
+"""
+
+
+def _kill_mid_emit(config: PipelineConfig) -> None:
+    """Run the CLI over ``config`` in a subprocess and SIGKILL it while it emits."""
+    src = str(Path(pipeline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["run", "--market", str(config.market_csv),
+            "--expectations", str(config.expectations_csv), "--out", str(config.out_dir)]
+    with subprocess.Popen([sys.executable, "-c", _STALLED_RUN, *argv],
+                          env=env, stdout=subprocess.PIPE, text=True) as run:
+        try:
+            assert run.stdout.readline() == "emitting\n"
+            with pytest.raises(ConfigError, match="locked"):  # held by the other process
+                run_split_cds(config)
+        finally:
+            run.kill()
+            run.wait(timeout=60)
+    assert run.returncode == -signal.SIGKILL
+
+
 class TestPipelineErrors:
     def test_empty_decomposition_join_reports_stage_and_ranges(self, tmp_path):
         market, expectations = write_disjoint_market(tmp_path)
@@ -377,14 +430,28 @@ class TestPipelineErrors:
         generate_fixture(5, 300, path=fixture_dir)
         out = tmp_path / "out"
         out.mkdir()
-        (out / LOCK_FILE).touch()
         config = PipelineConfig(
             market_csv=fixture_dir / MARKET_FILE,
             expectations_csv=fixture_dir / EXPECTATIONS_FILE,
             out_dir=out,
         )
-        with pytest.raises(ConfigError, match="locked"):
-            run_pipeline(config)
+        held = os.open(out, os.O_RDONLY)  # a second open file conflicts in this process too
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(ConfigError, match="locked"):
+                run_pipeline(config)
+        finally:
+            os.close(held)
+        assert list(out.iterdir()) == []
+
+    def test_stale_lock_file_does_not_block_a_run(self, tmp_path):
+        """The lock file older versions left behind is just another file."""
+        config = _small_run(tmp_path)
+        config.out_dir.mkdir()
+        (config.out_dir / ".di-decomp.lock").touch()
+        run_pipeline(config)
+        names = {p.name for p in config.out_dir.iterdir()}
+        assert names == STAGE_OUTPUTS | {".di-decomp.lock"}
 
     def test_failed_emit_removes_partial_outputs(self, tmp_path):
         fixture_dir = tmp_path / "fx"
@@ -399,9 +466,7 @@ class TestPipelineErrors:
         )
         with pytest.raises(StageError, match="emit"):
             run_pipeline(config)
-        for name in (CONTRIBUTIONS_FILE, CUMULATIVE_FILE, MODELS_FILE, REPORT_FILE):
-            assert not (out / name).exists(), name
-        assert not (out / LOCK_FILE).exists()
+        assert [p.name for p in out.iterdir()] == [SVG_FILE]  # the test's own directory
 
     def test_failed_rerun_keeps_previous_outputs(self, tmp_path, monkeypatch):
         fixture_dir = tmp_path / "fx"
@@ -425,12 +490,32 @@ class TestPipelineErrors:
             run_pipeline(config)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_sigkill_mid_emit_keeps_previous_outputs(self, tmp_path):
+        config = _small_run(tmp_path)
+        run_pipeline(config)
+        before = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
+        _kill_mid_emit(config)
+        left = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
+        assert left[".decomposition.svg.tmp"] == b"<svg"  # killed mid-emit
+        assert {name: left[name] for name in before} == before
+        run_pipeline(config)  # no manual unlock or clean-up first
+        assert {p.name: p.read_bytes() for p in config.out_dir.iterdir()} == before
+
+    def test_stage_after_a_killed_run_removes_its_temporary_files(self, tmp_path):
+        config = _small_run(tmp_path)
+        run_pipeline(config)
+        _kill_mid_emit(config)
+        assert ".contributions.csv.tmp" in {p.name for p in config.out_dir.iterdir()}
+        run_split_cds(config)  # writes two of the files the killed run was writing
+        assert {p.name for p in config.out_dir.iterdir()} == STAGE_OUTPUTS
+
     @pytest.mark.parametrize("entry", [
         run_pipeline, run_fetch_focus, run_build_factors, run_split_cds, run_decompose,
     ])
     def test_every_entry_point_validates_its_config(self, tmp_path, entry):
-        config = PipelineConfig(significance_cuts=(0.5, 0.2, 0.1), out_dir=tmp_path / "out")
-        with pytest.raises(ConfigError, match="significance cuts"):
+        config = PipelineConfig(start=dt.date(2022, 1, 1), end=dt.date(2021, 1, 1),
+                                out_dir=tmp_path / "out")
+        with pytest.raises(ConfigError, match="precede"):
             entry(config)
         assert not config.out_dir.exists()
 
@@ -478,10 +563,6 @@ class TestConfigLayering:
         }
         with pytest.raises(ConfigError, match="precede"):
             load_config(None, env=env)
-
-    def test_bad_factor_column_rejected(self):
-        with pytest.raises(ConfigError, match="factor columns"):
-            load_config(None, env={"DI_DECOMP_FACTORS_COLUMNS": "IPCA_year,NOT_A_COLUMN"})
 
     def test_unrecognized_env_override_rejected(self):
         with pytest.raises(ConfigError, match="DI_DECOMP_TYPO"):
