@@ -31,7 +31,7 @@ import math
 import re
 import time
 import urllib.parse
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -597,6 +597,19 @@ def _parse_block(nos, lines, cells, rejected, names, dates, values):
     return rejected
 
 
+@contextmanager
+def _open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` read as UTF-8; a missing file or a byte outside UTF-8 is a ParseError."""
+    if not path.exists():
+        raise ParseError(f"file not found: {path}")
+    try:
+        with path.open(newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from exc
+
+
 def _read_table(
     path: Path | str,
     columns: Sequence[str] | None,
@@ -612,9 +625,7 @@ def _read_table(
     otherwise counted and logged.  Blank lines are skipped.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    with path.open(encoding="utf-8") as fh:  # universal newlines, as csv reads them
+    with _open_text(path) as fh:  # universal newlines, as csv reads them
         first = fh.readline()
         header = next(_records([first]))[1] if first else None
         if isinstance(header, csv.Error):
@@ -760,10 +771,8 @@ def write_focus_panel_csv(panel: FocusPanel, path: Path | str) -> None:
 
 def read_focus_panel_csv(path: Path | str) -> FocusPanel:
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
     records = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         rows = _records(fh)
         header = next(rows, (0, None))[1]
         if header != ["survey_date", "indicator", "reference_year", "median"]:
@@ -773,6 +782,8 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
                 raise ParseError(f"{path}: line {before + 1}: unreadable record ({raw})")
             if not raw or all(not c.strip() for c in raw):
                 continue
+            if len(raw) != 4:
+                raise ParseError(f"{path}: line {before + 1}: expected 4 cells, got {len(raw)}")
             try:
                 records.append(
                     FocusRecord(
@@ -782,7 +793,7 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
                         _read_real(raw[3]),
                     )
                 )
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"{path}: line {before + 1}: {exc}") from exc
     for r in records:
         if r.indicator not in INDICATORS:

@@ -5,6 +5,13 @@ The full run is a fixed sequence of stages: ingest -> transform -> factors
 through the CLI, consuming the previous stage's emitted files, so a run can
 be resumed and audited piecewise.
 
+Each stage has one body, which writes its files into the output directory:
+``_factors`` macro_factor.csv and pls_model.json, ``_split``
+cds_components.csv and cds_model.json, and ``_final`` contributions.csv,
+cumulative.csv, models.json, report.json and decomposition.svg.  ``run``
+calls all three, ``build-factors``, ``split-cds`` and ``decompose`` one each.
+``fetch-focus`` writes focus_panel.csv, expectations.csv and load_report.json.
+
 Configuration is layered: an INI-style file provides base values,
 ``DI_DECOMP_<SECTION>_<KEY>`` environment variables override the file, and
 CLI flags override both.  Each setting's section, key and parser are
@@ -34,7 +41,6 @@ from . import __version__
 from .cds import CdsComponents, CdsSplitModel, DOMESTIC_NAME, GLOBAL_NAME, split_cds
 from .cds import REGRESSOR_ORDER
 from .decomposition import (
-    DecompositionModel,
     TARGET_NAME,
     accumulate,
     contributions,
@@ -199,7 +205,10 @@ def load_config(
             raise ConfigError(f"config file not found: {path}")
         parser = configparser.ConfigParser()
         try:
-            parser.read(path, encoding="utf-8")
+            with path.open(encoding="utf-8") as fh:  # read() would skip an unreadable file
+                parser.read_file(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         for section in parser.sections():
@@ -392,27 +401,8 @@ def _factor_design(
     return Frame(dates, names, _frozen(x)), y
 
 
-def _split_cds(t: MarketDataset) -> tuple[CdsSplitModel, CdsComponents]:
-    return split_cds(t["CDS"], *(t[n] for n in REGRESSOR_ORDER))
-
-
-def _decompose(
-    d_di5y: DailySeries,
-    factor: DailySeries,
-    components: CdsComponents,
-    config: PipelineConfig,
-) -> tuple[DecompositionModel, Frame, Frame]:
-    """The final regression with its contribution and cumulative frames."""
-    inputs = (d_di5y, factor, components.dom, components.glob)
-    joined = join_decomposition_inputs(*inputs).window(config.start, config.end)
-    _joined(joined.n_rows, "decomposition", [(s.name, s.dates) for s in inputs])
-    model = fit_decomposition_frame(joined)
-    contribs = contributions(model, joined)
-    return model, contribs, accumulate(contribs)
-
-
 # ---------------------------------------------------------------------------
-# Output emission
+# Stage bodies: each runs once, under `run` and under its own command
 # ---------------------------------------------------------------------------
 
 
@@ -428,14 +418,71 @@ def _std_dev_table(c: Frame, fit_fitted: np.ndarray) -> dict:
     return table
 
 
-def _build_report(
+def _factors(
+    stage: _Stage, config: PipelineConfig, counts: LoadReport
+) -> tuple[MarketDataset, PlsModel, DailySeries]:
+    """Load and transform the inputs, fit the macro factor and write its files.
+
+    Writes macro_factor.csv and pls_model.json, and returns the transformed
+    market set, the model and the factor.  Loading is reported under the
+    stage's label as it is on entry.
+    """
+    market = _load_market(config, counts)
+    expectations = _load_expectations(config, counts)
+
+    stage.label = "transform"
+    transformed = _transform_market(market, config.end)
+    del market  # the transforms hold every value the later stages use
+
+    stage.label = "factors"
+    x, y = _factor_design(transformed, expectations, config.end)
+    del expectations  # the design holds every value the fit needs
+    model = pls1_fit(x, y)
+    factor = macro_factor(model, x)
+    del x, y
+    factor_frame = Frame(factor.dates, (FACTOR_NAME,), factor.values.reshape(-1, 1))
+    frame_to_csv(factor_frame, stage.path(FACTOR_FILE))
+    _write_json(stage.path(PLS_MODEL_FILE), model.to_dict())
+    return transformed, model, factor
+
+
+def _split(stage: _Stage, transformed: MarketDataset) -> tuple[CdsSplitModel, CdsComponents]:
+    """Split CDS moves and write cds_components.csv and cds_model.json."""
+    stage.label = "cds-split"
+    model, components = split_cds(transformed["CDS"], *(transformed[n] for n in REGRESSOR_ORDER))
+    data = np.column_stack([components.glob.values, components.dom.values])
+    frame = Frame(components.glob.dates, (GLOBAL_NAME, DOMESTIC_NAME), data)
+    frame_to_csv(frame, stage.path(COMPONENTS_FILE))
+    _write_json(stage.path(CDS_MODEL_FILE), model.to_dict())
+    return model, components
+
+
+def _final(
+    stage: _Stage,
     config: PipelineConfig,
-    model: DecompositionModel,
-    contribs: Frame,
     counts: LoadReport,
+    d_di5y: DailySeries,
+    factor: DailySeries,
+    components: CdsComponents,
+    models_payload: dict,
+    emit: str = "decompose",
 ) -> dict:
-    """The content of report.json, with the echoed config."""
-    return {
+    """The final regression with its contributions and cumulative sums.
+
+    Writes contributions.csv, cumulative.csv, models.json (``models_payload``
+    and the decomposition), report.json and decomposition.svg under the
+    label ``emit``, and returns report.json's content.
+    """
+    stage.label = "decompose"
+    inputs = (d_di5y, factor, components.dom, components.glob)
+    joined = join_decomposition_inputs(*inputs).window(config.start, config.end)
+    _joined(joined.n_rows, "decomposition", [(s.name, s.dates) for s in inputs])
+    model = fit_decomposition_frame(joined)
+    contribs = contributions(model, joined)
+    cum = accumulate(contribs)
+
+    stage.label = emit
+    report = {
         "sample": {
             "start": contribs.dates[0].item().isoformat(),
             "end": contribs.dates[-1].item().isoformat(),
@@ -448,38 +495,9 @@ def _build_report(
         "version": __version__,
         "config": config.echo(),
     }
-
-
-def _emit_factor(stage: _Stage, model: PlsModel, factor: DailySeries) -> None:
-    """macro_factor.csv and pls_model.json."""
-    frame_to_csv(
-        Frame(factor.dates, (FACTOR_NAME,), factor.values.reshape(-1, 1)),
-        stage.path(FACTOR_FILE),
-    )
-    _write_json(stage.path(PLS_MODEL_FILE), model.to_dict())
-
-
-def _emit_cds(stage: _Stage, model: CdsSplitModel, components: CdsComponents) -> None:
-    """cds_components.csv and cds_model.json."""
-    data = np.column_stack([components.glob.values, components.dom.values])
-    frame = Frame(components.glob.dates, (GLOBAL_NAME, DOMESTIC_NAME), data)
-    frame_to_csv(frame, stage.path(COMPONENTS_FILE))
-    _write_json(stage.path(CDS_MODEL_FILE), model.to_dict())
-
-
-def _emit_final(
-    stage: _Stage,
-    config: PipelineConfig,
-    model: DecompositionModel,
-    contribs: Frame,
-    cum: Frame,
-    counts: LoadReport,
-    models_payload: dict,
-) -> dict:
-    report = _build_report(config, model, contribs, counts)
     for name, frame in ((CONTRIBUTIONS_FILE, contribs), (CUMULATIVE_FILE, cum)):
         _write_columns_csv(stage.path(name), frame.names, frame.dates, frame.data, "{:.4f}")
-    _write_json(stage.path(MODELS_FILE), models_payload)
+    _write_json(stage.path(MODELS_FILE), {**models_payload, "decomposition": model.to_dict()})
     _write_json(stage.path(REPORT_FILE), report)
     emit_svg(cum, stage.path(SVG_FILE))
     return report
@@ -508,27 +526,15 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
 
 def run_build_factors(config: PipelineConfig) -> PlsModel:
     """Build the macro factor, emit macro_factor.csv + pls_model.json."""
-    report = LoadReport()
     with _stage(config, "factors") as stage:
-        market = _load_market(config, report)
-        expectations = _load_expectations(config, report)
-        transformed = _transform_market(market, config.end)
-        del market  # the transforms hold every value the later stages use
-        x, y = _factor_design(transformed, expectations, config.end)
-        del expectations  # the design holds every value the fit needs
-        model = pls1_fit(x, y)
-        _emit_factor(stage, model, macro_factor(model, x))
-    return model
+        return _factors(stage, config, LoadReport())[1]
 
 
 def run_split_cds(config: PipelineConfig) -> CdsSplitModel:
     """Split CDS moves, emit cds_components.csv + cds_model.json."""
-    report = LoadReport()
     with _stage(config, "cds-split") as stage:
-        market = _load_market(config, report)
-        model, components = _split_cds(_transform_market(market, config.end))
-        _emit_cds(stage, model, components)
-    return model
+        market = _load_market(config, LoadReport())
+        return _split(stage, _transform_market(market, config.end))[0]
 
 
 def run_decompose(config: PipelineConfig) -> dict:
@@ -536,61 +542,28 @@ def run_decompose(config: PipelineConfig) -> dict:
     counts = LoadReport()
     with _stage(config, "decompose") as stage:
         d_di5y = _target(_load_market(config, counts), config.end)
-
         factor_path = Path(config.factor_csv or stage.out_dir / FACTOR_FILE)
         comp_path = Path(config.components_csv or stage.out_dir / COMPONENTS_FILE)
         factor = read_frame_csv(factor_path).series(FACTOR_NAME)
-        comp_frame = read_frame_csv(comp_path)
-        components = CdsComponents(
-            glob=comp_frame.series(GLOBAL_NAME), dom=comp_frame.series(DOMESTIC_NAME)
-        )
-
-        model, contribs, cum = _decompose(d_di5y, factor, components, config)
-
-        models_payload = {"pls": None, "cds_split": None, "decomposition": model.to_dict()}
+        comp = read_frame_csv(comp_path)
+        components = CdsComponents(glob=comp.series(GLOBAL_NAME), dom=comp.series(DOMESTIC_NAME))
+        models_payload = {"pls": None, "cds_split": None}
         for key, side in (("pls", factor_path.parent / PLS_MODEL_FILE),
                           ("cds_split", comp_path.parent / CDS_MODEL_FILE)):
             if side.exists():
                 models_payload[key] = json.loads(side.read_text(encoding="utf-8"))
-        return _emit_final(stage, config, model, contribs, cum, counts, models_payload)
+        return _final(stage, config, counts, d_di5y, factor, components, models_payload)
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every stage in memory and emit the full set of output files.
+    """Run every stage in memory, write all nine output files, return report.json's content.
 
-    Emits contributions.csv, cumulative.csv, models.json, report.json and
-    decomposition.svg into the configured output directory, and returns
-    report.json's content.  Reruns with identical inputs and configuration
-    produce byte-identical files.
+    Reruns with identical inputs and configuration produce byte-identical files.
     """
     counts = LoadReport()
     with _stage(config, "ingest") as stage:
-        market = _load_market(config, counts)
-        expectations = _load_expectations(config, counts)
-
-        stage.label = "transform"
-        transformed = _transform_market(market, config.end)
-        del market  # the transforms hold every value the later stages use
-
-        stage.label = "factors"
-        x, y = _factor_design(transformed, expectations, config.end)
-        del expectations  # the design holds every value the fit needs
-        pls_model = pls1_fit(x, y)
-        factor = macro_factor(pls_model, x)
-        del x, y
-
-        stage.label = "cds-split"
-        cds_model, components = _split_cds(transformed)
-
-        stage.label = "decompose"
-        model, contribs, cum = _decompose(transformed[TARGET_NAME], factor, components, config)
-
-        stage.label = "emit"
-        _emit_factor(stage, pls_model, factor)
-        _emit_cds(stage, cds_model, components)
-        models_payload = {
-            "pls": pls_model.to_dict(),
-            "cds_split": cds_model.to_dict(),
-            "decomposition": model.to_dict(),
-        }
-        return _emit_final(stage, config, model, contribs, cum, counts, models_payload)
+        transformed, pls_model, factor = _factors(stage, config, counts)
+        cds_model, components = _split(stage, transformed)
+        models_payload = {"pls": pls_model.to_dict(), "cds_split": cds_model.to_dict()}
+        return _final(stage, config, counts, transformed[TARGET_NAME], factor, components,
+                      models_payload, emit="emit")

@@ -162,6 +162,40 @@ class TestStagedCommands:
         assert rc == 3
 
 
+class TestUnreadableFiles:
+    """A file that cannot be read as UTF-8 text is an error naming it."""
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_config_file_is_config_error(self, fixture_dir, tmp_path, capsys, kind):
+        ini = tmp_path / "run.ini"
+        if kind == "directory":
+            ini.mkdir()  # configparser.read would skip it and run on defaults
+        else:
+            ini.write_bytes(b"[output]\nstrict = true\n# caf\xe9\n")
+        rc = main(run_args(fixture_dir, tmp_path / "out", "--config", str(ini)))
+        assert rc == 2
+        assert f"cannot read config file {ini}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("source", ["market", "expectations", "focus-panel"])
+    def test_data_file_not_utf8_is_data_error(self, fixture_dir, tmp_path, capsys, source, mode):
+        inputs = {"market": fixture_dir / MARKET_FILE}
+        if source != "focus-panel":
+            inputs["expectations"] = fixture_dir / EXPECTATIONS_FILE
+        bad = tmp_path / "bad.csv"
+        if source == "focus-panel":
+            bad.write_bytes(b"survey_date,indicator,reference_year,median\n"
+                            b"2015-01-13,IPCA,2015,5\xff.0\n")
+        else:
+            bad.write_bytes(inputs[source].read_bytes() + b"2099-01-05,1\xff.0\n")
+        inputs[source] = bad
+        argv = ["run", *(a for flag, path in inputs.items() for a in (f"--{flag}", str(path)))]
+        rc = main([*argv, "--out", str(tmp_path / "out"), f"--{mode}"])
+        assert rc == 3
+        assert f"{bad}: not UTF-8 text (byte 0xff" in capsys.readouterr().err
+
+
 # The model specification is fixed, so each former way to set it is refused:
 # (command, INI text, environment, extra flags, what the error names).
 REMOVED_SETTINGS = {

@@ -571,3 +571,11 @@ class TestMarketCsv:
         path = tmp_path / "panel.csv"
         write_focus_panel_csv(panel, path)
         assert read_focus_panel_csv(path) == panel
+
+    @pytest.mark.parametrize("row", ["2015-01-13,IPCA,2015", "2015-01-13,IPCA,2015,5.0,junk"])
+    def test_focus_panel_record_needs_four_cells(self, tmp_path, row):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"survey_date,indicator,reference_year,median\n{row}\n", encoding="utf-8")
+        cells = row.count(",") + 1
+        with pytest.raises(ParseError, match=f"panel.csv: line 2: expected 4 cells, got {cells}$"):
+            read_focus_panel_csv(path)

@@ -275,12 +275,18 @@ class TestFocusPanelSource:
 
 
 class TestStagedEquivalence:
-    def test_staged_run_reproduces_full_run(self, tmp_path):
+    @pytest.mark.parametrize("window", [
+        {},
+        {"start": dt.date(2015, 3, 2), "end": dt.date(2016, 1, 29)},
+    ], ids=["no-window", "window"])
+    def test_staged_run_reproduces_full_run(self, tmp_path, window):
+        """Every file matches; report.json differs only in the echoed output directory."""
         fixture_dir = tmp_path / "fx"
         generate_fixture(5, 400, path=fixture_dir)
         base = dict(
             market_csv=fixture_dir / MARKET_FILE,
             expectations_csv=fixture_dir / EXPECTATIONS_FILE,
+            **window,
         )
         full_out = tmp_path / "full"
         run_pipeline(PipelineConfig(**base, out_dir=full_out))
@@ -291,9 +297,15 @@ class TestStagedEquivalence:
         run_split_cds(staged)
         run_decompose(staged)
 
-        for name in (CONTRIBUTIONS_FILE, CUMULATIVE_FILE, MODELS_FILE, SVG_FILE,
-                     FACTOR_FILE, COMPONENTS_FILE):
+        assert {p.name for p in staged_out.iterdir()} == STAGE_OUTPUTS
+        for name in sorted(STAGE_OUTPUTS - {REPORT_FILE}):
             assert (staged_out / name).read_bytes() == (full_out / name).read_bytes(), name
+        reports = []
+        for out in (full_out, staged_out):
+            report = json.loads((out / REPORT_FILE).read_text(encoding="utf-8"))
+            assert report["config"].pop("out_dir") == str(out)
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 def business_days(start, n):
