@@ -62,6 +62,7 @@ DEFAULT_ENDPOINT = (
 )
 
 _MAX_PAGES = 10_000  # pages one indicator's query may take
+_MAX_ATTEMPTS = 4  # requests per page, the first included
 _BACKOFF_S = 0.5  # the first retry's wait; each later one doubles it
 
 MARKET_COLUMNS = ("DI5Y", "CDS", "DXY", "CRB", "VIX", "UST10", "SURPRISE")
@@ -185,15 +186,10 @@ def _urllib_transport(url: str) -> tuple[int, bytes]:
             return exc.code, exc.read()
 
 
-def _fetch_page(
-    url: str,
-    transport: Transport,
-    max_attempts: int,
-    sleep: Callable[[float], None],
-) -> dict:
+def _fetch_page(url: str, transport: Transport, sleep: Callable[[float], None]) -> dict:
     last_status: int | None = None
     last_exc: OSError | None = None
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         if attempt:
             sleep(_BACKOFF_S * 2 ** (attempt - 1))
         try:
@@ -214,9 +210,7 @@ def _fetch_page(
             raise ParseError(f"GET {url}: payload lacks a 'value' record list")
         return payload
     detail = f"status {last_status}" if last_status is not None else f"error {last_exc}"
-    raise FetchError(
-        f"GET {url} failed after {max_attempts} attempts (last: {detail})"
-    )
+    raise FetchError(f"GET {url} failed after {_MAX_ATTEMPTS} attempts (last: {detail})")
 
 
 def _parse_record(item: object, reverse_names: Mapping[str, str]) -> FocusRecord:
@@ -251,7 +245,6 @@ def fetch_focus(
     *,
     transport: Transport | None = None,
     page_size: int = 10_000,
-    max_attempts: int = 4,
     sleep: Callable[[float], None] = time.sleep,
     report: LoadReport | None = None,
 ) -> FocusPanel:
@@ -271,7 +264,7 @@ def fetch_focus(
         connection failure by raising ``OSError`` (``ConnectionError``,
         ``TimeoutError`` and ``urllib.error.URLError`` all are); that and a
         5xx status are retried with exponential backoff, up to
-        ``max_attempts`` requests.  Any other exception propagates at once.
+        ``_MAX_ATTEMPTS`` (4) requests.  Any other exception propagates at once.
     report
         Optional counter sink for fetched / deduplicated records.
 
@@ -315,7 +308,7 @@ def fetch_focus(
             if len(requested) == _MAX_PAGES:
                 raise FetchError(f"pagination for {indicator} runs past {_MAX_PAGES} pages")
             requested.add(url)
-            payload = _fetch_page(url, transport, max_attempts, sleep)
+            payload = _fetch_page(url, transport, sleep)
             items = payload["value"]
             for item in items:
                 record = _parse_record(item, reverse_names)
@@ -400,7 +393,6 @@ _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
 _CSV_ESCAPE = str.maketrans({"\x00": "\x01n", "\x01": "\x01s"})
 # Plain runs to cut to "x," or "x": the csv module finds the same record bounds.
 _PLAIN_RUN = re.compile(r'[^"\r\n]*(,)|[^",\r\n]+')
-_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01"), np.datetime64("9999-12-31")
 # Rows parsed or formatted at a time, which bounds the transient strings.
 _BLOCK_ROWS = 1024
 
@@ -414,16 +406,18 @@ class _RowError(ValueError):
 
 
 def _to_dates(texts: Sequence[str]) -> np.ndarray:
-    """Each text as ``datetime64[D]``; NaT where it is not a YYYY-MM-DD day."""
-    try:
-        dates = np.array(texts, dtype="datetime64[D]")
-    except ValueError:
-        dates = np.array([_one_date(t) for t in texts], dtype="datetime64[D]")
-    # numpy also reads forms such as 20150113 or 2015-01-13T10; only a text
-    # that is its date's own YYYY-MM-DD spelling is a date here
-    exact = np.datetime_as_string(dates) == np.array(texts, dtype=str)
-    ok = exact & (dates >= _FIRST_DAY) & (dates <= _LAST_DAY)
-    return np.where(ok, dates, np.datetime64("NaT"))
+    """Each text as ``datetime64[D]``; NaT where it is not a YYYY-MM-DD day of years 1-9999."""
+    ten = np.fromiter(map(len, texts), int, len(texts)) == 10  # numpy drops a trailing NUL
+    codes = np.array(texts, "U10").view(np.uint32).reshape(-1, 10).astype(np.int64) - ord("0")
+    digits = np.delete(codes, [4, 7], axis=1)
+    ok = ten & ((0 <= digits) & (digits <= 9)).all(axis=1)
+    ok &= (codes[:, [4, 7]] == ord("-") - ord("0")).all(axis=1)
+    ymd = digits @ 10 ** np.arange(7, -1, -1)  # the digits as one YYYYMMDD number
+    month = ymd // 100 % 100
+    first = (12 * (ymd // 10000 - 1970) + month - 1).astype("datetime64[M]")
+    days = first.astype("datetime64[D]") + (ymd % 100 - 1)
+    ok &= (ymd >= 10000) & (1 <= month) & (month <= 12) & (days.astype("datetime64[M]") == first)
+    return np.where(ok, days, np.datetime64("NaT", "D"))
 
 
 def _foreign(text: str) -> bool:
@@ -455,13 +449,6 @@ def _read_year(text: str) -> int:
     if not _YEAR.fullmatch(text.strip(" \t")):
         raise ValueError(f"cannot parse year {text!r} as four digits")
     return int(text)
-
-
-def _one_date(text: str) -> np.datetime64:
-    try:
-        return np.datetime64(text, "D")
-    except ValueError:
-        return np.datetime64("NaT")
 
 
 def _parse_row(cells: Sequence[str], names: Sequence[str]) -> tuple[np.datetime64, list[float]]:

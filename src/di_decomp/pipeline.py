@@ -48,7 +48,7 @@ from .decomposition import (
     join_decomposition_inputs,
     variance_shares,
 )
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError, ParseError, StageError
 from .fixture import DEFAULT_BETAS, DEFAULT_FIXTURE_SEED, DEFAULT_N, DEFAULT_R2
 from .ingestion import (
     DEFAULT_ENDPOINT,
@@ -63,6 +63,7 @@ from .ingestion import (
     read_focus_panel_csv,
     read_frame_csv,
     reshape_horizons,
+    _open_text,
     _read_date,
     _read_real,
     _write_columns_csv,
@@ -551,7 +552,11 @@ def run_decompose(config: PipelineConfig) -> dict:
         for key, side in (("pls", factor_path.parent / PLS_MODEL_FILE),
                           ("cds_split", comp_path.parent / CDS_MODEL_FILE)):
             if side.exists():
-                models_payload[key] = json.loads(side.read_text(encoding="utf-8"))
+                with _open_text(side) as fh:
+                    try:
+                        models_payload[key] = json.load(fh)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(f"{side}: not valid JSON ({exc})") from exc
         return _final(stage, config, counts, d_di5y, factor, components, models_payload)
 
 

@@ -297,8 +297,6 @@ def inner_join(series: Sequence[DailySeries]) -> Frame:
         raise SchemaError(f"inner_join: duplicate series names: {dupes}")
     common = series[0].dates
     for s in series[1:]:
-        if np.array_equal(s.dates, common):
-            continue
         # both indexes are sorted and unique: keep the dates s also has
         at = np.searchsorted(s.dates, common)
         hit = at < len(s)
@@ -306,8 +304,7 @@ def inner_join(series: Sequence[DailySeries]) -> Frame:
         common = common[hit]
     data = np.empty((len(common), len(series)))
     for j, s in enumerate(series):
-        same = np.array_equal(s.dates, common)
-        data[:, j] = s.values if same else s.values[np.searchsorted(s.dates, common)]
+        data[:, j] = s.values[np.searchsorted(s.dates, common)]
     return Frame(common, tuple(names), _frozen(data))
 
 

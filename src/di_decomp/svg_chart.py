@@ -18,7 +18,7 @@ from .series import Frame
 
 WIDTH, HEIGHT = 960.0, 540.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 24.0, 46.0, 58.0
-TITLE = "Cumulative decomposition (bps)"
+TITLE = "Cumulative decomposition (bps)"  # no "&", "<" or ">": it and the labels go in as is
 _TARGET_TICKS = 6  # y-axis ticks aimed at; the step is rounded to a nice value
 
 SERIES_STYLE = (
@@ -32,11 +32,6 @@ SERIES_STYLE = (
 )
 
 __all__ = ["emit_svg", "SERIES_STYLE"]
-
-
-def _escape(text: str) -> str:
-    """Escape ``&``, ``<`` and ``>`` in XML character data (``&`` first)."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float) -> float:
@@ -98,13 +93,13 @@ def emit_svg(cum: Frame, path: Path | str) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
         f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">'
     )
-    parts.append(f"<title>{_escape(TITLE)}</title>")
+    parts.append(f"<title>{TITLE}</title>")
     parts.append(
         f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>'
     )
     parts.append(
         f'<text x="{MARGIN_L:.1f}" y="24" font-family="sans-serif" font-size="16" '
-        f'fill="#111111">{_escape(TITLE)}</text>'
+        f'fill="#111111">{TITLE}</text>'
     )
 
     # horizontal grid and y labels
@@ -158,7 +153,7 @@ def emit_svg(cum: Frame, path: Path | str) -> None:
         )
         parts.append(
             f'<text x="{lx + 28:.1f}" y="{ly:.1f}" font-family="sans-serif" '
-            f'font-size="11" fill="#111111">{_escape(label)}</text>'
+            f'font-size="11" fill="#111111">{label}</text>'
         )
 
     parts.append("</svg>")

@@ -16,11 +16,13 @@ from di_decomp.errors import ConfigError
 from di_decomp.fixture import DEFAULT_FIXTURE_SEED, EXPECTATIONS_FILE, MARKET_FILE, TRUTH_FILE
 from di_decomp.ingestion import MarketDataset, write_market_csv
 from di_decomp.pipeline import (
+    CDS_MODEL_FILE,
     COMPONENTS_FILE,
     CONTRIBUTIONS_FILE,
     CUMULATIVE_FILE,
     FACTOR_FILE,
     MODELS_FILE,
+    PLS_MODEL_FILE,
     REPORT_FILE,
     SVG_FILE,
     load_config,
@@ -194,6 +196,22 @@ class TestUnreadableFiles:
         rc = main([*argv, "--out", str(tmp_path / "out"), f"--{mode}"])
         assert rc == 3
         assert f"{bad}: not UTF-8 text (byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{\n  "sign', "not valid JSON (Unterminated string"),
+        (b'{"sign": 1, "note": "caf\xff"}\n', "not UTF-8 text (byte 0xff"),
+    ], ids=["truncated", "not-utf-8"])
+    @pytest.mark.parametrize("name", [PLS_MODEL_FILE, CDS_MODEL_FILE])
+    def test_stage_model_file_is_data_error(self, fixture_dir, tmp_path, capsys, name,
+                                            content, message):
+        out = tmp_path / "staged"
+        common = ["--market", str(fixture_dir / MARKET_FILE), "--out", str(out)]
+        expectations = ["--expectations", str(fixture_dir / EXPECTATIONS_FILE)]
+        assert main(["build-factors", *common, *expectations]) == 0
+        assert main(["split-cds", *common]) == 0
+        (out / name).write_bytes(content)
+        assert main(["decompose", *common]) == 3
+        assert f"{out / name}: {message}" in capsys.readouterr().err
 
 
 # The model specification is fixed, so each former way to set it is refused:

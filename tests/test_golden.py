@@ -9,9 +9,13 @@ BLAS builds.  Entries that are zero up to rounding (the orthogonal CDS
 components' correlation, ~5e-16) are compared with an absolute floor of
 1e-12 instead.
 
-To re-pin after an intended output change, regenerate
-``golden/default_fixture.json`` from a run of the new code and say why in
-the change log.
+``golden/stress_fixture.json`` pins the same five digests at seed 1,
+n=20000.  A change of rounding order can move the last bits of a ``{!r}``
+cell there and not at n=2741: one stacked-right-hand-side solve in
+``ols_fit`` kept every n=2741 digest and changed ``cds_components.csv``.
+
+To re-pin after an intended output change, regenerate the JSON files from
+a run of the new code and say why in the change log.
 """
 
 import hashlib
@@ -23,18 +27,15 @@ import pytest
 from di_decomp.fixture import EXPECTATIONS_FILE, MARKET_FILE, generate_fixture
 from di_decomp.pipeline import MODELS_FILE, REPORT_FILE, PipelineConfig, run_pipeline
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "golden" / "default_fixture.json").read_text(encoding="utf-8")
-)
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "default_fixture.json").read_text(encoding="utf-8"))
+STRESS = json.loads((GOLDEN_DIR / "stress_fixture.json").read_text(encoding="utf-8"))
 # report.json echoes input and output paths, which differ per run
 PATH_KEYS = ("market_csv", "expectations_csv", "focus_panel_csv", "factor_csv",
              "components_csv", "out_dir")
 
 
-@pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    fixture = GOLDEN["fixture"]
+def _run(root, fixture):
     generate_fixture(fixture["seed"], fixture["n"], path=root / "fixture")
     config = PipelineConfig(
         market_csv=root / "fixture" / MARKET_FILE,
@@ -43,6 +44,16 @@ def golden_run(tmp_path_factory):
     )
     run_pipeline(config)
     return root / "out"
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    return _run(tmp_path_factory.mktemp("golden"), GOLDEN["fixture"])
+
+
+@pytest.fixture(scope="module")
+def stress_run(tmp_path_factory):
+    return _run(tmp_path_factory.mktemp("stress"), STRESS["fixture"])
 
 
 def _assert_close(actual, expected, where="$"):
@@ -64,6 +75,12 @@ def _assert_close(actual, expected, where="$"):
 def test_output_digest(golden_run, name):
     digest = hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
     assert digest == GOLDEN["sha256"][name], name
+
+
+@pytest.mark.parametrize("name", sorted(STRESS["sha256"]))
+def test_stress_output_digest(stress_run, name):
+    digest = hashlib.sha256((stress_run / name).read_bytes()).hexdigest()
+    assert digest == STRESS["sha256"][name], name
 
 
 def test_models_json(golden_run):

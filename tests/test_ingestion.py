@@ -261,11 +261,10 @@ class TestFetchFocus:
             calls.append(url)
             raise ConnectionError("connection refused")
 
-        with pytest.raises(FetchError, match="failed after 3 attempts.*connection refused"):
-            fetch_focus(["IPCA"], (D0, D0), transport=transport,
-                        max_attempts=3, sleep=sleeps.append)
-        assert len(calls) == 3
-        assert len(sleeps) == 2
+        with pytest.raises(FetchError, match="failed after 4 attempts.*connection refused"):
+            fetch_focus(["IPCA"], (D0, D0), transport=transport, sleep=sleeps.append)
+        assert len(calls) == 4
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_non_connection_error_propagates_without_retry(self):
         calls, sleeps = [], []
@@ -375,10 +374,10 @@ class TestDefaultTransport:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         sleeps = []
-        with pytest.raises(FetchError, match="failed after 3 attempts"):
+        with pytest.raises(FetchError, match="failed after 4 attempts"):
             fetch_focus(["IPCA"], (D0, D0), f"http://127.0.0.1:{port}/odata",
-                        max_attempts=3, sleep=sleeps.append)
-        assert len(sleeps) == 2
+                        sleep=sleeps.append)
+        assert len(sleeps) == 3
 
 
 def full_panel_for(date, values_by_indicator):

@@ -1,5 +1,6 @@
-"""Property tests: CSV round trips, the date-index operations, OLS, the PLS1
-factor, the CDS split and the contribution accounting.
+"""Property tests: the date grammar, CSV round trips, the date-index
+operations, OLS, the PLS1 factor, the CDS split and the contribution
+accounting.
 
 Calendars are drawn from 1900-2100, so many dates lie before 1970, where
 ``datetime64[D]`` day numbers are negative.
@@ -10,10 +11,11 @@ import datetime as dt
 import io
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import di_decomp.ingestion as ingestion
@@ -66,6 +68,50 @@ def series_sets(draw, min_series=1):
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _date_oracle(text):
+    """The YYYY-MM-DD grammar spelled out: the pattern, then a real ``datetime.date``."""
+    if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        return None
+    try:
+        return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+    except ValueError:  # no such day, or year 0000
+        return None
+
+
+# digits, the dash, characters numpy's own date parser takes or skips, and a
+# non-ASCII digit (ARABIC-INDIC DIGIT THREE)
+DATE_CHARS = "0123456789-T \t\x00+\u0663"
+date_like = st.builds(
+    "{:04d}-{:02d}-{:02d}".format,
+    st.one_of(st.sampled_from([0, 1, 1900, 2000, 2023, 2024, 9999]), st.integers(0, 9999)),
+    st.integers(0, 13),
+    st.integers(0, 32),
+)
+
+
+@st.composite
+def near_dates(draw):
+    """A YYYY-MM-DD spelling with one character replaced, one inserted, or none."""
+    text = draw(date_like)
+    at, char = draw(st.integers(0, len(text))), draw(st.sampled_from(DATE_CHARS))
+    return draw(st.sampled_from([text, text[:at] + char + text[at + 1:],
+                                 text[:at] + char + text[at:]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.one_of(near_dates(), st.text(DATE_CHARS, max_size=12)), max_size=20))
+@example(texts=["0000-01-01", "0001-01-01", "9999-12-31", "2024-02-29", "2023-02-29",
+                "1900-02-29", "2000-02-29", "2015-01-13\x00", "2015-01-13T10", "20150113",
+                "+2015-01-13", "2015-01-1\u0663"])
+def test_to_dates_matches_the_grammar_oracle(texts):
+    """As a list, as ``_read_date`` and ``_parse_row`` pass it, and as the
+    ``U16`` array ``np.loadtxt`` gives, which has dropped trailing NULs."""
+    for given_texts in (texts, np.array(texts, dtype="U16")):
+        got = ingestion._to_dates(given_texts)
+        expected = [_date_oracle(str(t)) for t in given_texts]
+        assert [None if np.isnat(d) else d.item() for d in got] == expected
 
 
 @PROPERTY_SETTINGS
