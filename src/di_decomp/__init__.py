@@ -12,7 +12,6 @@ from .series import (  # noqa: F401
     DailySeries,
     Frame,
     StandardizationParams,
-    TradingDate,
     diff,
     inner_join,
     log_return,
@@ -28,7 +27,6 @@ from .decomposition import (  # noqa: F401
     accumulate,
     contributions,
     fit_decomposition,
-    row_sum_gap,
     significance_label,
     validate_cumulative,
     variance_shares,

@@ -18,7 +18,6 @@ approximation can be judged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "accumulate",
     "variance_shares",
     "significance_label",
-    "row_sum_gap",
     "validate_cumulative",
     "TARGET_NAME",
     "FACTOR_ORDER",
@@ -215,11 +213,6 @@ def variance_shares(c: Frame) -> VarianceShares:
     return VarianceShares(
         labels=CONTRIBUTION_LABELS, shares=_frozen(variances / total), correlations=_frozen(corr)
     )
-
-
-def row_sum_gap(total: float, components: Sequence[float]) -> float:
-    """Absolute gap between a cumulative total and the sum of its components."""
-    return abs(float(total) - float(np.sum(np.asarray(components, dtype=float))))
 
 
 def validate_cumulative(cum: Frame) -> None:

@@ -14,16 +14,15 @@ YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
 above ``_read_table``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
 cell that does not parse rejects the row, fatally in strict mode.  A
-file's newlines are counted first, to size a date array and a value matrix
-with a row per line, so rows stay in file order.  Records come one physical
-line at a time if no line holds a '"', else from the csv module, which only
-normalises them.  In each block of 1024, those with k commas are read in one
-``np.loadtxt`` call; only the records that fail it are split into cells.
+record is one physical line, cut into cells at every comma; there is no
+quoting.  A file's newlines are counted first, to size a date array and a
+value matrix with a row per line, so rows stay in file order.  In each
+block of 1024 lines, those with k commas are read in one ``np.loadtxt``
+call; only the lines that fail it are split into cells.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import logging
@@ -31,16 +30,16 @@ import math
 import re
 import time
 import urllib.parse
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import FetchError, ParseError, SchemaError
-from .series import DailySeries, Frame, TradingDate, _frozen
+from .series import DailySeries, Frame, _frozen
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +98,7 @@ HORIZON_COLUMNS = tuple(horizon_column(ind, k) for ind in INDICATORS for k in HO
 
 @dataclass(frozen=True)
 class FocusRecord:
-    survey_date: TradingDate
+    survey_date: dt.date
     indicator: str
     reference_year: int
     median: float
@@ -240,7 +239,7 @@ def _parse_record(item: object, reverse_names: Mapping[str, str]) -> FocusRecord
 
 def fetch_focus(
     indicators: Sequence[str],
-    date_range: tuple[TradingDate, TradingDate],
+    date_range: tuple[dt.date, dt.date],
     endpoint: str = DEFAULT_ENDPOINT,
     *,
     transport: Transport | None = None,
@@ -283,7 +282,7 @@ def fetch_focus(
     transport = transport or _urllib_transport
     reverse_names = {v: k for k, v in INDICATOR_QUERY_NAMES.items()}
 
-    cells: dict[tuple[TradingDate, str, int], FocusRecord] = {}
+    cells: dict[tuple[dt.date, str, int], FocusRecord] = {}
     duplicates = 0
     fetched = 0
     for indicator in indicators:
@@ -341,10 +340,10 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
     """
     if not panel.records:
         raise ParseError("reshape_horizons: empty panel")
-    by_date: dict[TradingDate, dict[tuple[str, int], float]] = {}
+    by_date: dict[dt.date, dict[tuple[str, int], float]] = {}
     for r in panel.records:
         by_date.setdefault(r.survey_date, {})[(r.indicator, r.reference_year)] = r.median
-    dates: list[TradingDate] = []
+    dates: list[dt.date] = []
     rows: list[list[float]] = []
     dropped = 0
     for d in sorted(by_date):
@@ -368,31 +367,26 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
 
 
 # Every data row of a market or frame CSV follows one grammar, the same on
-# every Python version:
+# every Python version.  A record is one physical line, cut into cells at
+# every comma; there is no quoting, so '"12.50"' is a cell outside the
+# grammar and a comma always ends a cell.
 #
 #   date   YYYY-MM-DD naming a real calendar day (years 0001-9999);
 #   value  a point-decimal real: optional sign, ASCII digits with at most one
 #          decimal point, optional exponent -- so not "nan", "inf", "1_000",
-#          "12,50" or non-ASCII digits;
+#          '"12.50"' or non-ASCII digits;
 #   empty  a cell of only spaces or tabs: no observation.
 #
-# Spaces and tabs around a cell are ignored.  CSV quoting is accepted: a
-# quoted cell loses its quotes and then follows the same grammar, so
-# '"12.50"' reads as 12.5 and '"12,50"' is rejected.
+# Spaces and tabs around a cell are ignored.
 
-_REAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# A run of digits matches in one way only, so a cell that fails takes time
+# linear in its length.
+_REAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _YEAR = re.compile(r"[0-9]{4}")
 # Every character a valid data line may contain.  In lines made of these
 # alone, float() and np.loadtxt accept a cell exactly when it matches _REAL.
-# A newline, which a quoted cell may hold, is not one of them.
 _DATA_CHARS = b"0123456789eE+-. \t,"
 _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
-# Python 3.10's csv module rejects NUL, which later versions read as an
-# ordinary character, so NUL passes through it as \x01 "n" and \x01 itself
-# as \x01 "s".
-_CSV_ESCAPE = str.maketrans({"\x00": "\x01n", "\x01": "\x01s"})
-# Plain runs to cut to "x," or "x": the csv module finds the same record bounds.
-_PLAIN_RUN = re.compile(r'[^"\r\n]*(,)|[^",\r\n]+')
 # Rows parsed or formatted at a time, which bounds the transient strings.
 _BLOCK_ROWS = 1024
 
@@ -497,100 +491,42 @@ def _to_rows(lines: list[str], k: int) -> tuple[np.ndarray, np.ndarray] | None:
     return dates, rows["values"]
 
 
-def _records(lines: Iterable[str]) -> Iterator[tuple[int, list[str] | csv.Error]]:
-    """Each record the csv module reads from ``lines``, after how many lines.
+def _parse_block(lines, names, dates, values):
+    """Write each accepted line to its row of ``dates`` and ``values``, a row per line.
 
-    A quoted cell may hold line breaks, so a record can span several lines.
-    A record the csv module refuses (a cell over its field size limit) comes
-    as the ``csv.Error``, and reading goes on after its last line, where a
-    fresh reader ends it once its runs of plain characters are cut short.
-    """
-    lines, taken = iter(lines), []  # taken: the physical lines of this record
-
-    def fed():
-        for line in lines:
-            taken.append(line)
-            yield line.translate(_CSV_ESCAPE) if "\x00" in line or "\x01" in line else line
-
-    reader, before = csv.reader(fed()), 0
-    while True:
-        try:
-            rec = [c.replace("\x01n", "\x00").replace("\x01s", "\x01") for c in next(reader)]
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            rec = exc
-            shortened = (_PLAIN_RUN.sub(r"x\1", line) for line in chain(taken[:], fed()))
-            with suppress(csv.Error):  # unless even the shortened record is too long
-                next(csv.reader(shortened))
-        yield before, rec
-        before += len(taken)
-        taken.clear()
-
-
-def _blocks(fh: TextIO, quoted: bool) -> Iterator[tuple]:
-    """Blocks of data records: first physical line numbers, lines, cells, rejected.
-
-    The header, line 1, was read before.  If the file holds no '"', a record
-    is one physical line, blank or not, split into cells only when it fails
-    a column check (``cells`` is None).  Otherwise the csv module reads every
-    record, a record's line is its cells joined by commas, blank records are
-    left out and refused ones are rejected.
-    """
-    if not quoted:
-        no = 1
-        while chunk := list(islice(fh, _BLOCK_ROWS)):
-            lines = "".join(chunk).removesuffix("\n").split("\n")
-            yield range(no + 1, no + 1 + len(lines)), lines, None, []
-            no += len(chunk)
-        return
-    records = _records(fh)
-    while chunk := list(islice(records, _BLOCK_ROWS)):
-        refused = [(2 + at, f"unreadable record ({rec})", None)
-                   for at, rec in chunk if isinstance(rec, csv.Error)]
-        block = [(2 + at, rec) for at, rec in chunk
-                 if isinstance(rec, list) and "".join(rec).strip(" \t")]
-        cells = [rec for _, rec in block]
-        yield [n for n, _ in block], list(map(",".join, cells)), cells, refused
-
-
-def _parse_block(nos, lines, cells, rejected, names, dates, values):
-    """Write each accepted record to row ``no - 2`` of ``dates`` and ``values``.
-
-    Returns ``rejected`` plus each rejected record's (line, message, date).
-    Records with k commas and only ``_DATA_CHARS`` are read in one
-    ``np.loadtxt`` call; the others and those it fails are taken apart cell
-    by cell, which also words their messages.  A blank line is skipped.
+    Returns each rejected line's (index in ``lines``, message, date).  Lines
+    with k commas and only ``_DATA_CHARS`` are read in one ``np.loadtxt``
+    call; the others and those it fails are split at every comma and taken
+    apart cell by cell, which also words their messages.  A blank line is
+    skipped.
     """
     k = len(names)
     suspect = np.array(list(map(str.count, lines, repeat(","))), dtype=int) != k
     if _foreign("".join(lines)):
         suspect |= np.array(list(map(_foreign, lines)), dtype=bool)
-    if cells is not None:  # a quoted cell may hold a comma
-        suspect |= np.array([len(rec) != k + 1 for rec in cells], dtype=bool)
     fast = np.flatnonzero(~suspect)
-    at = np.asarray(nos, np.int64) - 2
     rows = _to_rows([lines[i] for i in fast], k)
     if rows is not None:
-        dates[at[fast]], values[at[fast]] = rows
-    for i in np.flatnonzero(np.isnat(dates[at])).tolist():
-        if cells is None and not lines[i].strip(" \t,"):
+        dates[fast], values[fast] = rows
+    rejected = []
+    for i in np.flatnonzero(np.isnat(dates)).tolist():
+        if not lines[i].strip(" \t,"):
             continue
         try:
-            dates[at[i]], values[at[i]] = _parse_row(
-                lines[i].split(",") if cells is None else cells[i], names)
+            dates[i], values[i] = _parse_row(lines[i].split(","), names)
         except _RowError as exc:
-            rejected.append((nos[i], str(exc), exc.date))
+            rejected.append((i, str(exc), exc.date))
     return rejected
 
 
 @contextmanager
-def _open_text(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` read as UTF-8; a missing file or a byte outside UTF-8 is a ParseError."""
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """``path`` read as UTF-8 with universal newlines; a missing file or a
+    byte outside UTF-8 is a ParseError."""
     if not path.exists():
         raise ParseError(f"file not found: {path}")
     try:
-        with path.open(newline=newline, encoding="utf-8") as fh:
+        with path.open(encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
@@ -612,32 +548,33 @@ def _read_table(
     otherwise counted and logged.  Blank lines are skipped.
     """
     path = Path(path)
-    with _open_text(path) as fh:  # universal newlines, as csv reads them
+    with _open_text(path) as fh:
         first = fh.readline()
-        header = next(_records([first]))[1] if first else None
-        if isinstance(header, csv.Error):
-            raise ParseError(f"{path}: line 1: unreadable header ({header})")
+        header = first.removesuffix("\n").split(",")
         if columns is None:
-            if not header or header[0].strip() != "date":
+            if header[0].strip() != "date":
                 raise SchemaError(f"{path}: first header column must be 'date', got {header}")
             names = tuple(h.strip() for h in header[1:])
         else:
             names = tuple(columns)
-            if header is None:
+            if not first:
                 raise ParseError(f"{path}: empty file")
             if [h.strip() for h in header] != ["date", *names]:
                 raise SchemaError(
                     f"{path}: header {header} does not match expected {['date', *names]}"
                 )
-        # a row per line after the header; an accepted record fills its line's row
+        # a row per line after the header; an accepted line fills its row
         start, chunks = fh.tell(), iter(lambda: fh.read(1 << 20), "")
-        counts = [(text.count("\n"), '"' in text) for text in chunks]
-        values = np.empty((sum(n for n, _ in counts) + 1, len(names)))
+        values = np.empty((sum(text.count("\n") for text in chunks) + 1, len(names)))
         dates = np.full(len(values), np.datetime64("NaT", "D"))
-        rejected = []
+        rejected, lo = [], 0
         fh.seek(start)
-        for block in _blocks(fh, any(quoted for _, quoted in counts)):
-            rejected += _parse_block(*block, names, dates, values)
+        while chunk := list(islice(fh, _BLOCK_ROWS)):
+            lines = "".join(chunk).removesuffix("\n").split("\n")
+            block = slice(lo, lo + len(lines))
+            for i, message, date in _parse_block(lines, names, dates[block], values[block]):
+                rejected.append((lo + i + 2, message, date))
+            lo += len(lines)
 
     nos = np.flatnonzero(~np.isnat(dates)) + 2  # accepted rows, in file order
     dates = dates[nos - 2]
@@ -700,11 +637,14 @@ def _write_columns_csv(
     ``data`` has one column per name.  Every value goes through the format
     field ``cell``: the default ``repr`` round-trips floats exactly, and
     ``"{:.4f}"`` gives the 4-decimal report files.  NaN is written as an
-    empty cell, the missing observation.
+    empty cell, the missing observation.  A name holding a comma or a line
+    break would not read back, so it is a SchemaError.
     """
+    if any(sep in name for name in names for sep in ",\n\r"):
+        raise SchemaError(f"{path}: a column name holds a comma or line break: {list(names)}")
     row = "{}" + f",{cell}" * len(names) + "\n"
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["date", *names])
+        fh.write(",".join(["date", *names]) + "\n")
         for lo in range(0, len(dates), _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
             days = np.datetime_as_string(dates[block]).tolist()
@@ -747,30 +687,25 @@ def read_frame_csv(path: Path | str, *, strict: bool = True,
 
 def write_focus_panel_csv(panel: FocusPanel, path: Path | str) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["survey_date", "indicator", "reference_year", "median"])
+        fh.write("survey_date,indicator,reference_year,median\n")
         for r in panel.records:
-            writer.writerow(
-                [r.survey_date.isoformat(), r.indicator, r.reference_year,
-                 repr(float(r.median))]
-            )
+            fh.write(f"{r.survey_date.isoformat()},{r.indicator},{r.reference_year},"
+                     f"{float(r.median)!r}\n")
 
 
 def read_focus_panel_csv(path: Path | str) -> FocusPanel:
     path = Path(path)
     records = []
-    with _open_text(path, newline="") as fh:
-        rows = _records(fh)
-        header = next(rows, (0, None))[1]
+    with _open_text(path) as fh:
+        header = fh.readline().removesuffix("\n").split(",")
         if header != ["survey_date", "indicator", "reference_year", "median"]:
             raise SchemaError(f"{path}: unexpected panel header {header}")
-        for before, raw in rows:
-            if isinstance(raw, csv.Error):
-                raise ParseError(f"{path}: line {before + 1}: unreadable record ({raw})")
-            if not raw or all(not c.strip() for c in raw):
+        for no, line in enumerate(fh, start=2):
+            raw = line.removesuffix("\n").split(",")
+            if all(not c.strip() for c in raw):
                 continue
             if len(raw) != 4:
-                raise ParseError(f"{path}: line {before + 1}: expected 4 cells, got {len(raw)}")
+                raise ParseError(f"{path}: line {no}: expected 4 cells, got {len(raw)}")
             try:
                 records.append(
                     FocusRecord(
@@ -781,7 +716,7 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
                     )
                 )
             except ValueError as exc:
-                raise ParseError(f"{path}: line {before + 1}: {exc}") from exc
+                raise ParseError(f"{path}: line {no}: {exc}") from exc
     for r in records:
         if r.indicator not in INDICATORS:
             raise SchemaError(f"{path}: unknown indicator '{r.indicator}'")

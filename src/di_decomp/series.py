@@ -31,10 +31,7 @@ from .errors import (
     SchemaError,
 )
 
-TradingDate = dt.date
-
 __all__ = [
-    "TradingDate",
     "date_index",
     "DailySeries",
     "Frame",
@@ -66,7 +63,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def date_index(dates: Iterable[TradingDate] | np.ndarray) -> np.ndarray:
+def date_index(dates: Iterable[dt.date] | np.ndarray) -> np.ndarray:
     """A date sequence as a read-only ``datetime64[D]`` array, uncopied if frozen."""
     arr = _shared(dates, "datetime64[D]")
     if arr.ndim != 1:
@@ -84,7 +81,7 @@ def _check_dates(dates: np.ndarray, context: str) -> None:
 
 
 def _window_slice(
-    dates: np.ndarray, start: TradingDate | None, end: TradingDate | None
+    dates: np.ndarray, start: dt.date | None, end: dt.date | None
 ) -> slice:
     """Positions of the dates in the closed interval [start, end]."""
     lo = 0 if start is None else int(np.searchsorted(dates, np.datetime64(start, "D")))
@@ -131,7 +128,7 @@ class DailySeries:
         return dataclasses.replace(self, name=name)
 
     def window(
-        self, start: TradingDate | None = None, end: TradingDate | None = None
+        self, start: dt.date | None = None, end: dt.date | None = None
     ) -> "DailySeries":
         """Restrict to dates in the closed interval [start, end].
 
@@ -190,7 +187,7 @@ class Frame:
         return Frame(self.dates, tuple(names), _frozen(self.data[:, idx]))
 
     def window(
-        self, start: TradingDate | None = None, end: TradingDate | None = None
+        self, start: dt.date | None = None, end: dt.date | None = None
     ) -> "Frame":
         """Restrict to dates in the closed interval [start, end]."""
         keep = _window_slice(self.dates, start, end)
@@ -198,7 +195,7 @@ class Frame:
 
     @classmethod
     def from_columns(
-        cls, dates: Sequence[TradingDate], columns: Mapping[str, Sequence[float]]
+        cls, dates: Sequence[dt.date], columns: Mapping[str, Sequence[float]]
     ) -> "Frame":
         names = tuple(columns)
         if names:

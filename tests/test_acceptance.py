@@ -24,7 +24,6 @@ from di_decomp import (
     ols_fit,
     pls1_fit,
     reshape_horizons,
-    row_sum_gap,
     split_cds,
     standardize,
     validate_cumulative,
@@ -209,9 +208,9 @@ def test_criterion_5_fixture_recovery(bundled_run):
 
 def test_criterion_6_cumulative_snapshot_sums():
     """Data-free row-sum checks of the published cumulative snapshots."""
-    assert row_sum_gap(449.0, (9.0010, 18.6477, 189.4902, 19.6635, 212.1975)) < 0.01
-    assert row_sum_gap(-802.0, (71.6478, 27.7586, -36.9119, -14.2008, -850.2938)) < 0.01
-    assert row_sum_gap(7.5, (140.9811, 10.7171, -13.3540, -130.8443)) < 0.01
+    assert abs(449.0 - sum((9.0010, 18.6477, 189.4902, 19.6635, 212.1975))) < 0.01
+    assert abs(-802.0 - sum((71.6478, 27.7586, -36.9119, -14.2008, -850.2938))) < 0.01
+    assert abs(7.5 - sum((140.9811, 10.7171, -13.3540, -130.8443))) < 0.01
     _ok(6, "cumulative snapshot row sums (+449.0, -802.0, +7.5 within 0.01)")
 
 

@@ -147,6 +147,7 @@ class TestFetchFocus:
             record("IPCA", "2004-01-02", 2004, True),  # a JSON boolean is not a number
             record("IPCA", "2004-01-02", "2_004", 6.0),
             record("IPCA", "2004-01-02", "\u0662\u0660\u0660\u0664", 6.0),  # Arabic-Indic
+            record("IPCA", "2004-01-02", 2004, "1" * 200_000 + "x"),  # a long digit run
         ],
     )
     def test_record_outside_the_grammar_is_parse_error(self, bad):
