@@ -51,6 +51,7 @@ REJECTED_VALUES = [
     "-Infinity",
     "1e999",  # overflows to infinity
     '"12,50"',  # a quoted decimal comma: two cells with a quote each
+    '"12.5\n"',  # a quote does not carry a cell over a line break
     "12.5.1",
     "0x10",
     "1e",
@@ -80,12 +81,12 @@ def _market(tmp_path, row):
     return path
 
 
-def _assert_rejected(path, message=""):
+def _assert_rejected(path, message="", rows=1):
     with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
         load_market_csv(path, columns=("DI5Y",))
     report = LoadReport()
     series = load_market_csv(path, columns=("DI5Y",), strict=False, report=report)["DI5Y"]
-    assert report.rejected_rows == 1
+    assert report.rejected_rows == rows
     assert [str(d) for d in series.dates] == ["2015-01-14"]
     np.testing.assert_array_equal(series.values, [12.6])
 
@@ -97,7 +98,8 @@ def test_rejected_date(tmp_path, date):
 
 @pytest.mark.parametrize("value", REJECTED_VALUES)
 def test_rejected_value(tmp_path, value):
-    _assert_rejected(_market(tmp_path, f"2015-01-13,{value}\n"))
+    # each physical line of a value holding a line break is a rejected record
+    _assert_rejected(_market(tmp_path, f"2015-01-13,{value}\n"), rows=1 + value.count("\n"))
 
 
 def test_unquoted_decimal_comma_is_a_cell_count_error(tmp_path):
@@ -225,6 +227,60 @@ def test_long_cell_is_one_rejected_row_at_its_line(tmp_path, caplog, cell):
     assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [message]
     assert [str(d) for d in frame.dates] == ["2015-01-12", "2015-01-14", "2015-01-15"]
     assert frame.data.ravel().tolist() == [0.0, 1.0, 2.0]
+
+
+# A '"' that opens a cell and is never closed no longer carries its record
+# over line breaks: the record is one rejected row, and the lines after it,
+# which a quoting reader would have taken into it, are records of their own.
+UNCLOSED_QUOTE_CELL = '"' + "1" * 200_000
+
+
+def test_refused_record_spanning_lines_is_one_rejected_row(tmp_path, caplog):
+    path = tmp_path / "frame.csv"
+    path.write_text(f"date,x\n2015-01-13,{UNCLOSED_QUOTE_CELL}\n2015-01-14,1\n2015-01-16,2\n",
+                    encoding="utf-8")
+    report = LoadReport()
+    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
+        frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 1
+    assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
+        f"line 2: column 'x': cannot parse {UNCLOSED_QUOTE_CELL!r} as a point-decimal real"
+    ]
+    assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-16"]
+    assert frame.data.ravel().tolist() == [1.0, 2.0]
+
+
+# A long cell with a '"' inside it ends at its line.
+STRAY_QUOTE_CELL = "1" * 200_000 + 'x"y'
+STRAY_QUOTE_RECORD = f"2015-01-13,{STRAY_QUOTE_CELL}\n"
+AFTER_STRAY_QUOTE = "2015-01-14,1\n2015-01-15,2\n2015-01-16,3\n2015-01-17,4\n"
+
+
+def test_refused_record_with_a_stray_quote_ends_at_its_line(tmp_path, caplog):
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE, encoding="utf-8")
+    report = LoadReport()
+    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
+        frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 1
+    assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
+        f"line 2: column 'x': cannot parse {STRAY_QUOTE_CELL!r} as a point-decimal real"
+    ]
+    assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-15", "2015-01-16",
+                                             "2015-01-17"]
+    assert frame.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_refused_record_with_a_stray_quote_fails_strict_at_its_line(tmp_path):
+    path = tmp_path / "frame.csv"
+    path.write_text("date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE + "2015-01-18,x\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 2: column 'x': cannot parse '1{200000}x\"y'"):
+        read_frame_csv(path)
+    report = LoadReport()
+    frame = read_frame_csv(path, strict=False, report=report)
+    assert report.rejected_rows == 2  # the refused record and line 7
+    assert len(frame.dates) == 4
 
 
 # A block of 1024 lines is read in one np.loadtxt call.  A record that fails
