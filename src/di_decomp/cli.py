@@ -9,6 +9,9 @@ Subcommands mirror the pipeline stages:
     di-decomp decompose     final regression from stage files
     di-decomp fixture       seeded synthetic dataset + ground-truth sidecar
 
+Each takes ``--config``, ``--out`` and only the flags it reads (``_COMMANDS``).
+Only ``fetch-focus`` fetches; a run reads what it wrote through ``--expectations``.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical error.
 """
 
@@ -32,41 +35,36 @@ from .pipeline import (
     run_split_cds,
 )
 
-# Every flag that sets a config key has that key, "section.key", as its dest.
+# Each flag once: its dest, metavar and help.  Every flag that sets a config
+# key has that key, "section.key", as its dest.
+_FLAGS = {
+    "--market": ("data.market_csv", "CSV", "market data CSV"),
+    "--expectations": ("data.expectations_csv", "CSV", "horizon-format expectations CSV"),
+    "--focus-panel": ("data.focus_panel_csv", "CSV", "cached expectations panel CSV"),
+    "--factor": ("data.factor_csv", "CSV", "macro factor stage file"),
+    "--components": ("data.components_csv", "CSV", "CDS components stage file"),
+    "--endpoint": ("fetch.endpoint", "URL", "expectations API endpoint"),
+    "--fetch-start": ("fetch.start", "YYYY-MM-DD", "first survey date"),
+    "--start": ("sample.start", "YYYY-MM-DD", "sample start (inclusive)"),
+    "--end": ("sample.end", "YYYY-MM-DD", "sample end (inclusive)"),
+    "--seed": ("fixture.seed", "SEED", "RNG seed"),
+    "--n": ("fixture.n", "N", "decomposition window size"),
+    "--r2": ("fixture.r2", "R2", "target R-squared"),
+    "--betas": ("fixture.betas", "B0,BM,BD,BG", "generating coefficients"),
+}
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="INI configuration file")
-    p.add_argument("--out", dest="output.dir", metavar="DIR", help="output directory")
-    p.add_argument("--start", dest="sample.start", metavar="YYYY-MM-DD",
-                   help="sample start (inclusive)")
-    p.add_argument("--end", dest="sample.end", metavar="YYYY-MM-DD",
-                   help="sample end (inclusive)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="output.strict", action="store_const", const="true",
-                      help="fail on any bad input row")
-    mode.add_argument("--lenient", dest="output.strict", action="store_const", const="false",
-                      help="skip and count bad input rows")
-
-
-def _add_market(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--market", dest="data.market_csv", metavar="CSV", help="market data CSV")
-
-
-def _add_endpoint(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--endpoint", dest="fetch.endpoint", metavar="URL",
-                   help="expectations API endpoint")
-
-
-def _add_data(p: argparse.ArgumentParser) -> None:
-    _add_market(p)
-    p.add_argument("--expectations", dest="data.expectations_csv", metavar="CSV",
-                   help="horizon-format expectations CSV")
-    p.add_argument("--focus-panel", dest="data.focus_panel_csv", metavar="CSV",
-                   help="cached expectations panel CSV")
-    p.add_argument("--fetch", dest="fetch.enabled", action="store_const", const="true",
-                   help="fetch expectations from the API")
-    _add_endpoint(p)
+# Each command: its help, the flags it reads besides --config and --out,
+# and whether it reads --strict/--lenient.
+_COMMANDS = {
+    "run": ("full pipeline", "--market --expectations --focus-panel --start --end", True),
+    "fetch-focus": ("fetch expectations and reshape", "--endpoint --fetch-start --end", False),
+    "build-factors": ("estimate the macro factor",
+                      "--market --expectations --focus-panel --end", True),
+    "split-cds": ("split CDS into global and domestic parts", "--market --end", True),
+    "decompose": ("final regression from stage files",
+                  "--market --factor --components --start --end", True),
+    "fixture": ("generate a synthetic dataset", "--seed --n --r2 --betas", False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,41 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decompose daily 5-year DI futures changes into bps contributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="full pipeline")
-    _add_common(p_run)
-    _add_data(p_run)
-
-    p_fetch = sub.add_parser("fetch-focus", help="fetch expectations and reshape")
-    _add_common(p_fetch)
-    _add_endpoint(p_fetch)
-    p_fetch.add_argument("--fetch-start", dest="fetch.start", metavar="YYYY-MM-DD",
-                         help="first survey date")
-
-    p_factors = sub.add_parser("build-factors", help="estimate the macro factor")
-    _add_common(p_factors)
-    _add_data(p_factors)
-
-    p_split = sub.add_parser("split-cds", help="split CDS into global and domestic parts")
-    _add_common(p_split)
-    _add_market(p_split)
-
-    p_dec = sub.add_parser("decompose", help="final regression from stage files")
-    _add_common(p_dec)
-    _add_market(p_dec)
-    p_dec.add_argument("--factor", dest="data.factor_csv", metavar="CSV",
-                       help="macro factor stage file")
-    p_dec.add_argument("--components", dest="data.components_csv", metavar="CSV",
-                       help="CDS components stage file")
-
-    p_fx = sub.add_parser("fixture", help="generate a synthetic dataset")
-    _add_common(p_fx)
-    p_fx.add_argument("--seed", dest="fixture.seed", metavar="SEED", help="RNG seed")
-    p_fx.add_argument("--n", dest="fixture.n", metavar="N", help="decomposition window size")
-    p_fx.add_argument("--r2", dest="fixture.r2", metavar="R2", help="target R-squared")
-    p_fx.add_argument("--betas", dest="fixture.betas", metavar="B0,BM,BD,BG",
-                      help="generating coefficients")
-
+    for command, (help_text, flags, reads_strict) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", metavar="PATH", help="INI configuration file")
+        p.add_argument("--out", dest="output.dir", metavar="DIR", help="output directory")
+        for flag in flags.split():
+            dest, metavar, flag_help = _FLAGS[flag]
+            p.add_argument(flag, dest=dest, metavar=metavar, help=flag_help)
+        if reads_strict:
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--strict", dest="output.strict", action="store_const",
+                              const="true", help="fail on any bad input row")
+            mode.add_argument("--lenient", dest="output.strict", action="store_const",
+                              const="false", help="skip and count bad input rows")
     return parser
 
 
@@ -150,13 +126,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config, overrides=overrides)
         if args.command == "fixture":
-            truth = generate_fixture(
-                config.seed,
-                config.fixture_n,
-                config.fixture_betas,
-                config.fixture_r2,
-                config.out_dir,
-            )
+            truth = generate_fixture(config.seed, config.fixture_n, config.fixture_betas,
+                                     config.fixture_r2, config.out_dir)
             print(
                 f"fixture written to {config.out_dir} "
                 f"(seed {truth['seed']}, n {truth['n']})"

@@ -214,26 +214,26 @@ def _fetch_page(url: str, transport: Transport, sleep: Callable[[float], None]) 
 
 def _parse_record(item: object, reverse_names: Mapping[str, str]) -> FocusRecord:
     if not isinstance(item, dict):
-        raise ParseError(f"malformed expectations record (not an object): {item!r}")
+        raise ParseError(f"malformed expectations record (not an object): {_shown(item)}")
     try:
         raw_ind = item["Indicador"]
         raw_date = item["Data"]
         raw_ref = item["DataReferencia"]
         raw_median = item["Mediana"]
     except KeyError as exc:
-        raise ParseError(f"malformed expectations record, missing {exc}: {item!r}") from exc
+        raise ParseError(f"malformed expectations record, missing {exc}: {_shown(item)}") from exc
     if raw_ind not in reverse_names:
-        raise ParseError(f"unknown indicator {raw_ind!r} in record: {item!r}")
+        raise ParseError(f"unknown indicator {_shown(raw_ind)} in record: {_shown(item)}")
     try:
         survey_date = _read_date(str(raw_date))
         reference_year = _read_year(str(raw_ref))
         if isinstance(raw_median, bool) or not isinstance(raw_median, (str, int, float)):
-            raise ValueError(f"median {raw_median!r} is neither a JSON number nor a string")
+            raise ValueError(f"median {_shown(raw_median)} is neither a JSON number nor a string")
         # a JSON number is read through its repr, which spells a finite float
         # in the real grammar and round-trips it exactly
         median = _read_real(raw_median if isinstance(raw_median, str) else repr(raw_median))
     except ValueError as exc:
-        raise ParseError(f"malformed expectations record ({exc}): {item!r}") from exc
+        raise ParseError(f"malformed expectations record ({exc}): {_shown(item)}") from exc
     return FocusRecord(survey_date, reverse_names[raw_ind], reference_year, median)
 
 
@@ -389,6 +389,7 @@ _DATA_CHARS = b"0123456789eE+-. \t,"
 _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
 # Rows parsed or formatted at a time, which bounds the transient strings.
 _BLOCK_ROWS = 1024
+_SHOWN_CHARS = 40  # characters of a long cell or record that a message echoes
 
 
 class _RowError(ValueError):
@@ -419,11 +420,19 @@ def _foreign(text: str) -> bool:
     return bool(text.encode("utf-8").translate(None, _DATA_CHARS))
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for a message; a long value is cut to a prefix and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return repr(value)
+    return f"{text[:_SHOWN_CHARS]!r}... ({len(text)} characters)"
+
+
 def _read_date(text: str) -> dt.date:
     """One YYYY-MM-DD cell as a ``datetime.date``; ValueError otherwise."""
     date = _to_dates([text.strip(" \t")])[0]
     if np.isnat(date):
-        raise ValueError(f"cannot parse date {text!r} as YYYY-MM-DD")
+        raise ValueError(f"cannot parse date {_shown(text)} as YYYY-MM-DD")
     return date.item()
 
 
@@ -431,17 +440,17 @@ def _read_real(text: str) -> float:
     """One point-decimal real cell with a finite value; ValueError otherwise."""
     cell = text.strip(" \t")
     if not _REAL.fullmatch(cell):
-        raise ValueError(f"cannot parse {text!r} as a point-decimal real")
+        raise ValueError(f"cannot parse {_shown(text)} as a point-decimal real")
     value = float(cell)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
+        raise ValueError(f"non-finite value {_shown(text)}")
     return value
 
 
 def _read_year(text: str) -> int:
     """A reference year: four ASCII digits, spaces and tabs around ignored."""
     if not _YEAR.fullmatch(text.strip(" \t")):
-        raise ValueError(f"cannot parse year {text!r} as four digits")
+        raise ValueError(f"cannot parse year {_shown(text)} as four digits")
     return int(text)
 
 
@@ -449,16 +458,14 @@ def _parse_row(cells: Sequence[str], names: Sequence[str]) -> tuple[np.datetime6
     """One record checked cell by cell: (date, values), NaN for empty cells."""
     if len(cells) != len(names) + 1:
         raise _RowError(f"expected {len(names) + 1} cells, got {len(cells)}")
-    date = _to_dates([cells[0].strip(" \t")])[0]
-    if np.isnat(date):
-        raise _RowError(f"cannot parse date {cells[0]!r} as ISO-8601")
+    try:
+        date = np.datetime64(_read_date(cells[0]), "D")
+    except ValueError as exc:
+        raise _RowError(str(exc)) from None
     values = []
     for name, raw in zip(names, cells[1:]):
-        if not raw.strip(" \t"):
-            values.append(math.nan)
-            continue
         try:
-            values.append(_read_real(raw))
+            values.append(_read_real(raw) if raw.strip(" \t") else math.nan)
         except ValueError as exc:
             raise _RowError(f"column '{name}': {exc}", date) from None
     return date, values
@@ -707,14 +714,8 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
             if len(raw) != 4:
                 raise ParseError(f"{path}: line {no}: expected 4 cells, got {len(raw)}")
             try:
-                records.append(
-                    FocusRecord(
-                        _read_date(raw[0]),
-                        raw[1].strip(),
-                        _read_year(raw[2]),
-                        _read_real(raw[3]),
-                    )
-                )
+                records.append(FocusRecord(_read_date(raw[0]), raw[1].strip(),
+                                           _read_year(raw[2]), _read_real(raw[3])))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {no}: {exc}") from exc
     for r in records:

@@ -11,6 +11,8 @@ cds_components.csv and cds_model.json, and ``_final`` contributions.csv,
 cumulative.csv, models.json, report.json and decomposition.svg.  ``run``
 calls all three, ``build-factors``, ``split-cds`` and ``decompose`` one each.
 ``fetch-focus`` writes focus_panel.csv, expectations.csv and load_report.json.
+It is the only stage that fetches: every other stage reads its inputs from
+files, so fetched data reach a decomposition only through those it wrote.
 
 Configuration is layered: an INI-style file provides base values,
 ``DI_DECOMP_<SECTION>_<KEY>`` environment variables override the file, and
@@ -54,7 +56,6 @@ from .ingestion import (
     DEFAULT_ENDPOINT,
     HORIZON_COLUMNS,
     INDICATORS,
-    FocusPanel,
     LoadReport,
     MarketDataset,
     fetch_focus,
@@ -66,6 +67,7 @@ from .ingestion import (
     _open_text,
     _read_date,
     _read_real,
+    _shown,
     _write_columns_csv,
     _write_json,
     write_focus_panel_csv,
@@ -152,7 +154,6 @@ class PipelineConfig:
     focus_panel_csv: Path | None = _setting("data", "focus_panel_csv", Path, None)
     factor_csv: Path | None = _setting("data", "factor_csv", Path, None)
     components_csv: Path | None = _setting("data", "components_csv", Path, None)
-    fetch_enabled: bool = _setting("fetch", "enabled", _bool, False)
     endpoint: str = _setting("fetch", "endpoint", str, DEFAULT_ENDPOINT)
     fetch_start: dt.date = _setting("fetch", "start", _read_date, dt.date(2004, 1, 1))
     start: dt.date | None = _setting("sample", "start", _read_date, None)
@@ -239,7 +240,7 @@ def load_config(
         try:
             settings[setting.name] = setting.metadata["parse"](raw)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+            raise ConfigError(f"bad value for {section}.{key}: {_shown(raw)} ({exc})") from exc
     config = PipelineConfig(**settings)
     config.validate()
     return config
@@ -322,14 +323,6 @@ def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) ->
         raise DataError(f"{what} join produced 0 rows ({detail})")
 
 
-def _fetch(config: PipelineConfig, report: LoadReport, transport=None) -> FocusPanel:
-    end = config.end or dt.date.today()
-    return fetch_focus(
-        INDICATORS, (config.fetch_start, end), config.endpoint,
-        transport=transport, report=report,
-    )
-
-
 def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
     if config.expectations_csv is not None:
         return read_frame_csv(config.expectations_csv, strict=config.strict, report=report)
@@ -337,12 +330,7 @@ def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
         panel = read_focus_panel_csv(config.focus_panel_csv)
         report.fetched += len(panel)
         return reshape_horizons(panel, report)
-    if config.fetch_enabled:
-        return reshape_horizons(_fetch(config, report), report)
-    raise ConfigError(
-        "no expectations source: set data.expectations_csv, data.focus_panel_csv, "
-        "or fetch.enabled"
-    )
+    raise ConfigError("no expectations source: set data.expectations_csv or data.focus_panel_csv")
 
 
 def _load_market(config: PipelineConfig, report: LoadReport) -> MarketDataset:
@@ -517,7 +505,8 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
     """
     report = LoadReport()
     with _stage(config, "fetch-focus") as stage:
-        panel = _fetch(config, report, transport)
+        panel = fetch_focus(INDICATORS, (config.fetch_start, config.end or dt.date.today()),
+                            config.endpoint, transport=transport, report=report)
         horizon = reshape_horizons(panel, report)
         write_focus_panel_csv(panel, stage.path(FOCUS_PANEL_FILE))
         frame_to_csv(horizon, stage.path(EXPECTATIONS_OUT_FILE))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import di_decomp
-from di_decomp import DailySeries
+from di_decomp import DailySeries, ingestion
 from di_decomp.cli import build_parser, main
 from di_decomp.errors import ConfigError
 from di_decomp.fixture import DEFAULT_FIXTURE_SEED, EXPECTATIONS_FILE, MARKET_FILE, TRUTH_FILE
@@ -224,11 +224,25 @@ REMOVED_SETTINGS = {
                        "fetch.indicators"),
     "flag-indicators": ("fetch-focus", None, {}, ["--indicators", "IPCA"], "--indicators"),
     "flag-columns": ("run", None, {}, ["--columns", "IPCA_year"], "--columns"),
+    # expectations reach a run only through a file: fetch-focus writes it
+    "ini-fetch-enabled": ("run", "[fetch]\nenabled = true\n", {}, [], "fetch.enabled"),
+    "env-fetch-enabled": ("run", None, {"DI_DECOMP_FETCH_ENABLED": "true"}, [],
+                          "fetch.enabled"),
+    "flag-fetch": ("run", None, {}, ["--fetch"], "--fetch"),
 }
 
 
+@pytest.fixture
+def offline(monkeypatch):
+    """A fetch-focus that a refused flag failed to stop cannot reach the network."""
+    def transport(url):
+        raise AssertionError(f"fetch-focus reached the network: {url}")
+
+    monkeypatch.setattr(ingestion, "_urllib_transport", transport)
+
+
 @pytest.mark.parametrize("case", sorted(REMOVED_SETTINGS))
-def test_removed_setting_is_config_error(tmp_path, monkeypatch, capsys, case):
+def test_removed_setting_is_config_error(tmp_path, monkeypatch, capsys, offline, case):
     command, ini_text, env, flags, named = REMOVED_SETTINGS[case]
     argv = [command, "--out", str(tmp_path / "out"), *flags]
     if ini_text is not None:
@@ -246,7 +260,62 @@ def test_removed_setting_is_config_error(tmp_path, monkeypatch, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+# The flags each command reads besides --config and --out, and whether it
+# reads --strict/--lenient.
+COMMAND_FLAGS = {
+    "run": ({"--market", "--expectations", "--focus-panel", "--start", "--end"}, True),
+    "build-factors": ({"--market", "--expectations", "--focus-panel", "--end"}, True),
+    "split-cds": ({"--market", "--end"}, True),
+    "decompose": ({"--market", "--factor", "--components", "--start", "--end"}, True),
+    "fetch-focus": ({"--endpoint", "--fetch-start", "--end"}, False),
+    "fixture": ({"--seed", "--n", "--r2", "--betas"}, False),
+}
+
+# Flags that a command does not read, each with a value where it would take one.
+REMOVED_FLAGS = [
+    ("run", "--fetch"), ("run", "--endpoint", "https://example.test"),
+    ("build-factors", "--fetch"), ("build-factors", "--endpoint", "https://example.test"),
+    ("build-factors", "--start", "2015-01-13"),
+    ("split-cds", "--start", "2015-01-13"),
+    ("fetch-focus", "--start", "2015-01-13"), ("fetch-focus", "--strict"),
+    ("fetch-focus", "--lenient"),
+    ("fixture", "--start", "2015-01-13"), ("fixture", "--end", "2025-01-13"),
+    ("fixture", "--strict"), ("fixture", "--lenient"),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=[" ".join(a[:2]) for a in REMOVED_FLAGS])
+def test_removed_flag_is_refused(tmp_path, capsys, offline, argv):
+    command, *flag = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestFlags:
+    def test_each_command_takes_exactly_its_flags(self):
+        parser = build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert subparsers.choices.keys() == COMMAND_FLAGS.keys()
+        slots = 0
+        for command, sub in subparsers.choices.items():
+            flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+            own, reads_strict = COMMAND_FLAGS[command]
+            strict = {"--strict", "--lenient"} if reads_strict else set()
+            assert flags == {"--config", "--out"} | own | strict, command
+            slots += len(flags)
+        assert slots == 43
+
+    def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--mark", "m.csv", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mark m.csv" in capsys.readouterr().err
+
     def test_every_flag_sets_a_config_key(self):
         parser = build_parser()
         (subparsers,) = [
@@ -258,7 +327,7 @@ class TestFlags:
                     continue
                 key = tuple(action.dest.split("."))
                 assert len(key) == 2, (command, action.dest)
-                if action.const is not None:  # --strict, --lenient, --fetch
+                if action.const is not None:  # --strict, --lenient
                     load_config(None, env={}, overrides={key: action.const})
                     continue
                 try:

@@ -137,9 +137,14 @@ def test_messages_name_the_column_and_cell(tmp_path):
     path = _market(tmp_path, "2015-01-13,1e999\n")
     with pytest.raises(ParseError, match=r"line 2: column 'DI5Y': non-finite value '1e999'"):
         load_market_csv(path, columns=("DI5Y",))
-    path = _market(tmp_path, "2015-02-30,1\n")
-    with pytest.raises(ParseError, match=r"line 2: cannot parse date '2015-02-30'"):
-        load_market_csv(path, columns=("DI5Y",))
+    # a data row's date has the config dates' check and wording
+    for date in ("2015-02-30", "20150113"):
+        path = _market(tmp_path, f"{date},1\n")
+        message = f"line 2: cannot parse date '{date}' as YYYY-MM-DD$"
+        with pytest.raises(ParseError, match=message):
+            load_market_csv(path, columns=("DI5Y",))
+        with pytest.raises(ConfigError, match=f"cannot parse date '{date}' as YYYY-MM-DD"):
+            load_config(None, env={}, overrides={("sample", "end"): date})
 
 
 
@@ -203,7 +208,12 @@ def test_nul_is_rejected_as_a_cell(tmp_path, row, message):
 
 # A long cell, with or without a '"', is one rejected row at its own line,
 # and the lines after it are still read.  Matching it against the real
-# grammar takes time linear in its length.
+# grammar takes time linear in its length.  A message echoes only its first
+# 40 characters and its length, so it stays short.
+def bounded(cell):
+    return f"{cell[:40]!r}... ({len(cell)} characters)"
+
+
 LONG_CELLS = {
     "digits": "1" * 200_000 + "x",
     "quoted": '"' + "1" * 200_000 + '"',
@@ -216,17 +226,43 @@ def test_long_cell_is_one_rejected_row_at_its_line(tmp_path, caplog, cell):
     path = tmp_path / "frame.csv"
     path.write_text(f"date,x\n2015-01-12,0\n2015-01-13,{cell}\n2015-01-14,1\n2015-01-15,2\n",
                     encoding="utf-8")
-    message = f"line 3: column 'x': cannot parse {cell!r} as a point-decimal real"
-    with pytest.raises(ParseError, match=re.escape(message)):
+    message = f"line 3: column 'x': cannot parse {bounded(cell)} as a point-decimal real"
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
         read_frame_csv(path)
+    assert len(str(err.value)) < 300
     report, started = LoadReport(), time.perf_counter()
     with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
         frame = read_frame_csv(path, strict=False, report=report)
     assert time.perf_counter() - started < 2.0
     assert report.rejected_rows == 1
     assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [message]
+    assert len(caplog.records[0].getMessage()) < 300
     assert [str(d) for d in frame.dates] == ["2015-01-12", "2015-01-14", "2015-01-15"]
     assert frame.data.ravel().tolist() == [0.0, 1.0, 2.0]
+
+
+# A long market cell, a value or a date, gives a short message under strict
+# and a short warning under lenient, naming its line and, for a value, its
+# column.
+LONG_MARKET_ROWS = {
+    "value": ("2015-01-13,{}\n", "1" * 200_000 + "x",
+              "line 2: column 'DI5Y': cannot parse {} as a point-decimal real"),
+    "date": ("{},12.50\n", "1" * 50_000, "line 2: cannot parse date {} as YYYY-MM-DD"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_MARKET_ROWS))
+def test_long_market_cell_message_is_bounded(tmp_path, caplog, case):
+    row, cell, message = LONG_MARKET_ROWS[case]
+    path = _market(tmp_path, row.format(cell))
+    message = message.format(bounded(cell))
+    with pytest.raises(ParseError) as err:
+        load_market_csv(path, columns=("DI5Y",))
+    assert str(err.value).endswith(message) and len(str(err.value)) < 300
+    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
+        load_market_csv(path, columns=("DI5Y",), strict=False)
+    (warning,) = [r.getMessage() for r in caplog.records]
+    assert warning.endswith(message) and len(warning) < 300
 
 
 # A '"' that opens a cell and is never closed no longer carries its record
@@ -244,7 +280,7 @@ def test_refused_record_spanning_lines_is_one_rejected_row(tmp_path, caplog):
         frame = read_frame_csv(path, strict=False, report=report)
     assert report.rejected_rows == 1
     assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
-        f"line 2: column 'x': cannot parse {UNCLOSED_QUOTE_CELL!r} as a point-decimal real"
+        f"line 2: column 'x': cannot parse {bounded(UNCLOSED_QUOTE_CELL)} as a point-decimal real"
     ]
     assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-16"]
     assert frame.data.ravel().tolist() == [1.0, 2.0]
@@ -264,7 +300,7 @@ def test_refused_record_with_a_stray_quote_ends_at_its_line(tmp_path, caplog):
         frame = read_frame_csv(path, strict=False, report=report)
     assert report.rejected_rows == 1
     assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
-        f"line 2: column 'x': cannot parse {STRAY_QUOTE_CELL!r} as a point-decimal real"
+        f"line 2: column 'x': cannot parse {bounded(STRAY_QUOTE_CELL)} as a point-decimal real"
     ]
     assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-15", "2015-01-16",
                                              "2015-01-17"]
@@ -275,7 +311,8 @@ def test_refused_record_with_a_stray_quote_fails_strict_at_its_line(tmp_path):
     path = tmp_path / "frame.csv"
     path.write_text("date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE + "2015-01-18,x\n",
                     encoding="utf-8")
-    with pytest.raises(ParseError, match=r"line 2: column 'x': cannot parse '1{200000}x\"y'"):
+    message = f"line 2: column 'x': cannot parse {bounded(STRAY_QUOTE_CELL)}"
+    with pytest.raises(ParseError, match=re.escape(message)):
         read_frame_csv(path)
     report = LoadReport()
     frame = read_frame_csv(path, strict=False, report=report)
@@ -340,7 +377,8 @@ def test_panel_cells_over_the_field_limit_or_with_nul_are_rejected(tmp_path, quo
     for median in ("6\x005", LONG_CELLS["digits"]):
         cell = f'"{median}"' if quoted else median
         path.write_text(head + f"2015-01-13,IPCA,2015,{cell}\n", encoding="utf-8")
-        message = f"line 3: cannot parse {cell!r} as a point-decimal real"
+        shown = repr(cell) if len(cell) <= 40 else bounded(cell)
+        message = f"line 3: cannot parse {shown} as a point-decimal real"
         with pytest.raises(ParseError, match=re.escape(message)):
             read_focus_panel_csv(path)
 

@@ -154,6 +154,21 @@ class TestFetchFocus:
         with pytest.raises(ParseError, match="malformed expectations record"):
             fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport([bad]))
 
+    # a message echoes a long cell or record by its first characters and length
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            record("IPCA", "2004-01-02", 2004, "1" * 100_000),  # overflows to infinity
+            record("IPCA", "2004-01-02", 2004, "x" * 100_000),
+            record("x" * 100_000, "2004-01-02", 2004, 6.0),  # an unknown indicator
+        ],
+        ids=["digits", "letters", "indicator"],
+    )
+    def test_long_record_gives_a_bounded_message(self, bad):
+        with pytest.raises(ParseError, match=r"\(1000\d\d characters\)") as err:
+            fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport([bad]))
+        assert len(str(err.value)) < 300
+
     def test_median_as_json_number_or_real_string(self):
         records = [
             record("IPCA", "2004-01-02", 2004, 6),

@@ -28,8 +28,11 @@ from di_decomp.fixture import (
 from di_decomp.ingestion import (
     HORIZON_COLUMNS,
     INDICATOR_QUERY_NAMES,
+    INDICATORS,
     MarketDataset,
     frame_to_csv,
+    horizon_column,
+    read_frame_csv,
     write_market_csv,
 )
 from di_decomp.pipeline import (
@@ -533,6 +536,20 @@ class TestPipelineErrors:
 
 
 class TestConfigLayering:
+    def test_long_config_value_message_is_bounded(self):
+        with pytest.raises(ConfigError, match=r"^bad value for sample\.end: '1{40}'\.\.\. "
+                           r"\(100000 characters\)") as err:
+            load_config(None, env={"DI_DECOMP_SAMPLE_END": "1" * 100_000})
+        assert len(str(err.value)) < 300
+
+    def test_readme_ini_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        ini = tmp_path / "run.ini"
+        ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        config = load_config(ini, env={})
+        assert config.expectations_csv == Path("data/expectations.csv")
+        assert (config.start, config.end) == (dt.date(2015, 1, 13), dt.date(2025, 12, 12))
+
     def test_file_env_flags_precedence(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -606,6 +623,11 @@ def focus_transport():
             }
             for k in range(4)
         ]
+    return recorded_transport(by_query_name)
+
+
+def recorded_transport(by_query_name):
+    """One page per indicator: its recorded OData records, whatever the dates asked."""
 
     def transport(url):
         query = urllib.parse.urlparse(url).query
@@ -622,7 +644,6 @@ class TestFetchFocusStage:
     def test_emits_panel_expectations_and_load_report(self, tmp_path):
         config = PipelineConfig(
             out_dir=tmp_path / "out",
-            fetch_enabled=True,
             end=dt.date(2004, 1, 2),
         )
         report = run_fetch_focus(config, transport=focus_transport())
@@ -638,3 +659,33 @@ class TestFetchFocusStage:
         assert header.split(",")[:2] == ["date", "IPCA_year"]
         assert row.split(",")[0] == "2004-01-02"
         assert float(row.split(",")[1]) == 6.00
+
+    def test_fetched_expectations_reproduce_the_fixture_run(self, tmp_path):
+        """fetch-focus writes the fixture's own expectations.csv, which a run then reads."""
+        fixture_dir = tmp_path / "fx"
+        generate_fixture(6, 300, path=fixture_dir)
+        horizon = read_frame_csv(fixture_dir / EXPECTATIONS_FILE)
+        by_query_name = {INDICATOR_QUERY_NAMES[ind]: [] for ind in INDICATORS}
+        for i, d in enumerate(horizon.dates.tolist()):
+            for ind in INDICATORS:
+                for k in range(4):
+                    by_query_name[INDICATOR_QUERY_NAMES[ind]].append({
+                        "Indicador": INDICATOR_QUERY_NAMES[ind],
+                        "Data": d.isoformat(),
+                        "DataReferencia": str(d.year + k),
+                        "Mediana": float(horizon.column(horizon_column(ind, k))[i]),
+                    })
+        fetched = tmp_path / "fetched"
+        config = PipelineConfig(out_dir=fetched, fetch_start=horizon.dates[0].item(),
+                                end=horizon.dates[-1].item())
+        report = run_fetch_focus(config, transport=recorded_transport(by_query_name))
+        assert report.fetched == horizon.n_rows * len(HORIZON_COLUMNS)
+        assert (fetched / EXPECTATIONS_OUT_FILE).read_bytes() == (
+            fixture_dir / EXPECTATIONS_FILE).read_bytes()
+
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for expectations, out in ((fixture_dir / EXPECTATIONS_FILE, out_a),
+                                  (fetched / EXPECTATIONS_OUT_FILE, out_b)):
+            run_build_factors(PipelineConfig(market_csv=fixture_dir / MARKET_FILE,
+                                             expectations_csv=expectations, out_dir=out))
+        assert (out_a / FACTOR_FILE).read_bytes() == (out_b / FACTOR_FILE).read_bytes()
