@@ -10,7 +10,8 @@ Subcommands mirror the pipeline stages:
     di-decomp fixture       seeded synthetic dataset + ground-truth sidecar
 
 Each takes ``--config``, ``--out`` and only the flags it reads (``_COMMANDS``).
-Only ``fetch-focus`` fetches; a run reads what it wrote through ``--expectations``.
+Only ``fetch-focus`` fetches; a run reads either file it wrote through
+``--expectations``.  ``decompose`` reads its stage files from ``--out``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical error.
 """
@@ -23,6 +24,7 @@ from collections import deque
 from pathlib import Path
 from typing import Sequence
 
+from .decomposition import CUMULATIVE_COLUMNS
 from .errors import DiDecompError, exit_code_for
 from .fixture import generate_fixture
 from .pipeline import (
@@ -39,10 +41,7 @@ from .pipeline import (
 # key has that key, "section.key", as its dest.
 _FLAGS = {
     "--market": ("data.market_csv", "CSV", "market data CSV"),
-    "--expectations": ("data.expectations_csv", "CSV", "horizon-format expectations CSV"),
-    "--focus-panel": ("data.focus_panel_csv", "CSV", "cached expectations panel CSV"),
-    "--factor": ("data.factor_csv", "CSV", "macro factor stage file"),
-    "--components": ("data.components_csv", "CSV", "CDS components stage file"),
+    "--expectations": ("data.expectations_csv", "CSV", "horizon or focus panel CSV"),
     "--endpoint": ("fetch.endpoint", "URL", "expectations API endpoint"),
     "--fetch-start": ("fetch.start", "YYYY-MM-DD", "first survey date"),
     "--start": ("sample.start", "YYYY-MM-DD", "sample start (inclusive)"),
@@ -56,13 +55,11 @@ _FLAGS = {
 # Each command: its help, the flags it reads besides --config and --out,
 # and whether it reads --strict/--lenient.
 _COMMANDS = {
-    "run": ("full pipeline", "--market --expectations --focus-panel --start --end", True),
+    "run": ("full pipeline", "--market --expectations --start --end", True),
     "fetch-focus": ("fetch expectations and reshape", "--endpoint --fetch-start --end", False),
-    "build-factors": ("estimate the macro factor",
-                      "--market --expectations --focus-panel --end", True),
+    "build-factors": ("estimate the macro factor", "--market --expectations --end", True),
     "split-cds": ("split CDS into global and domestic parts", "--market --end", True),
-    "decompose": ("final regression from stage files",
-                  "--market --factor --components --start --end", True),
+    "decompose": ("final regression from stage files", "--market --start --end", True),
     "fixture": ("generate a synthetic dataset", "--seed --n --r2 --betas", False),
 }
 
@@ -112,8 +109,8 @@ def _print_report(report: dict, out_dir) -> None:
     with (Path(out_dir) / CUMULATIVE_FILE).open(encoding="utf-8") as fh:
         total, *parts = map(float, deque(fh, maxlen=1)[0].split(",")[1:])
     print(f"final cumulative change {total:+.1f} bps = " + " + ".join(
-        f"{label} {value:+.1f}"
-        for label, value in zip(("const", "macro", "riscobr", "global", "residual"), parts)))
+        f"{name.removesuffix('_cum')} {value:+.1f}"
+        for name, value in zip(CUMULATIVE_COLUMNS[1:], parts)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .decomposition import FACTOR_ORDER
 from .errors import ConfigError
 from .ingestion import (
     HORIZON_COLUMNS,
@@ -83,7 +84,7 @@ _BASE_LEVELS = {
 _GAMMA_BASE = {"DXY": 1.2, "CRB": -0.5, "VIX": 0.08, "UST10": 0.04}
 _X_STD = {"DXY": 0.004, "CRB": 0.008, "VIX": 0.05, "UST10": 0.05}
 _CDS_ALPHA = 0.0002
-_TERMS = ("const", "macro_factor", "cds_dom", "cds_glob")  # the regression's, in order
+_TERMS = ("const", *FACTOR_ORDER)  # the regression's, in order
 
 __all__ = [
     "generate_fixture",

@@ -9,10 +9,12 @@ Each stage has one body, which writes its files into the output directory:
 ``_factors`` macro_factor.csv and pls_model.json, ``_split``
 cds_components.csv and cds_model.json, and ``_final`` contributions.csv,
 cumulative.csv, models.json, report.json and decomposition.svg.  ``run``
-calls all three, ``build-factors``, ``split-cds`` and ``decompose`` one each.
+calls all three, ``build-factors``, ``split-cds`` and ``decompose`` one each;
+``decompose`` reads the first four files, all required, from that directory.
 ``fetch-focus`` writes focus_panel.csv, expectations.csv and load_report.json.
 It is the only stage that fetches: every other stage reads its inputs from
-files, so fetched data reach a decomposition only through those it wrote.
+files, and ``data.expectations_csv`` takes either CSV it wrote (the header
+decides), so fetched data reach a decomposition only through those files.
 
 Configuration is layered: an INI-style file provides base values,
 ``DI_DECOMP_<SECTION>_<KEY>`` environment variables override the file, and
@@ -43,6 +45,7 @@ from . import __version__
 from .cds import CdsComponents, CdsSplitModel, DOMESTIC_NAME, GLOBAL_NAME, split_cds
 from .cds import REGRESSOR_ORDER
 from .decomposition import (
+    CONTRIBUTION_COLUMNS,
     TARGET_NAME,
     accumulate,
     contributions,
@@ -114,9 +117,9 @@ __all__ = [
 # Configuration
 # ---------------------------------------------------------------------------
 
-# A setting's parser takes the raw text and raises ValueError on a bad value.
-# Dates and reals follow the input grammar of the data files; counts are
-# plain ASCII digits.
+# A setting's parser takes the raw text and raises ValueError on a bad value,
+# quoting it once.  Dates and reals follow the input grammar of the data
+# files; counts are plain ASCII digits.
 
 
 def _bool(raw: str) -> bool:
@@ -125,14 +128,14 @@ def _bool(raw: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError("expected a boolean")
+    raise ValueError(f"expected a boolean, got {_shown(raw)}")
 
 
 def _count(raw: str) -> int:
     """A non-negative integer in ASCII digits; spaces and tabs around ignored."""
     text = raw.strip(" \t")
     if not (text.isascii() and text.isdigit()):
-        raise ValueError("expected ASCII digits 0-9")
+        raise ValueError(f"expected ASCII digits 0-9, got {_shown(raw)}")
     return int(text)
 
 
@@ -151,9 +154,6 @@ class PipelineConfig:
 
     market_csv: Path | None = _setting("data", "market_csv", Path, None)
     expectations_csv: Path | None = _setting("data", "expectations_csv", Path, None)
-    focus_panel_csv: Path | None = _setting("data", "focus_panel_csv", Path, None)
-    factor_csv: Path | None = _setting("data", "factor_csv", Path, None)
-    components_csv: Path | None = _setting("data", "components_csv", Path, None)
     endpoint: str = _setting("fetch", "endpoint", str, DEFAULT_ENDPOINT)
     fetch_start: dt.date = _setting("fetch", "start", _read_date, dt.date(2004, 1, 1))
     start: dt.date | None = _setting("sample", "start", _read_date, None)
@@ -240,7 +240,7 @@ def load_config(
         try:
             settings[setting.name] = setting.metadata["parse"](raw)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {_shown(raw)} ({exc})") from exc
+            raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
     config = PipelineConfig(**settings)
     config.validate()
     return config
@@ -324,13 +324,16 @@ def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) ->
 
 
 def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
-    if config.expectations_csv is not None:
-        return read_frame_csv(config.expectations_csv, strict=config.strict, report=report)
-    if config.focus_panel_csv is not None:
-        panel = read_focus_panel_csv(config.focus_panel_csv)
-        report.fetched += len(panel)
-        return reshape_horizons(panel, report)
-    raise ConfigError("no expectations source: set data.expectations_csv or data.focus_panel_csv")
+    """A horizon CSV's frame, or a focus panel CSV's (read strictly) if its header says so."""
+    path = config.expectations_csv
+    if path is None:
+        raise ConfigError("no expectations source: set data.expectations_csv")
+    with _open_text(Path(path)) as fh:
+        if not fh.readline().startswith("survey_date,"):  # the panel header's first cell
+            return read_frame_csv(path, strict=config.strict, report=report)
+    panel = read_focus_panel_csv(path)
+    report.fetched += len(panel)
+    return reshape_horizons(panel, report)
 
 
 def _load_market(config: PipelineConfig, report: LoadReport) -> MarketDataset:
@@ -396,12 +399,9 @@ def _factor_design(
 
 
 def _std_dev_table(c: Frame, fit_fitted: np.ndarray) -> dict:
-    table = {
-        label: float(np.std(c.column(name), ddof=1))
-        for label, name in (
-            ("d_di5y", TARGET_NAME), ("macro", "macro_bps"), ("riscobr", "riscobr_bps"),
-            ("global", "global_bps"), ("residual", "residual_bps"),
-        )
+    table = {  # by contribution column, less "_bps"; the constant has no spread
+        name.removesuffix("_bps"): float(np.std(c.column(name), ddof=1))
+        for name in CONTRIBUTION_COLUMNS[:1] + CONTRIBUTION_COLUMNS[2:]
     }
     table["fitted"] = float(np.std(fit_fitted, ddof=1))
     return table
@@ -454,13 +454,12 @@ def _final(
     factor: DailySeries,
     components: CdsComponents,
     models_payload: dict,
-    emit: str = "decompose",
 ) -> dict:
     """The final regression with its contributions and cumulative sums.
 
     Writes contributions.csv, cumulative.csv, models.json (``models_payload``
     and the decomposition), report.json and decomposition.svg under the
-    label ``emit``, and returns report.json's content.
+    label "emit", and returns report.json's content.
     """
     stage.label = "decompose"
     inputs = (d_di5y, factor, components.dom, components.glob)
@@ -470,7 +469,7 @@ def _final(
     contribs = contributions(model, joined)
     cum = accumulate(contribs)
 
-    stage.label = emit
+    stage.label = "emit"
     report = {
         "sample": {
             "start": contribs.dates[0].item().isoformat(),
@@ -528,24 +527,21 @@ def run_split_cds(config: PipelineConfig) -> CdsSplitModel:
 
 
 def run_decompose(config: PipelineConfig) -> dict:
-    """Final regression from previously emitted stage files; returns report.json's content."""
+    """Final regression from the four stage files in the output directory, all
+    required; returns report.json's content."""
     counts = LoadReport()
     with _stage(config, "decompose") as stage:
         d_di5y = _target(_load_market(config, counts), config.end)
-        factor_path = Path(config.factor_csv or stage.out_dir / FACTOR_FILE)
-        comp_path = Path(config.components_csv or stage.out_dir / COMPONENTS_FILE)
-        factor = read_frame_csv(factor_path).series(FACTOR_NAME)
-        comp = read_frame_csv(comp_path)
+        factor = read_frame_csv(stage.out_dir / FACTOR_FILE).series(FACTOR_NAME)
+        comp = read_frame_csv(stage.out_dir / COMPONENTS_FILE)
         components = CdsComponents(glob=comp.series(GLOBAL_NAME), dom=comp.series(DOMESTIC_NAME))
-        models_payload = {"pls": None, "cds_split": None}
-        for key, side in (("pls", factor_path.parent / PLS_MODEL_FILE),
-                          ("cds_split", comp_path.parent / CDS_MODEL_FILE)):
-            if side.exists():
-                with _open_text(side) as fh:
-                    try:
-                        models_payload[key] = json.load(fh)
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(f"{side}: not valid JSON ({exc})") from exc
+        models_payload = {}
+        for key, name in (("pls", PLS_MODEL_FILE), ("cds_split", CDS_MODEL_FILE)):
+            with _open_text(stage.out_dir / name) as fh:
+                try:
+                    models_payload[key] = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{fh.name}: not valid JSON ({exc})") from exc
         return _final(stage, config, counts, d_di5y, factor, components, models_payload)
 
 
@@ -560,4 +556,4 @@ def run_pipeline(config: PipelineConfig) -> dict:
         cds_model, components = _split(stage, transformed)
         models_payload = {"pls": pls_model.to_dict(), "cds_split": cds_model.to_dict()}
         return _final(stage, config, counts, transformed[TARGET_NAME], factor, components,
-                      models_payload, emit="emit")
+                      models_payload)

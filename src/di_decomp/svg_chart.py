@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomposition import validate_cumulative
+from .decomposition import CUMULATIVE_COLUMNS, validate_cumulative
 from .errors import InsufficientDataError
 from .series import Frame
 
@@ -21,15 +21,15 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 24.0, 46.0, 58.0
 TITLE = "Cumulative decomposition (bps)"  # no "&", "<" or ">": it and the labels go in as is
 _TARGET_TICKS = 6  # y-axis ticks aimed at; the step is rounded to a nice value
 
-SERIES_STYLE = (
-    # (cumulative column, legend label, color, stroke width)
-    ("di5y_change_cum", "DI5Y change (cum)", "#111111", 2.2),
-    ("const_cum", "Constant", "#999999", 1.4),
-    ("macro_cum", "Macro / central bank", "#1f77b4", 1.4),
-    ("riscobr_cum", "Brazil risk", "#d62728", 1.4),
-    ("global_cum", "Global risk", "#2ca02c", 1.4),
-    ("residual_cum", "Residual", "#9467bd", 1.4),
-)
+# (cumulative column, legend label, color, stroke width), in CUMULATIVE_COLUMNS order
+SERIES_STYLE = tuple((name, *style) for name, style in zip(CUMULATIVE_COLUMNS, (
+    ("DI5Y change (cum)", "#111111", 2.2),
+    ("Constant", "#999999", 1.4),
+    ("Macro / central bank", "#1f77b4", 1.4),
+    ("Brazil risk", "#d62728", 1.4),
+    ("Global risk", "#2ca02c", 1.4),
+    ("Residual", "#9467bd", 1.4),
+), strict=True))
 
 __all__ = ["emit_svg", "SERIES_STYLE"]
 

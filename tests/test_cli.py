@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,25 +183,26 @@ class TestUnreadableFiles:
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
     @pytest.mark.parametrize("source", ["market", "expectations", "focus-panel"])
     def test_data_file_not_utf8_is_data_error(self, fixture_dir, tmp_path, capsys, source, mode):
-        inputs = {"market": fixture_dir / MARKET_FILE}
-        if source != "focus-panel":
-            inputs["expectations"] = fixture_dir / EXPECTATIONS_FILE
+        inputs = {"market": fixture_dir / MARKET_FILE,
+                  "expectations": fixture_dir / EXPECTATIONS_FILE}
         bad = tmp_path / "bad.csv"
-        if source == "focus-panel":
+        if source == "focus-panel":  # a panel goes through --expectations too
             bad.write_bytes(b"survey_date,indicator,reference_year,median\n"
                             b"2015-01-13,IPCA,2015,5\xff.0\n")
+            inputs["expectations"] = bad
         else:
             bad.write_bytes(inputs[source].read_bytes() + b"2099-01-05,1\xff.0\n")
-        inputs[source] = bad
+            inputs[source] = bad
         argv = ["run", *(a for flag, path in inputs.items() for a in (f"--{flag}", str(path)))]
         rc = main([*argv, "--out", str(tmp_path / "out"), f"--{mode}"])
         assert rc == 3
         assert f"{bad}: not UTF-8 text (byte 0xff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, message", [
-        (b'{\n  "sign', "not valid JSON (Unterminated string"),
-        (b'{"sign": 1, "note": "caf\xff"}\n', "not UTF-8 text (byte 0xff"),
-    ], ids=["truncated", "not-utf-8"])
+        (b'{\n  "sign', "PATH: not valid JSON (Unterminated string"),
+        (b'{"sign": 1, "note": "caf\xff"}\n', "PATH: not UTF-8 text (byte 0xff"),
+        (None, "file not found: PATH"),
+    ], ids=["truncated", "not-utf-8", "missing"])
     @pytest.mark.parametrize("name", [PLS_MODEL_FILE, CDS_MODEL_FILE])
     def test_stage_model_file_is_data_error(self, fixture_dir, tmp_path, capsys, name,
                                             content, message):
@@ -209,9 +211,12 @@ class TestUnreadableFiles:
         expectations = ["--expectations", str(fixture_dir / EXPECTATIONS_FILE)]
         assert main(["build-factors", *common, *expectations]) == 0
         assert main(["split-cds", *common]) == 0
-        (out / name).write_bytes(content)
+        if content is None:
+            (out / name).unlink()
+        else:
+            (out / name).write_bytes(content)
         assert main(["decompose", *common]) == 3
-        assert f"{out / name}: {message}" in capsys.readouterr().err
+        assert message.replace("PATH", str(out / name)) in capsys.readouterr().err
 
 
 # The model specification is fixed, so each former way to set it is refused:
@@ -229,6 +234,22 @@ REMOVED_SETTINGS = {
     "env-fetch-enabled": ("run", None, {"DI_DECOMP_FETCH_ENABLED": "true"}, [],
                           "fetch.enabled"),
     "flag-fetch": ("run", None, {}, ["--fetch"], "--fetch"),
+    # each input is named once: --expectations reads a focus panel too, and
+    # decompose reads its stage files from --out
+    "ini-focus-panel": ("run", "[data]\nfocus_panel_csv = p.csv\n", {}, [],
+                        "data.focus_panel_csv"),
+    "env-focus-panel": ("run", None, {"DI_DECOMP_DATA_FOCUS_PANEL_CSV": "p.csv"}, [],
+                        "data.focus_panel_csv"),
+    "flag-focus-panel": ("run", None, {}, ["--focus-panel", "p.csv"], "--focus-panel"),
+    "ini-factor": ("decompose", "[data]\nfactor_csv = f.csv\n", {}, [], "data.factor_csv"),
+    "env-factor": ("decompose", None, {"DI_DECOMP_DATA_FACTOR_CSV": "f.csv"}, [],
+                   "data.factor_csv"),
+    "flag-factor": ("decompose", None, {}, ["--factor", "f.csv"], "--factor"),
+    "ini-components": ("decompose", "[data]\ncomponents_csv = c.csv\n", {}, [],
+                       "data.components_csv"),
+    "env-components": ("decompose", None, {"DI_DECOMP_DATA_COMPONENTS_CSV": "c.csv"}, [],
+                       "data.components_csv"),
+    "flag-components": ("decompose", None, {}, ["--components", "c.csv"], "--components"),
 }
 
 
@@ -263,10 +284,10 @@ def test_removed_setting_is_config_error(tmp_path, monkeypatch, capsys, offline,
 # The flags each command reads besides --config and --out, and whether it
 # reads --strict/--lenient.
 COMMAND_FLAGS = {
-    "run": ({"--market", "--expectations", "--focus-panel", "--start", "--end"}, True),
-    "build-factors": ({"--market", "--expectations", "--focus-panel", "--end"}, True),
+    "run": ({"--market", "--expectations", "--start", "--end"}, True),
+    "build-factors": ({"--market", "--expectations", "--end"}, True),
     "split-cds": ({"--market", "--end"}, True),
-    "decompose": ({"--market", "--factor", "--components", "--start", "--end"}, True),
+    "decompose": ({"--market", "--start", "--end"}, True),
     "fetch-focus": ({"--endpoint", "--fetch-start", "--end"}, False),
     "fixture": ({"--seed", "--n", "--r2", "--betas"}, False),
 }
@@ -294,21 +315,41 @@ def test_removed_flag_is_refused(tmp_path, capsys, offline, argv):
     assert not (tmp_path / "out").exists()
 
 
+def parser_flags():
+    """Each command of ``build_parser()`` with its flags, --help aside."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        command: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+        for command, sub in subparsers.choices.items()
+    }
+
+
 class TestFlags:
     def test_each_command_takes_exactly_its_flags(self):
-        parser = build_parser()
-        (subparsers,) = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        assert subparsers.choices.keys() == COMMAND_FLAGS.keys()
+        commands = parser_flags()
+        assert commands.keys() == COMMAND_FLAGS.keys()
         slots = 0
-        for command, sub in subparsers.choices.items():
-            flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+        for command, flags in commands.items():
             own, reads_strict = COMMAND_FLAGS[command]
             strict = {"--strict", "--lenient"} if reads_strict else set()
             assert flags == {"--config", "--out"} | own | strict, command
             slots += len(flags)
-        assert slots == 43
+        assert slots == 39
+
+    def test_readme_synopsis_lists_each_commands_flags(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        synopsis, legend = block.split("\n\n")
+        flag = r"--[a-z0-9-]+"
+        groups = {name: set(re.findall(flag, text))
+                  for name, text in re.findall(r"^([A-Z]+):(.*)$", legend, re.M)}
+        listed = {}
+        for entry in re.split(r"\n(?=di-decomp )", synopsis.strip()):
+            listed[entry.split()[1]] = set(re.findall(flag, entry)).union(
+                *(groups[name] for name in re.findall(r"\[([A-Z]+)\]", entry)))
+        assert listed == parser_flags()
 
     def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -165,15 +165,16 @@ def test_line_numbers_count_physical_lines(tmp_path, caplog):
 
 
 # There is no CSV quoting: a quoted cell is a cell outside the grammar.
-QUOTED_ROWS = [
-    ('2015-01-13,"12.50"\n', "column 'DI5Y': cannot parse '\"12.50\"'"),
-    ('"2015-01-13","12.50"\n', "cannot parse date '\"2015-01-13\"'"),
-    ('2015-01-13,""\n', "column 'DI5Y': cannot parse '\"\"'"),  # not an empty cell
-]
+QUOTED_ROWS = {
+    "value": ('2015-01-13,"12.50"\n', "column 'DI5Y': cannot parse '\"12.50\"'"),
+    "date": ('"2015-01-13","12.50"\n', "cannot parse date '\"2015-01-13\"'"),
+    "empty": ('2015-01-13,""\n', "column 'DI5Y': cannot parse '\"\"'"),  # not an empty cell
+}
 
 
-@pytest.mark.parametrize("row, message", QUOTED_ROWS)
-def test_quoted_cell_is_rejected(tmp_path, row, message):
+@pytest.mark.parametrize("case", sorted(QUOTED_ROWS))
+def test_quoted_cell_is_rejected(tmp_path, case):
+    row, message = QUOTED_ROWS[case]
     _assert_rejected(_market(tmp_path, row), message)
 
 
@@ -193,16 +194,17 @@ def test_quoted_header_does_not_match(tmp_path):
 
 
 # A NUL is a foreign character like any other, quoted or not.
-NUL_ROWS = [
-    ("2015-01-13,2\x00\n", "column 'DI5Y': cannot parse '2\\x00'"),
-    ('2015-01-13,"2\x00"\n', "column 'DI5Y': cannot parse '\"2\\x00\"'"),
-    ("2015-01-13,2\x01\x00\n", "column 'DI5Y': cannot parse '2\\x01\\x00'"),
-    ('"2015-01-13\x00",2\n', "cannot parse date '\"2015-01-13\\x00\"'"),
-]
+NUL_ROWS = {
+    "value": ("2015-01-13,2\x00\n", "column 'DI5Y': cannot parse '2\\x00'"),
+    "quoted-value": ('2015-01-13,"2\x00"\n', "column 'DI5Y': cannot parse '\"2\\x00\"'"),
+    "after-control": ("2015-01-13,2\x01\x00\n", "column 'DI5Y': cannot parse '2\\x01\\x00'"),
+    "quoted-date": ('"2015-01-13\x00",2\n', "cannot parse date '\"2015-01-13\\x00\"'"),
+}
 
 
-@pytest.mark.parametrize("row, message", NUL_ROWS)
-def test_nul_is_rejected_as_a_cell(tmp_path, row, message):
+@pytest.mark.parametrize("case", sorted(NUL_ROWS))
+def test_nul_is_rejected_as_a_cell(tmp_path, case):
+    row, message = NUL_ROWS[case]
     _assert_rejected(_market(tmp_path, row), message)
 
 
@@ -457,7 +459,8 @@ def test_rejected_config_date(tmp_path, monkeypatch, capsys, source, key, date):
     else:
         argv += [flag, date]
     assert main(argv) == 2
-    assert f"bad value for {key}: {date!r}" in capsys.readouterr().err
+    assert (f"bad value for {key}: cannot parse date {date!r} as YYYY-MM-DD"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -490,7 +493,8 @@ def test_rejected_config_count(tmp_path, monkeypatch, capsys, source, key, value
     else:
         argv += [CONFIG_COUNT_KEYS[key], value]
     assert main(argv) == 2
-    assert f"bad value for {key}: {value!r}" in capsys.readouterr().err
+    assert (f"bad value for {key}: expected ASCII digits 0-9, got {value!r}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

@@ -236,7 +236,8 @@ def test_factor_design_peaks_near_its_own_bytes(bundled, tmp_path, monkeypatch):
 
 class TestFocusPanelSource:
     def test_panel_cache_reproduces_horizon_csv_run(self, tmp_path):
-        """A cached panel and the reshaped horizon CSV drive identical factors."""
+        """A panel and the reshaped horizon CSV, each as data.expectations_csv,
+        write the same files but report.json."""
         from di_decomp.ingestion import (
             FocusPanel,
             FocusRecord,
@@ -259,22 +260,26 @@ class TestFocusPanelSource:
         panel_path = tmp_path / "panel.csv"
         write_focus_panel_csv(FocusPanel(tuple(records)), panel_path)
 
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_build_factors(
-            PipelineConfig(
-                market_csv=fixture_dir / MARKET_FILE,
-                expectations_csv=fixture_dir / EXPECTATIONS_FILE,
-                out_dir=out_a,
-            )
-        )
-        run_build_factors(
-            PipelineConfig(
-                market_csv=fixture_dir / MARKET_FILE,
-                focus_panel_csv=panel_path,
-                out_dir=out_b,
-            )
-        )
-        assert (out_a / FACTOR_FILE).read_bytes() == (out_b / FACTOR_FILE).read_bytes()
+        outputs = []
+        for expectations in (fixture_dir / EXPECTATIONS_FILE, panel_path):
+            out = tmp_path / expectations.stem
+            run_pipeline(PipelineConfig(market_csv=fixture_dir / MARKET_FILE,
+                                        expectations_csv=expectations, out_dir=out))
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != REPORT_FILE})
+        assert len(outputs[0]) == 8
+        assert outputs[0] == outputs[1]
+
+    def test_panel_is_read_strictly_under_lenient(self, tmp_path):
+        fixture_dir = tmp_path / "fx"
+        generate_fixture(6, 300, path=fixture_dir)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("survey_date,indicator,reference_year,median\n"
+                         "2015-01-13,IPCA,2015,x\n", encoding="utf-8")
+        config = PipelineConfig(market_csv=fixture_dir / MARKET_FILE, expectations_csv=panel,
+                                strict=False, out_dir=tmp_path / "out")
+        with pytest.raises(StageError, match="line 2: cannot parse 'x'"):
+            run_pipeline(config)
 
 
 class TestStagedEquivalence:
@@ -468,20 +473,26 @@ class TestPipelineErrors:
         names = {p.name for p in config.out_dir.iterdir()}
         assert names == STAGE_OUTPUTS | {".di-decomp.lock"}
 
-    def test_failed_emit_removes_partial_outputs(self, tmp_path):
+    @pytest.mark.parametrize("entry", [run_pipeline, run_decompose], ids=["run", "decompose"])
+    def test_failed_emit_removes_partial_outputs(self, tmp_path, entry):
         fixture_dir = tmp_path / "fx"
         generate_fixture(5, 300, path=fixture_dir)
         out = tmp_path / "out"
-        out.mkdir()
-        (out / SVG_FILE).mkdir()  # writing the chart will fail
         config = PipelineConfig(
             market_csv=fixture_dir / MARKET_FILE,
             expectations_csv=fixture_dir / EXPECTATIONS_FILE,
             out_dir=out,
         )
-        with pytest.raises(StageError, match="emit"):
-            run_pipeline(config)
-        assert [p.name for p in out.iterdir()] == [SVG_FILE]  # the test's own directory
+        if entry is run_decompose:  # its stage files stay
+            run_build_factors(config)
+            run_split_cds(config)
+        out.mkdir(exist_ok=True)
+        before = {p.name for p in out.iterdir()}
+        (out / SVG_FILE).mkdir()  # writing the chart will fail
+        with pytest.raises(StageError) as err:
+            entry(config)
+        assert err.value.stage == "emit"
+        assert {p.name for p in out.iterdir()} == before | {SVG_FILE}  # the test's own directory
 
     def test_failed_rerun_keeps_previous_outputs(self, tmp_path, monkeypatch):
         fixture_dir = tmp_path / "fx"
@@ -535,17 +546,43 @@ class TestPipelineErrors:
         assert not config.out_dir.exists()
 
 
+def readme_ini() -> str:
+    """The INI example in README.md."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 class TestConfigLayering:
     def test_long_config_value_message_is_bounded(self):
-        with pytest.raises(ConfigError, match=r"^bad value for sample\.end: '1{40}'\.\.\. "
-                           r"\(100000 characters\)") as err:
+        with pytest.raises(ConfigError, match=r"^bad value for sample\.end: cannot parse date "
+                           r"'1{40}'\.\.\. \(100000 characters\) as YYYY-MM-DD$") as err:
             load_config(None, env={"DI_DECOMP_SAMPLE_END": "1" * 100_000})
         assert len(str(err.value)) < 300
 
-    def test_readme_ini_example_loads(self, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    @pytest.mark.parametrize("key, value", [
+        ("sample.start", "01/13/2015"), ("fixture.r2", "0.00_1"),
+        ("output.strict", "maybe"), ("fixture.n", "2_741"),
+    ], ids=["date", "real", "boolean", "count"])
+    def test_bad_value_is_shown_once(self, key, value):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=f"^bad value for {key}: ") as err:
+            load_config(None, env={f"DI_DECOMP_{section.upper()}_{name.upper()}": value})
+        assert str(err.value).count(repr(value)) == 1
+
+    def test_readme_ini_with_a_trailing_comment_shows_the_value_once(self, tmp_path):
+        text = readme_ini()
+        assert "start = 2015-01-13\n" in text
         ini = tmp_path / "run.ini"
-        ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        ini.write_text(text.replace("start = 2015-01-13\n",
+                                    "start = 2015-01-13      # first decomposition date\n"),
+                       encoding="utf-8")
+        with pytest.raises(ConfigError, match="^bad value for sample.start: ") as err:
+            load_config(ini, env={})
+        assert str(err.value).count("2015-01-13") == 1
+
+    def test_readme_ini_example_loads(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(readme_ini(), encoding="utf-8")
         config = load_config(ini, env={})
         assert config.expectations_csv == Path("data/expectations.csv")
         assert (config.start, config.end) == (dt.date(2015, 1, 13), dt.date(2025, 12, 12))
