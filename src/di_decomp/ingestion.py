@@ -708,17 +708,20 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
         if header != ["survey_date", "indicator", "reference_year", "median"]:
             raise SchemaError(f"{path}: unexpected panel header {header}")
         for no, line in enumerate(fh, start=2):
-            raw = line.removesuffix("\n").split(",")
-            if all(not c.strip() for c in raw):
+            if not line.strip(" \t,\n"):  # only spaces, tabs and commas: a blank line
                 continue
+            raw = line.removesuffix("\n").split(",")
             if len(raw) != 4:
                 raise ParseError(f"{path}: line {no}: expected 4 cells, got {len(raw)}")
             try:
-                records.append(FocusRecord(_read_date(raw[0]), raw[1].strip(),
-                                           _read_year(raw[2]), _read_real(raw[3])))
+                record = FocusRecord(_read_date(raw[0]), raw[1].strip(" \t"),
+                                     _read_year(raw[2]), _read_real(raw[3]))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {no}: {exc}") from exc
-    for r in records:
-        if r.indicator not in INDICATORS:
-            raise SchemaError(f"{path}: unknown indicator '{r.indicator}'")
-    return FocusPanel(tuple(records))
+            if record.indicator not in INDICATORS:
+                raise SchemaError(f"{path}: line {no}: unknown indicator {_shown(record.indicator)}")
+            records.append(record)
+    try:
+        return FocusPanel(tuple(records))
+    except SchemaError as exc:  # a repeated cell or a reference year before its survey
+        raise SchemaError(f"{path}: {exc}") from exc

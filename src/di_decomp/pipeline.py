@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .cds import CdsComponents, CdsSplitModel, DOMESTIC_NAME, GLOBAL_NAME, split_cds
+from .cds import CdsSplitModel, DOMESTIC_NAME, GLOBAL_NAME, split_cds
 from .cds import REGRESSOR_ORDER
 from .decomposition import (
     CONTRIBUTION_COLUMNS,
@@ -176,8 +176,6 @@ class PipelineConfig:
         """Configuration snapshot for the run report, without the [fixture] settings."""
 
         def plain(value):
-            if isinstance(value, tuple):
-                return list(value)
             if isinstance(value, dt.date):
                 return value.isoformat()
             return str(value) if isinstance(value, Path) else value
@@ -252,11 +250,12 @@ def load_config(
 
 
 class _Stage:
-    """One stage run in its output directory: the label and the files written."""
+    """One stage run in its output directory: its current step, load counts and files written."""
 
-    def __init__(self, out_dir: Path, label: str):
+    def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.label = label  # the label a failure is reported under
+        self.label = "ingest"  # the step a failure is reported under, set by each step
+        self.counts = LoadReport()  # every file or fetch the stage loads adds to these
         self.written: list[tuple[Path, Path]] = []  # (temporary, final) paths
 
     def temp(self, name: str) -> Path:
@@ -270,7 +269,7 @@ class _Stage:
 
 
 @contextmanager
-def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
+def _stage(config: PipelineConfig) -> Iterator[_Stage]:
     """Run a stage with exclusive ownership of the output directory.
 
     An invalid config, failing to create the directory, or finding it
@@ -278,7 +277,7 @@ def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
     names, after those a killed run left are removed, and renamed into place
     once the stage succeeds.  Any other failure removes the temporary files
     and those renamed so far, and is re-raised as a ``StageError`` under the
-    stage's current label.
+    label of the step that failed.
     """
     config.validate()
     out = Path(config.out_dir)
@@ -294,7 +293,7 @@ def _stage(config: PipelineConfig, label: str) -> Iterator[_Stage]:
         if isinstance(exc, BlockingIOError):
             raise ConfigError(f"output directory is locked by another run: {out}") from None
         raise
-    stage = _Stage(out, label)
+    stage = _Stage(out)
     renamed: list[Path] = []
     try:
         for name in _STAGE_FILES:
@@ -323,23 +322,23 @@ def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) ->
         raise DataError(f"{what} join produced 0 rows ({detail})")
 
 
-def _load_expectations(config: PipelineConfig, report: LoadReport) -> Frame:
+def _load_expectations(stage: _Stage, config: PipelineConfig) -> Frame:
     """A horizon CSV's frame, or a focus panel CSV's (read strictly) if its header says so."""
     path = config.expectations_csv
     if path is None:
         raise ConfigError("no expectations source: set data.expectations_csv")
     with _open_text(Path(path)) as fh:
         if not fh.readline().startswith("survey_date,"):  # the panel header's first cell
-            return read_frame_csv(path, strict=config.strict, report=report)
+            return read_frame_csv(path, strict=config.strict, report=stage.counts)
     panel = read_focus_panel_csv(path)
-    report.fetched += len(panel)
-    return reshape_horizons(panel, report)
+    stage.counts.fetched += len(panel)
+    return reshape_horizons(panel, stage.counts)
 
 
-def _load_market(config: PipelineConfig, report: LoadReport) -> MarketDataset:
+def _load_market(stage: _Stage, config: PipelineConfig) -> MarketDataset:
     if config.market_csv is None:
         raise ConfigError("no market data source: set data.market_csv")
-    return load_market_csv(config.market_csv, strict=config.strict, report=report)
+    return load_market_csv(config.market_csv, strict=config.strict, report=stage.counts)
 
 
 def _target(market: MarketDataset, end: dt.date | None) -> DailySeries:
@@ -407,17 +406,14 @@ def _std_dev_table(c: Frame, fit_fitted: np.ndarray) -> dict:
     return table
 
 
-def _factors(
-    stage: _Stage, config: PipelineConfig, counts: LoadReport
-) -> tuple[MarketDataset, PlsModel, DailySeries]:
+def _factors(stage: _Stage, config: PipelineConfig) -> tuple[MarketDataset, PlsModel, DailySeries]:
     """Load and transform the inputs, fit the macro factor and write its files.
 
     Writes macro_factor.csv and pls_model.json, and returns the transformed
-    market set, the model and the factor.  Loading is reported under the
-    stage's label as it is on entry.
+    market set, the model and the factor.
     """
-    market = _load_market(config, counts)
-    expectations = _load_expectations(config, counts)
+    market = _load_market(stage, config)
+    expectations = _load_expectations(stage, config)
 
     stage.label = "transform"
     transformed = _transform_market(market, config.end)
@@ -435,34 +431,33 @@ def _factors(
     return transformed, model, factor
 
 
-def _split(stage: _Stage, transformed: MarketDataset) -> tuple[CdsSplitModel, CdsComponents]:
-    """Split CDS moves and write cds_components.csv and cds_model.json."""
+def _split(stage: _Stage, transformed: MarketDataset) -> tuple[CdsSplitModel, Frame]:
+    """Split CDS moves; write cds_components.csv (the returned frame) and cds_model.json."""
     stage.label = "cds-split"
     model, components = split_cds(transformed["CDS"], *(transformed[n] for n in REGRESSOR_ORDER))
     data = np.column_stack([components.glob.values, components.dom.values])
     frame = Frame(components.glob.dates, (GLOBAL_NAME, DOMESTIC_NAME), data)
     frame_to_csv(frame, stage.path(COMPONENTS_FILE))
     _write_json(stage.path(CDS_MODEL_FILE), model.to_dict())
-    return model, components
+    return model, frame
 
 
 def _final(
     stage: _Stage,
     config: PipelineConfig,
-    counts: LoadReport,
     d_di5y: DailySeries,
     factor: DailySeries,
-    components: CdsComponents,
+    components: Frame,
     models_payload: dict,
 ) -> dict:
     """The final regression with its contributions and cumulative sums.
 
-    Writes contributions.csv, cumulative.csv, models.json (``models_payload``
-    and the decomposition), report.json and decomposition.svg under the
-    label "emit", and returns report.json's content.
+    ``components`` is the frame in cds_components.csv.  Writes contributions.csv,
+    cumulative.csv, models.json (``models_payload`` and the decomposition),
+    report.json and decomposition.svg, and returns report.json's content.
     """
     stage.label = "decompose"
-    inputs = (d_di5y, factor, components.dom, components.glob)
+    inputs = (d_di5y, factor, components.series(DOMESTIC_NAME), components.series(GLOBAL_NAME))
     joined = join_decomposition_inputs(*inputs).window(config.start, config.end)
     _joined(joined.n_rows, "decomposition", [(s.name, s.dates) for s in inputs])
     model = fit_decomposition_frame(joined)
@@ -479,7 +474,7 @@ def _final(
         "regression": model.to_dict(),
         "std_dev_bps": _std_dev_table(contribs, model.fit.fitted),
         "variance_shares": variance_shares(contribs).to_dict(),
-        "counts": counts.to_dict(),
+        "counts": stage.counts.to_dict(),
         "version": __version__,
         "config": config.echo(),
     }
@@ -502,39 +497,38 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
     ``transport`` is forwarded to :func:`di_decomp.ingestion.fetch_focus`;
     tests inject recorded payloads there.
     """
-    report = LoadReport()
-    with _stage(config, "fetch-focus") as stage:
+    with _stage(config) as stage:
         panel = fetch_focus(INDICATORS, (config.fetch_start, config.end or dt.date.today()),
-                            config.endpoint, transport=transport, report=report)
-        horizon = reshape_horizons(panel, report)
+                            config.endpoint, transport=transport, report=stage.counts)
+        horizon = reshape_horizons(panel, stage.counts)
+        stage.label = "emit"
         write_focus_panel_csv(panel, stage.path(FOCUS_PANEL_FILE))
         frame_to_csv(horizon, stage.path(EXPECTATIONS_OUT_FILE))
-        _write_json(stage.path(LOAD_REPORT_FILE), report.to_dict())
-    return report
+        _write_json(stage.path(LOAD_REPORT_FILE), stage.counts.to_dict())
+    return stage.counts
 
 
 def run_build_factors(config: PipelineConfig) -> PlsModel:
     """Build the macro factor, emit macro_factor.csv + pls_model.json."""
-    with _stage(config, "factors") as stage:
-        return _factors(stage, config, LoadReport())[1]
+    with _stage(config) as stage:
+        return _factors(stage, config)[1]
 
 
 def run_split_cds(config: PipelineConfig) -> CdsSplitModel:
     """Split CDS moves, emit cds_components.csv + cds_model.json."""
-    with _stage(config, "cds-split") as stage:
-        market = _load_market(config, LoadReport())
+    with _stage(config) as stage:
+        market = _load_market(stage, config)
+        stage.label = "transform"
         return _split(stage, _transform_market(market, config.end))[0]
 
 
 def run_decompose(config: PipelineConfig) -> dict:
     """Final regression from the four stage files in the output directory, all
     required; returns report.json's content."""
-    counts = LoadReport()
-    with _stage(config, "decompose") as stage:
-        d_di5y = _target(_load_market(config, counts), config.end)
+    with _stage(config) as stage:
+        market = _load_market(stage, config)
         factor = read_frame_csv(stage.out_dir / FACTOR_FILE).series(FACTOR_NAME)
-        comp = read_frame_csv(stage.out_dir / COMPONENTS_FILE)
-        components = CdsComponents(glob=comp.series(GLOBAL_NAME), dom=comp.series(DOMESTIC_NAME))
+        components = read_frame_csv(stage.out_dir / COMPONENTS_FILE)
         models_payload = {}
         for key, name in (("pls", PLS_MODEL_FILE), ("cds_split", CDS_MODEL_FILE)):
             with _open_text(stage.out_dir / name) as fh:
@@ -542,7 +536,12 @@ def run_decompose(config: PipelineConfig) -> dict:
                     models_payload[key] = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"{fh.name}: not valid JSON ({exc})") from exc
-        return _final(stage, config, counts, d_di5y, factor, components, models_payload)
+            if not isinstance(models_payload[key], dict):
+                raise ParseError(f"{fh.name}: not a JSON object")
+        stage.label = "transform"
+        d_di5y = _target(market, config.end)
+        del market  # the target holds every market value the regression uses
+        return _final(stage, config, d_di5y, factor, components, models_payload)
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -550,10 +549,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     Reruns with identical inputs and configuration produce byte-identical files.
     """
-    counts = LoadReport()
-    with _stage(config, "ingest") as stage:
-        transformed, pls_model, factor = _factors(stage, config, counts)
+    with _stage(config) as stage:
+        transformed, pls_model, factor = _factors(stage, config)
         cds_model, components = _split(stage, transformed)
         models_payload = {"pls": pls_model.to_dict(), "cds_split": cds_model.to_dict()}
-        return _final(stage, config, counts, transformed[TARGET_NAME], factor, components,
-                      models_payload)
+        return _final(stage, config, transformed[TARGET_NAME], factor, components, models_payload)

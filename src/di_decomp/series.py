@@ -150,8 +150,6 @@ class Frame:
         object.__setattr__(self, "dates", date_index(self.dates))
         object.__setattr__(self, "names", tuple(self.names))
         arr = _shared(self.data, "float64")
-        if arr.ndim != 2:
-            arr = _frozen(arr.reshape(len(self.dates), len(self.names)))
         object.__setattr__(self, "data", arr)
         if len(set(self.names)) != len(self.names):
             dupes = sorted({n for n in self.names if self.names.count(n) > 1})

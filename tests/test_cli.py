@@ -91,6 +91,12 @@ class TestRunCommand:
         rc = main(["run", "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_missing_expectations_is_config_error(self, fixture_dir, tmp_path, capsys):
+        rc = main(["run", "--market", str(fixture_dir / MARKET_FILE),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "no expectations source: set data.expectations_csv" in capsys.readouterr().err
+
     def test_bad_date_flag_is_config_error(self, fixture_dir, tmp_path):
         rc = main(run_args(fixture_dir, tmp_path / "out", "--start", "01/13/2015"))
         assert rc == 2
@@ -168,16 +174,19 @@ class TestStagedCommands:
 class TestUnreadableFiles:
     """A file that cannot be read as UTF-8 text is an error naming it."""
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8", "not-ini"])
     def test_config_file_is_config_error(self, fixture_dir, tmp_path, capsys, kind):
         ini = tmp_path / "run.ini"
         if kind == "directory":
             ini.mkdir()  # configparser.read would skip it and run on defaults
-        else:
+        elif kind == "not-utf-8":
             ini.write_bytes(b"[output]\nstrict = true\n# caf\xe9\n")
+        else:
+            ini.write_text("strict = true\n", encoding="utf-8")  # a key before any section
         rc = main(run_args(fixture_dir, tmp_path / "out", "--config", str(ini)))
         assert rc == 2
-        assert f"cannot read config file {ini}" in capsys.readouterr().err
+        verb = "parse" if kind == "not-ini" else "read"
+        assert f"cannot {verb} config file {ini}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
@@ -202,7 +211,10 @@ class TestUnreadableFiles:
         (b'{\n  "sign', "PATH: not valid JSON (Unterminated string"),
         (b'{"sign": 1, "note": "caf\xff"}\n', "PATH: not UTF-8 text (byte 0xff"),
         (None, "file not found: PATH"),
-    ], ids=["truncated", "not-utf-8", "missing"])
+        (b"[1, 2]\n", "PATH: not a JSON object"),
+        (b"null\n", "PATH: not a JSON object"),
+        (b'"x"\n', "PATH: not a JSON object"),
+    ], ids=["truncated", "not-utf-8", "missing", "array", "null", "string"])
     @pytest.mark.parametrize("name", [PLS_MODEL_FILE, CDS_MODEL_FILE])
     def test_stage_model_file_is_data_error(self, fixture_dir, tmp_path, capsys, name,
                                             content, message):

@@ -52,6 +52,8 @@ class TestGenerateFixture:
             generate_fixture(1, 200, target_r2=1.5, path=tmp_path)
         with pytest.raises(ConfigError):
             generate_fixture(1, 200, target_betas=(0.0, 0.0, 1.0, 1.0), path=tmp_path)
+        with pytest.raises(ConfigError, match="need 4 betas"):
+            generate_fixture(1, 200, target_betas=(0.0, 1.0, 1.0), path=tmp_path)
 
     def test_vanishing_noise_gives_near_exact_recovery(self, tmp_path):
         truth = generate_fixture(2, 2000, target_r2=0.9999, path=tmp_path / "fx")

@@ -419,6 +419,44 @@ def test_accepted_panel_cells(tmp_path):
     assert (record.reference_year, record.median) == (2015, 5.0)
 
 
+PANEL_HEADER = "survey_date,indicator,reference_year,median\n"
+
+
+def test_panel_indicator_is_stripped_of_spaces_and_tabs_only(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL_HEADER + "2015-01-13, \tIPCA\t,2015,6.25\n"
+                    "2015-01-13,\u3000IPCA\x0b,2016,5.5\n", encoding="utf-8")
+    shown = repr("\u3000IPCA\x0b")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: line 3: unknown indicator {shown}")):
+        read_focus_panel_csv(path)
+
+
+def test_panel_blank_line_is_spaces_tabs_and_commas_only(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL_HEADER + " ,\t,,\n\f,\f,\f,\f\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 3: cannot parse date '\\x0c'")):
+        read_focus_panel_csv(path)
+
+
+def test_unknown_panel_indicator_names_its_line(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL_HEADER + "2015-01-13,IPCA,2015,6.25\n2015-01-13,CPI,2015,5.0\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: line 3: unknown indicator 'CPI'")):
+        read_focus_panel_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("2015-01-13,IPCA,2015,6.25\n2015-01-13,IPCA,2015,6.5\n", "duplicate panel cell"),
+    ("2015-01-13,IPCA,2014,6.25\n", "reference year 2014 precedes survey date 2015-01-13"),
+], ids=["duplicate", "past-year"])
+def test_panel_cell_error_names_the_file(tmp_path, rows, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL_HEADER + rows, encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+        read_focus_panel_csv(path)
+
+
 def test_crlf_panel_file_reads_as_the_lf_file(tmp_path):
     text = ("survey_date,indicator,reference_year,median\n"
             "2015-01-13,IPCA,2015,6.25\n\n2015-01-13,Selic,2016,11.5\n")

@@ -4,6 +4,7 @@ import datetime as dt
 import http.server
 import json
 import logging
+import re
 import socket
 import sys
 import threading
@@ -509,6 +510,25 @@ class TestMarketCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
             load_market_csv(tmp_path / "absent.csv", columns=("DI5Y",))
+
+    # (reader, file text, error, message after the path)
+    REFUSED_FILES = {
+        "empty-market": (load_market_csv, "", ParseError, "empty file"),
+        "frame-gap": (read_frame_csv, "date,a,b\n2015-01-13,1.0,\n", ParseError,
+                      "missing cell on 2015-01-13; frame files allow no gaps"),
+        "frame-header": (read_frame_csv, "day,a\n2015-01-13,1.0\n", SchemaError,
+                         "first header column must be 'date', got ['day', 'a']"),
+        "panel-header": (read_focus_panel_csv, "survey_date,indicator,year,median\n",
+                         SchemaError, "unexpected panel header"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_FILES))
+    def test_refused_file_is_an_error_naming_it(self, tmp_path, case):
+        read, text, error, message = self.REFUSED_FILES[case]
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            read(path)
 
     def test_duplicate_date_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -18,7 +18,14 @@ import pytest
 
 from di_decomp import DailySeries, Frame
 from di_decomp import pipeline
-from di_decomp.errors import ConfigError, DataError, InsufficientDataError, StageError
+from di_decomp.errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    InsufficientDataError,
+    ParseError,
+    StageError,
+)
 from di_decomp.fixture import (
     DEFAULT_FIXTURE_SEED,
     EXPECTATIONS_FILE,
@@ -544,6 +551,49 @@ class TestPipelineErrors:
         with pytest.raises(ConfigError, match="precede"):
             entry(config)
         assert not config.out_dir.exists()
+
+
+# Each failure with the step it is reported under, its cause and the commands
+# that meet it: a step's label does not depend on the command that runs it.
+STEP_FAILURES = {
+    "unparsable-market-row": ("ingest", ParseError,
+                              ("run", "build-factors", "split-cds", "decompose")),
+    "non-positive-cds": ("transform", DomainError, ("run", "build-factors", "split-cds")),
+    "no-macro-factor-file": ("ingest", ParseError, ("decompose",)),
+    "one-di5y-observation": ("transform", InsufficientDataError,
+                             ("run", "build-factors", "decompose")),
+}
+ENTRY_POINTS = {"run": run_pipeline, "build-factors": run_build_factors,
+                "split-cds": run_split_cds, "decompose": run_decompose}
+
+
+@pytest.mark.parametrize("failure, command", [
+    (failure, command) for failure, (*_, commands) in STEP_FAILURES.items() for command in commands
+])
+def test_each_failure_is_reported_under_its_step(tmp_path, failure, command):
+    config = _small_run(tmp_path)
+    run_build_factors(config)  # the stage files decompose reads
+    run_split_cds(config)
+    header, *lines = config.market_csv.read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines]
+    names = header.split(",")
+    di5y, cds = names.index("DI5Y"), names.index("CDS")
+    if failure == "unparsable-market-row":
+        rows[5][di5y] = "x"
+    elif failure == "non-positive-cds":
+        rows[-5][cds] = "0"
+    elif failure == "one-di5y-observation":
+        for row in rows[1:]:
+            row[di5y] = ""
+    else:
+        (config.out_dir / FACTOR_FILE).unlink()
+    config.market_csv.write_text("\n".join([header, *map(",".join, rows)]) + "\n",
+                                 encoding="utf-8")
+    with pytest.raises(StageError) as err:
+        ENTRY_POINTS[command](config)
+    label, cause, _ = STEP_FAILURES[failure]
+    assert (err.value.stage, type(err.value.cause)) == (label, cause)
+    assert str(err.value).startswith(f"stage '{err.value.stage}' failed: ")
 
 
 def readme_ini() -> str:

@@ -233,6 +233,13 @@ class TestProperties:
             assert np.all(np.isfinite(out.values))
 
 
+class TestFrame:
+    @pytest.mark.parametrize("shape", [(6,), (3, 2)], ids=["one-dimensional", "transposed"])
+    def test_data_must_be_dates_by_columns(self, shape):
+        with pytest.raises(SchemaError, match=r"data shape .* does not match 2 dates x 3 columns"):
+            Frame(days(2), ("a", "b", "c"), np.zeros(shape))
+
+
 class TestSharing:
     """Containers hold each array once: views of frozen arrays are kept,
     anything a caller could still write is copied."""
