@@ -52,15 +52,14 @@ _FLAGS = {
     "--betas": ("fixture.betas", "B0,BM,BD,BG", "generating coefficients"),
 }
 
-# Each command: its help, the flags it reads besides --config and --out,
-# and whether it reads --strict/--lenient.
+# Each command: its help and the flags it reads besides --config and --out.
 _COMMANDS = {
-    "run": ("full pipeline", "--market --expectations --start --end", True),
-    "fetch-focus": ("fetch expectations and reshape", "--endpoint --fetch-start --end", False),
-    "build-factors": ("estimate the macro factor", "--market --expectations --end", True),
-    "split-cds": ("split CDS into global and domestic parts", "--market --end", True),
-    "decompose": ("final regression from stage files", "--market --start --end", True),
-    "fixture": ("generate a synthetic dataset", "--seed --n --r2 --betas", False),
+    "run": ("full pipeline", "--market --expectations --start --end"),
+    "fetch-focus": ("fetch expectations and reshape", "--endpoint --fetch-start --end"),
+    "build-factors": ("estimate the macro factor", "--market --expectations --end"),
+    "split-cds": ("split CDS into global and domestic parts", "--market --end"),
+    "decompose": ("final regression from stage files", "--market --start --end"),
+    "fixture": ("generate a synthetic dataset", "--seed --n --r2 --betas"),
 }
 
 
@@ -70,19 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decompose daily 5-year DI futures changes into bps contributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags, reads_strict) in _COMMANDS.items():
+    for command, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", help="INI configuration file")
         p.add_argument("--out", dest="output.dir", metavar="DIR", help="output directory")
         for flag in flags.split():
             dest, metavar, flag_help = _FLAGS[flag]
             p.add_argument(flag, dest=dest, metavar=metavar, help=flag_help)
-        if reads_strict:
-            mode = p.add_mutually_exclusive_group()
-            mode.add_argument("--strict", dest="output.strict", action="store_const",
-                              const="true", help="fail on any bad input row")
-            mode.add_argument("--lenient", dest="output.strict", action="store_const",
-                              const="false", help="skip and count bad input rows")
     return parser
 
 

@@ -13,12 +13,12 @@ Market data arrives as CSV only: header row, first column ``date`` as
 YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
 above ``_read_table``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
-cell that does not parse rejects the row, fatally in strict mode.  A
-record is one physical line, cut into cells at every comma; there is no
-quoting.  A file's newlines are counted first, to size a date array and a
-value matrix with a row per line, so rows stay in file order.  In each
-block of 1024 lines, those with k commas are read in one ``np.loadtxt``
-call; only the lines that fail it are split into cells.
+cell that does not parse is an error naming its line.  A record is one
+physical line, cut into cells at every comma; there is no quoting.  A
+file's newlines are counted first, to size a date array and a value matrix
+with a row per line, so rows stay in file order.  In each block of 1024
+lines, those with k commas are read in one ``np.loadtxt`` call; only the
+lines that fail it are split into cells, up to the first that is refused.
 """
 
 from __future__ import annotations
@@ -133,12 +133,11 @@ class FocusPanel:
 
 @dataclass
 class LoadReport:
-    """Counts accumulated across ingestion steps, emitted as JSON."""
+    """What a fetch and its reshape counted, emitted as load_report.json."""
 
     fetched: int = 0
     deduplicated: int = 0
     dropped_dates: int = 0
-    rejected_rows: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -336,7 +335,7 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
 
     A survey date qualifies only if every indicator has a median for the
     reference years ``year(date) + k`` for k in 0..3; incomplete dates are
-    dropped and counted in ``report.dropped_dates``.
+    dropped, counted in ``report.dropped_dates`` and logged as one warning.
     """
     if not panel.records:
         raise ParseError("reshape_horizons: empty panel")
@@ -355,6 +354,8 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
             continue
         dates.append(d)
         rows.append(row)
+    if dropped:
+        log.warning("dropped %d incomplete survey dates", dropped)
     if report is not None:
         report.dropped_dates += dropped
     data = np.array(rows) if rows else np.empty((0, len(HORIZON_COLUMNS)))
@@ -501,11 +502,11 @@ def _to_rows(lines: list[str], k: int) -> tuple[np.ndarray, np.ndarray] | None:
 def _parse_block(lines, names, dates, values):
     """Write each accepted line to its row of ``dates`` and ``values``, a row per line.
 
-    Returns each rejected line's (index in ``lines``, message, date).  Lines
-    with k commas and only ``_DATA_CHARS`` are read in one ``np.loadtxt``
-    call; the others and those it fails are split at every comma and taken
-    apart cell by cell, which also words their messages.  A blank line is
-    skipped.
+    Returns the first refused line's (index in ``lines``, message, date), or
+    None.  Lines with k commas and only ``_DATA_CHARS`` are read in one
+    ``np.loadtxt`` call; the others and those it fails are split at every
+    comma and taken apart cell by cell, up to the first that is refused,
+    which also words its message.  A blank line is skipped.
     """
     k = len(names)
     suspect = np.array(list(map(str.count, lines, repeat(","))), dtype=int) != k
@@ -515,15 +516,14 @@ def _parse_block(lines, names, dates, values):
     rows = _to_rows([lines[i] for i in fast], k)
     if rows is not None:
         dates[fast], values[fast] = rows
-    rejected = []
     for i in np.flatnonzero(np.isnat(dates)).tolist():
         if not lines[i].strip(" \t,"):
             continue
         try:
             dates[i], values[i] = _parse_row(lines[i].split(","), names)
         except _RowError as exc:
-            rejected.append((i, str(exc), exc.date))
-    return rejected
+            return i, str(exc), exc.date
+    return None
 
 
 @contextmanager
@@ -541,18 +541,15 @@ def _open_text(path: Path) -> Iterator[TextIO]:
 
 
 def _read_table(
-    path: Path | str,
-    columns: Sequence[str] | None,
-    strict: bool,
-    report: LoadReport | None,
+    path: Path | str, columns: Sequence[str] | None
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Parse a date-indexed CSV into (column names, dates, values).
 
     ``columns`` are the expected value columns, or None to take them from
     the header.  Dates come back sorted; ``values`` has one column per name
     and NaN for empty cells.  A row that breaks the grammar, or repeats the
-    date of an earlier accepted row, is rejected: fatally in strict mode,
-    otherwise counted and logged.  Blank lines are skipped.
+    date of an earlier accepted row, is a ParseError naming the earliest
+    such line.  Blank lines are skipped.
     """
     path = Path(path)
     with _open_text(path) as fh:
@@ -574,13 +571,14 @@ def _read_table(
         start, chunks = fh.tell(), iter(lambda: fh.read(1 << 20), "")
         values = np.empty((sum(text.count("\n") for text in chunks) + 1, len(names)))
         dates = np.full(len(values), np.datetime64("NaT", "D"))
-        rejected, lo = [], 0
+        refused, lo = None, 0
         fh.seek(start)
         while chunk := list(islice(fh, _BLOCK_ROWS)):
             lines = "".join(chunk).removesuffix("\n").split("\n")
             block = slice(lo, lo + len(lines))
-            for i, message, date in _parse_block(lines, names, dates[block], values[block]):
-                rejected.append((lo + i + 2, message, date))
+            refused = _parse_block(lines, names, dates[block], values[block])
+            if refused is not None:  # no later line can hold the earliest error
+                break
             lo += len(lines)
 
     nos = np.flatnonzero(~np.isnat(dates)) + 2  # accepted rows, in file order
@@ -590,41 +588,31 @@ def _read_table(
     repeat = np.ones(len(dates), dtype=bool)
     repeat[first] = False
     errors = [(no, f"duplicate date {d}") for no, d in zip(nos[repeat].tolist(), dates[repeat])]
-    for no, message, date in rejected:
+    if refused is not None:
+        i, message, date = refused
+        no = lo + i + 2
         if date is not None:  # its date was read before its cells failed
             at = int(np.searchsorted(unique, date))
             if at < len(unique) and unique[at] == date and nos[first[at]] < no:
                 message = f"duplicate date {date}"
         errors.append((no, message))
-    errors.sort()
-    if errors and strict:
-        no, message = errors[0]
+    if errors:
+        no, message = min(errors)
         raise ParseError(f"{path}: line {no}: {message}")
-    for no, message in errors:
-        log.warning("%s: rejected row: %s", path, f"line {no}: {message}")
-    if report is not None:
-        report.rejected_rows += len(errors)
     rows = nos[first] - 2
     # a sorted file without repeated dates or gaps keeps its first rows in place
     values = values[:len(rows)] if np.array_equal(rows, np.arange(len(rows))) else values[rows]
     return names, _frozen(unique), _frozen(values)
 
 
-def load_market_csv(
-    path: Path | str,
-    columns: Sequence[str] = MARKET_COLUMNS,
-    *,
-    strict: bool = True,
-    report: LoadReport | None = None,
-) -> MarketDataset:
+def load_market_csv(path: Path | str, columns: Sequence[str] = MARKET_COLUMNS) -> MarketDataset:
     """Load a market CSV into one series per column.
 
     The header must be exactly ``date`` followed by ``columns``.  Rows are
-    sorted by date on load; unparseable cells reject the whole row (an
-    error in strict mode, a counted warning otherwise); empty cells simply
-    omit that date from the affected series.
+    sorted by date on load; a cell that does not parse is an error naming
+    its line; empty cells simply omit that date from the affected series.
     """
-    names, dates, values = _read_table(path, columns, strict, report)
+    names, dates, values = _read_table(path, columns)
     series = []
     for j, name in enumerate(names):
         present = ~np.isnan(values[:, j])
@@ -680,10 +668,9 @@ def frame_to_csv(frame: Frame, path: Path | str) -> None:
     _write_columns_csv(path, frame.names, frame.dates, frame.data)
 
 
-def read_frame_csv(path: Path | str, *, strict: bool = True,
-                   report: LoadReport | None = None) -> Frame:
+def read_frame_csv(path: Path | str) -> Frame:
     """Read a frame written by :func:`frame_to_csv` (all cells required)."""
-    names, dates, values = _read_table(path, None, strict, report)
+    names, dates, values = _read_table(path, None)
     gaps = np.flatnonzero(np.isnan(values).any(axis=1))
     if gaps.size:
         raise ParseError(
@@ -701,7 +688,10 @@ def write_focus_panel_csv(panel: FocusPanel, path: Path | str) -> None:
 
 
 def read_focus_panel_csv(path: Path | str) -> FocusPanel:
+    """Read a panel written by :func:`write_focus_panel_csv`; a bad record is an
+    error naming its line."""
     path = Path(path)
+    lines: dict[tuple[dt.date, str, int], int] = {}  # each cell's line
     records = []
     with _open_text(path) as fh:
         header = fh.readline().removesuffix("\n").split(",")
@@ -720,8 +710,13 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
                 raise ParseError(f"{path}: line {no}: {exc}") from exc
             if record.indicator not in INDICATORS:
                 raise SchemaError(f"{path}: line {no}: unknown indicator {_shown(record.indicator)}")
+            key = (record.survey_date, record.indicator, record.reference_year)
+            if key in lines:
+                raise SchemaError(f"{path}: line {no}: duplicate panel cell "
+                                  f"{','.join(map(str, key))} (first on line {lines[key]})")
+            if record.reference_year < record.survey_date.year:
+                raise SchemaError(f"{path}: line {no}: reference year {record.reference_year} "
+                                  f"precedes survey date {record.survey_date}")
+            lines[key] = no
             records.append(record)
-    try:
-        return FocusPanel(tuple(records))
-    except SchemaError as exc:  # a repeated cell or a reference year before its survey
-        raise SchemaError(f"{path}: {exc}") from exc
+    return FocusPanel(tuple(records))

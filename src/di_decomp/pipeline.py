@@ -60,6 +60,7 @@ from .ingestion import (
     HORIZON_COLUMNS,
     INDICATORS,
     LoadReport,
+    MARKET_COLUMNS,
     MarketDataset,
     fetch_focus,
     frame_to_csv,
@@ -122,15 +123,6 @@ __all__ = [
 # files; counts are plain ASCII digits.
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {_shown(raw)}")
-
-
 def _count(raw: str) -> int:
     """A non-negative integer in ASCII digits; spaces and tabs around ignored."""
     text = raw.strip(" \t")
@@ -159,7 +151,6 @@ class PipelineConfig:
     start: dt.date | None = _setting("sample", "start", _read_date, None)
     end: dt.date | None = _setting("sample", "end", _read_date, None)
     out_dir: Path = _setting("output", "dir", Path, Path("out"))
-    strict: bool = _setting("output", "strict", _bool, True)
     # the [fixture] settings are used only by the fixture command
     seed: int = _setting("fixture", "seed", _count, DEFAULT_FIXTURE_SEED)
     fixture_n: int = _setting("fixture", "n", _count, DEFAULT_N)
@@ -173,18 +164,10 @@ class PipelineConfig:
             raise ConfigError(f"sample start {self.start} must precede end {self.end}")
 
     def echo(self) -> dict:
-        """Configuration snapshot for the run report, without the [fixture] settings."""
-
-        def plain(value):
-            if isinstance(value, dt.date):
-                return value.isoformat()
-            return str(value) if isinstance(value, Path) else value
-
-        return {
-            f.name: plain(getattr(self, f.name))
-            for f in fields(self)
-            if f.metadata["key"][0] != "fixture"
-        }
+        """The settings the final regression reads, for the run report; ``run``
+        and ``decompose`` read the same ones."""
+        echoed = {name: getattr(self, name) for name in ("market_csv", "start", "end", "out_dir")}
+        return {name: None if value is None else str(value) for name, value in echoed.items()}
 
 
 _SETTINGS = {f.metadata["key"]: f for f in fields(PipelineConfig)}
@@ -250,12 +233,11 @@ def load_config(
 
 
 class _Stage:
-    """One stage run in its output directory: its current step, load counts and files written."""
+    """One stage run in its output directory: its current step and files written."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.label = "ingest"  # the step a failure is reported under, set by each step
-        self.counts = LoadReport()  # every file or fetch the stage loads adds to these
         self.written: list[tuple[Path, Path]] = []  # (temporary, final) paths
 
     def temp(self, name: str) -> Path:
@@ -322,42 +304,46 @@ def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) ->
         raise DataError(f"{what} join produced 0 rows ({detail})")
 
 
-def _load_expectations(stage: _Stage, config: PipelineConfig) -> Frame:
-    """A horizon CSV's frame, or a focus panel CSV's (read strictly) if its header says so."""
+def _load_expectations(config: PipelineConfig) -> Frame:
+    """A horizon CSV's frame, or a focus panel CSV's if its header says so."""
     path = config.expectations_csv
     if path is None:
         raise ConfigError("no expectations source: set data.expectations_csv")
     with _open_text(Path(path)) as fh:
         if not fh.readline().startswith("survey_date,"):  # the panel header's first cell
-            return read_frame_csv(path, strict=config.strict, report=stage.counts)
-    panel = read_focus_panel_csv(path)
-    stage.counts.fetched += len(panel)
-    return reshape_horizons(panel, stage.counts)
+            return read_frame_csv(path)
+    return reshape_horizons(read_focus_panel_csv(path))
 
 
-def _load_market(stage: _Stage, config: PipelineConfig) -> MarketDataset:
+def _load_market(config: PipelineConfig) -> MarketDataset:
     if config.market_csv is None:
         raise ConfigError("no market data source: set data.market_csv")
-    return load_market_csv(config.market_csv, strict=config.strict, report=stage.counts)
+    return load_market_csv(config.market_csv)
 
 
-def _target(market: MarketDataset, end: dt.date | None) -> DailySeries:
-    """Daily DI5Y changes in bps up to ``end``: every regression's target."""
-    return to_bps_change(market["DI5Y"].window(end=end)).with_name(TARGET_NAME)
+# The market columns each fit reads; a stage transforms only those its fits read.
+_FACTOR_COLUMNS = ("DI5Y", "SURPRISE")
+_CDS_COLUMNS = ("CDS", *REGRESSOR_ORDER)
 
 
-def _transform_market(market: MarketDataset, end: dt.date | None) -> MarketDataset:
-    """Daily transforms over the full available history up to ``end``."""
+def _transform_market(
+    market: MarketDataset, end: dt.date | None, columns: Sequence[str]
+) -> MarketDataset:
+    """Each of ``columns``' daily moves over its full history up to ``end``.
+
+    DI5Y becomes the target in bps and SURPRISE ``SURPRISE_diff``; UST10 is
+    differenced and the other columns are log returns.
+    """
     # each on its own calendar: a frame's inner join would drop the factor fit's pre-CDS days
-    def upto(name: str) -> DailySeries:
-        return market[name].window(end=end)
+    def moves(name: str) -> DailySeries:
+        series = market[name].window(end=end)
+        if name == "DI5Y":
+            return to_bps_change(series).with_name(TARGET_NAME)
+        if name == "SURPRISE":
+            return diff(series).with_name(SURPRISE_DIFF_NAME)
+        return diff(series) if name == "UST10" else log_return(series)
 
-    return MarketDataset((
-        _target(market, end),
-        *(log_return(upto(name)) for name in ("CDS", "DXY", "CRB", "VIX")),
-        diff(upto("UST10")),
-        diff(upto("SURPRISE")).with_name(SURPRISE_DIFF_NAME),
-    ))
+    return MarketDataset(tuple(map(moves, columns)))
 
 
 def _factor_design(
@@ -406,17 +392,20 @@ def _std_dev_table(c: Frame, fit_fitted: np.ndarray) -> dict:
     return table
 
 
-def _factors(stage: _Stage, config: PipelineConfig) -> tuple[MarketDataset, PlsModel, DailySeries]:
-    """Load and transform the inputs, fit the macro factor and write its files.
+def _factors(
+    stage: _Stage, config: PipelineConfig, columns: Sequence[str]
+) -> tuple[MarketDataset, PlsModel, DailySeries]:
+    """Load the inputs, transform the market ``columns`` (the factor's and any
+    a later step reads), fit the macro factor and write its files.
 
     Writes macro_factor.csv and pls_model.json, and returns the transformed
     market set, the model and the factor.
     """
-    market = _load_market(stage, config)
-    expectations = _load_expectations(stage, config)
+    market = _load_market(config)
+    expectations = _load_expectations(config)
 
     stage.label = "transform"
-    transformed = _transform_market(market, config.end)
+    transformed = _transform_market(market, config.end, columns)
     del market  # the transforms hold every value the later stages use
 
     stage.label = "factors"
@@ -474,7 +463,6 @@ def _final(
         "regression": model.to_dict(),
         "std_dev_bps": _std_dev_table(contribs, model.fit.fitted),
         "variance_shares": variance_shares(contribs).to_dict(),
-        "counts": stage.counts.to_dict(),
         "version": __version__,
         "config": config.echo(),
     }
@@ -497,36 +485,37 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
     ``transport`` is forwarded to :func:`di_decomp.ingestion.fetch_focus`;
     tests inject recorded payloads there.
     """
+    counts = LoadReport()
     with _stage(config) as stage:
         panel = fetch_focus(INDICATORS, (config.fetch_start, config.end or dt.date.today()),
-                            config.endpoint, transport=transport, report=stage.counts)
-        horizon = reshape_horizons(panel, stage.counts)
+                            config.endpoint, transport=transport, report=counts)
+        horizon = reshape_horizons(panel, counts)
         stage.label = "emit"
         write_focus_panel_csv(panel, stage.path(FOCUS_PANEL_FILE))
         frame_to_csv(horizon, stage.path(EXPECTATIONS_OUT_FILE))
-        _write_json(stage.path(LOAD_REPORT_FILE), stage.counts.to_dict())
-    return stage.counts
+        _write_json(stage.path(LOAD_REPORT_FILE), counts.to_dict())
+    return counts
 
 
 def run_build_factors(config: PipelineConfig) -> PlsModel:
     """Build the macro factor, emit macro_factor.csv + pls_model.json."""
     with _stage(config) as stage:
-        return _factors(stage, config)[1]
+        return _factors(stage, config, _FACTOR_COLUMNS)[1]
 
 
 def run_split_cds(config: PipelineConfig) -> CdsSplitModel:
     """Split CDS moves, emit cds_components.csv + cds_model.json."""
     with _stage(config) as stage:
-        market = _load_market(stage, config)
+        market = _load_market(config)
         stage.label = "transform"
-        return _split(stage, _transform_market(market, config.end))[0]
+        return _split(stage, _transform_market(market, config.end, _CDS_COLUMNS))[0]
 
 
 def run_decompose(config: PipelineConfig) -> dict:
     """Final regression from the four stage files in the output directory, all
     required; returns report.json's content."""
     with _stage(config) as stage:
-        market = _load_market(stage, config)
+        market = _load_market(config)
         factor = read_frame_csv(stage.out_dir / FACTOR_FILE).series(FACTOR_NAME)
         components = read_frame_csv(stage.out_dir / COMPONENTS_FILE)
         models_payload = {}
@@ -539,7 +528,7 @@ def run_decompose(config: PipelineConfig) -> dict:
             if not isinstance(models_payload[key], dict):
                 raise ParseError(f"{fh.name}: not a JSON object")
         stage.label = "transform"
-        d_di5y = _target(market, config.end)
+        d_di5y = _transform_market(market, config.end, ("DI5Y",))[TARGET_NAME]
         del market  # the target holds every market value the regression uses
         return _final(stage, config, d_di5y, factor, components, models_payload)
 
@@ -550,7 +539,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Reruns with identical inputs and configuration produce byte-identical files.
     """
     with _stage(config) as stage:
-        transformed, pls_model, factor = _factors(stage, config)
+        transformed, pls_model, factor = _factors(stage, config, MARKET_COLUMNS)
         cds_model, components = _split(stage, transformed)
         models_payload = {"pls": pls_model.to_dict(), "cds_split": cds_model.to_dict()}
         return _final(stage, config, transformed[TARGET_NAME], factor, components, models_payload)

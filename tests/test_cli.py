@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit codes."""
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -160,6 +161,24 @@ class TestStagedCommands:
         assert (out / CONTRIBUTIONS_FILE).exists()
         assert "final cumulative change" in capsys.readouterr().out
 
+    def test_staged_commands_write_the_files_of_run(self, fixture_dir, tmp_path):
+        """Every file byte for byte; report.json but its echoed output directory."""
+        run_out, staged = tmp_path / "run", tmp_path / "staged"
+        assert main(run_args(fixture_dir, run_out)) == 0
+        common = ["--market", str(fixture_dir / MARKET_FILE), "--out", str(staged)]
+        expectations = ["--expectations", str(fixture_dir / EXPECTATIONS_FILE)]
+        assert main(["build-factors", *common, *expectations]) == 0
+        assert main(["split-cds", *common]) == 0
+        assert main(["decompose", *common]) == 0
+        outputs = []
+        for out in (run_out, staged):
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            report = json.loads(files.pop(REPORT_FILE))
+            assert report["config"].pop("out_dir") == str(out)
+            outputs.append({**files, REPORT_FILE: report})
+        assert len(outputs[0]) == 9
+        assert outputs[0] == outputs[1]
+
     def test_decompose_without_stage_files_is_data_error(self, fixture_dir, tmp_path):
         rc = main(
             [
@@ -180,18 +199,17 @@ class TestUnreadableFiles:
         if kind == "directory":
             ini.mkdir()  # configparser.read would skip it and run on defaults
         elif kind == "not-utf-8":
-            ini.write_bytes(b"[output]\nstrict = true\n# caf\xe9\n")
+            ini.write_bytes(b"[output]\ndir = out\n# caf\xe9\n")
         else:
-            ini.write_text("strict = true\n", encoding="utf-8")  # a key before any section
+            ini.write_text("dir = out\n", encoding="utf-8")  # a key before any section
         rc = main(run_args(fixture_dir, tmp_path / "out", "--config", str(ini)))
         assert rc == 2
         verb = "parse" if kind == "not-ini" else "read"
         assert f"cannot {verb} config file {ini}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mode", ["strict", "lenient"])
     @pytest.mark.parametrize("source", ["market", "expectations", "focus-panel"])
-    def test_data_file_not_utf8_is_data_error(self, fixture_dir, tmp_path, capsys, source, mode):
+    def test_data_file_not_utf8_is_data_error(self, fixture_dir, tmp_path, capsys, source):
         inputs = {"market": fixture_dir / MARKET_FILE,
                   "expectations": fixture_dir / EXPECTATIONS_FILE}
         bad = tmp_path / "bad.csv"
@@ -203,7 +221,7 @@ class TestUnreadableFiles:
             bad.write_bytes(inputs[source].read_bytes() + b"2099-01-05,1\xff.0\n")
             inputs[source] = bad
         argv = ["run", *(a for flag, path in inputs.items() for a in (f"--{flag}", str(path)))]
-        rc = main([*argv, "--out", str(tmp_path / "out"), f"--{mode}"])
+        rc = main([*argv, "--out", str(tmp_path / "out")])
         assert rc == 3
         assert f"{bad}: not UTF-8 text (byte 0xff" in capsys.readouterr().err
 
@@ -262,6 +280,9 @@ REMOVED_SETTINGS = {
     "env-components": ("decompose", None, {"DI_DECOMP_DATA_COMPONENTS_CSV": "c.csv"}, [],
                        "data.components_csv"),
     "flag-components": ("decompose", None, {}, ["--components", "c.csv"], "--components"),
+    # every input is read strictly: a rejected row is always an error
+    "ini-strict": ("run", "[output]\nstrict = false\n", {}, [], "output.strict"),
+    "env-strict": ("run", None, {"DI_DECOMP_OUTPUT_STRICT": "false"}, [], "output.strict"),
 }
 
 
@@ -293,15 +314,14 @@ def test_removed_setting_is_config_error(tmp_path, monkeypatch, capsys, offline,
     assert not (tmp_path / "out").exists()
 
 
-# The flags each command reads besides --config and --out, and whether it
-# reads --strict/--lenient.
+# The flags each command reads besides --config and --out.
 COMMAND_FLAGS = {
-    "run": ({"--market", "--expectations", "--start", "--end"}, True),
-    "build-factors": ({"--market", "--expectations", "--end"}, True),
-    "split-cds": ({"--market", "--end"}, True),
-    "decompose": ({"--market", "--start", "--end"}, True),
-    "fetch-focus": ({"--endpoint", "--fetch-start", "--end"}, False),
-    "fixture": ({"--seed", "--n", "--r2", "--betas"}, False),
+    "run": {"--market", "--expectations", "--start", "--end"},
+    "build-factors": {"--market", "--expectations", "--end"},
+    "split-cds": {"--market", "--end"},
+    "decompose": {"--market", "--start", "--end"},
+    "fetch-focus": {"--endpoint", "--fetch-start", "--end"},
+    "fixture": {"--seed", "--n", "--r2", "--betas"},
 }
 
 # Flags that a command does not read, each with a value where it would take one.
@@ -314,6 +334,9 @@ REMOVED_FLAGS = [
     ("fetch-focus", "--lenient"),
     ("fixture", "--start", "2015-01-13"), ("fixture", "--end", "2025-01-13"),
     ("fixture", "--strict"), ("fixture", "--lenient"),
+    # no command skips bad input rows
+    *((command, mode) for command in ("run", "build-factors", "split-cds", "decompose")
+      for mode in ("--strict", "--lenient")),
 ]
 
 
@@ -344,11 +367,9 @@ class TestFlags:
         assert commands.keys() == COMMAND_FLAGS.keys()
         slots = 0
         for command, flags in commands.items():
-            own, reads_strict = COMMAND_FLAGS[command]
-            strict = {"--strict", "--lenient"} if reads_strict else set()
-            assert flags == {"--config", "--out"} | own | strict, command
+            assert flags == {"--config", "--out"} | COMMAND_FLAGS[command], command
             slots += len(flags)
-        assert slots == 39
+        assert slots == 31
 
     def test_readme_synopsis_lists_each_commands_flags(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -380,9 +401,6 @@ class TestFlags:
                     continue
                 key = tuple(action.dest.split("."))
                 assert len(key) == 2, (command, action.dest)
-                if action.const is not None:  # --strict, --lenient
-                    load_config(None, env={}, overrides={key: action.const})
-                    continue
                 try:
                     load_config(None, env={}, overrides={key: "?"})
                 except ConfigError as exc:

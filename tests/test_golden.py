@@ -31,7 +31,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "default_fixture.json").read_text(encoding="utf-8"))
 STRESS = json.loads((GOLDEN_DIR / "stress_fixture.json").read_text(encoding="utf-8"))
 # report.json echoes input and output paths, which differ per run
-PATH_KEYS = ("market_csv", "expectations_csv", "out_dir")
+PATH_KEYS = ("market_csv", "out_dir")
 
 
 def _run(root, fixture):

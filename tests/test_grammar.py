@@ -3,7 +3,7 @@
 A record is one physical line, cut into cells at every comma; there is no
 quoting.  Dates are YYYY-MM-DD calendar days and values point-decimal reals
 in ASCII digits; an empty cell is a missing observation.  Every rejected
-cell below is an error in strict mode and one counted row in lenient mode,
+cell below is an error naming its line, and the lines before it are read,
 on every supported Python version (``date.fromisoformat`` and ``float``
 alone would accept some of them, and which ones depends on the version).
 Config dates and reals follow the same grammar, and config counts are plain
@@ -12,14 +12,13 @@ flag.
 """
 
 import datetime as dt
-import logging
 import re
 import time
 
 import numpy as np
 import pytest
 
-from di_decomp import Frame, LoadReport, ingestion, load_market_csv
+from di_decomp import Frame, ingestion, load_market_csv
 from di_decomp.cli import main
 from di_decomp.errors import ConfigError, ParseError, SchemaError
 from di_decomp.ingestion import frame_to_csv, read_focus_panel_csv, read_frame_csv
@@ -82,11 +81,16 @@ def _market(tmp_path, row):
 
 
 def _assert_rejected(path, message="", rows=1):
-    with pytest.raises(ParseError, match=re.escape(f"line 2: {message}")):
-        load_market_csv(path, columns=("DI5Y",))
-    report = LoadReport()
-    series = load_market_csv(path, columns=("DI5Y",), strict=False, report=report)["DI5Y"]
-    assert report.rejected_rows == rows
+    """Lines 2 to ``rows + 1`` are each refused in turn, the first with
+    ``message``; once they are blanked, the good row after them reads."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    for no in range(2, rows + 2):
+        expected = f"line {no}: {message if no == 2 else ''}"
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            load_market_csv(path, columns=("DI5Y",))
+        lines[no - 1] = ""  # a blank line keeps the numbers of the lines after it
+        path.write_text("\n".join(lines), encoding="utf-8")
+    series = load_market_csv(path, columns=("DI5Y",))["DI5Y"]
     assert [str(d) for d in series.dates] == ["2015-01-14"]
     np.testing.assert_array_equal(series.values, [12.6])
 
@@ -111,11 +115,7 @@ def test_unquoted_decimal_comma_is_a_cell_count_error(tmp_path):
 
 @pytest.mark.parametrize("row, expected", ACCEPTED)
 def test_accepted(tmp_path, row, expected):
-    report = LoadReport()
-    series = load_market_csv(
-        _market(tmp_path, row), columns=("DI5Y",), strict=False, report=report
-    )["DI5Y"]
-    assert report.rejected_rows == 0
+    series = load_market_csv(_market(tmp_path, row), columns=("DI5Y",))["DI5Y"]
     if expected is None:
         assert [str(d) for d in series.dates] == ["2015-01-14"]
     else:
@@ -148,20 +148,21 @@ def test_messages_name_the_column_and_cell(tmp_path):
 
 
 
-def test_line_numbers_count_physical_lines(tmp_path, caplog):
+def test_line_numbers_count_physical_lines(tmp_path):
     # each physical line is a record: a quote does not carry a cell over a
-    # line break, so lines 2, 3 and 4 are each rejected under their own number
+    # line break, so lines 2, 3 and 4 are each rejected under their own
+    # number, each once the lines before it are blanked
     path = tmp_path / "m.csv"
-    path.write_bytes(b'date,DI5Y\n2015-01-13,"12.5\n"\n2015-01-14,x\n')
-    with pytest.raises(ParseError, match="line 2: "):
-        load_market_csv(path, columns=("DI5Y",))
-    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
-        load_market_csv(path, columns=("DI5Y",), strict=False)
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 3
-    assert messages[0].endswith("line 2: column 'DI5Y': cannot parse '\"12.5' as a point-decimal real")
-    assert messages[1].endswith("line 3: expected 2 cells, got 1")
-    assert messages[2].endswith("line 4: column 'DI5Y': cannot parse 'x' as a point-decimal real")
+    lines = ["date,DI5Y", '2015-01-13,"12.5', '"', "2015-01-14,x", ""]
+    for no, message in [
+        (2, "column 'DI5Y': cannot parse '\"12.5' as a point-decimal real"),
+        (3, "expected 2 cells, got 1"),
+        (4, "column 'DI5Y': cannot parse 'x' as a point-decimal real"),
+    ]:
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line {no}: {message}") + "$"):
+            load_market_csv(path, columns=("DI5Y",))
+        lines[no - 1] = ""
 
 
 # There is no CSV quoting: a quoted cell is a cell outside the grammar.
@@ -224,28 +225,25 @@ LONG_CELLS = {
 
 
 @pytest.mark.parametrize("cell", LONG_CELLS.values(), ids=LONG_CELLS.keys())
-def test_long_cell_is_one_rejected_row_at_its_line(tmp_path, caplog, cell):
+def test_long_cell_is_one_rejected_row_at_its_line(tmp_path, cell):
     path = tmp_path / "frame.csv"
-    path.write_text(f"date,x\n2015-01-12,0\n2015-01-13,{cell}\n2015-01-14,1\n2015-01-15,2\n",
-                    encoding="utf-8")
+    lines = ["date,x", "2015-01-12,0", f"2015-01-13,{cell}", "2015-01-14,1", "2015-01-15,2", ""]
+    path.write_text("\n".join(lines), encoding="utf-8")
     message = f"line 3: column 'x': cannot parse {bounded(cell)} as a point-decimal real"
-    with pytest.raises(ParseError, match=re.escape(message)) as err:
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=re.escape(message) + "$") as err:
         read_frame_csv(path)
-    assert len(str(err.value)) < 300
-    report, started = LoadReport(), time.perf_counter()
-    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
-        frame = read_frame_csv(path, strict=False, report=report)
     assert time.perf_counter() - started < 2.0
-    assert report.rejected_rows == 1
-    assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [message]
-    assert len(caplog.records[0].getMessage()) < 300
+    assert len(str(err.value)) < 300
+    lines[2] = ""  # the lines after it are records of their own
+    path.write_text("\n".join(lines), encoding="utf-8")
+    frame = read_frame_csv(path)
     assert [str(d) for d in frame.dates] == ["2015-01-12", "2015-01-14", "2015-01-15"]
     assert frame.data.ravel().tolist() == [0.0, 1.0, 2.0]
 
 
-# A long market cell, a value or a date, gives a short message under strict
-# and a short warning under lenient, naming its line and, for a value, its
-# column.
+# A long market cell, a value or a date, gives a short message naming its
+# line and, for a value, its column.
 LONG_MARKET_ROWS = {
     "value": ("2015-01-13,{}\n", "1" * 200_000 + "x",
               "line 2: column 'DI5Y': cannot parse {} as a point-decimal real"),
@@ -254,17 +252,26 @@ LONG_MARKET_ROWS = {
 
 
 @pytest.mark.parametrize("case", sorted(LONG_MARKET_ROWS))
-def test_long_market_cell_message_is_bounded(tmp_path, caplog, case):
+def test_long_market_cell_message_is_bounded(tmp_path, case):
     row, cell, message = LONG_MARKET_ROWS[case]
     path = _market(tmp_path, row.format(cell))
     message = message.format(bounded(cell))
     with pytest.raises(ParseError) as err:
         load_market_csv(path, columns=("DI5Y",))
     assert str(err.value).endswith(message) and len(str(err.value)) < 300
-    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
-        load_market_csv(path, columns=("DI5Y",), strict=False)
-    (warning,) = [r.getMessage() for r in caplog.records]
-    assert warning.endswith(message) and len(warning) < 300
+
+
+def _refused_then_rest(path, text, message, dates):
+    """``text`` fails at line 2 with ``message``; with line 2 blanked, the
+    lines after it read as ``dates`` and the values 1, 2, ...."""
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 2: {message}") + "$") as err:
+        read_frame_csv(path)
+    assert len(str(err.value)) < 300
+    path.write_text("date,x\n\n" + text.split("\n", 2)[2], encoding="utf-8")
+    frame = read_frame_csv(path)
+    assert [str(d) for d in frame.dates] == dates
+    assert frame.data.ravel().tolist() == list(map(float, range(1, len(dates) + 1)))
 
 
 # A '"' that opens a cell and is never closed no longer carries its record
@@ -273,19 +280,13 @@ def test_long_market_cell_message_is_bounded(tmp_path, caplog, case):
 UNCLOSED_QUOTE_CELL = '"' + "1" * 200_000
 
 
-def test_refused_record_spanning_lines_is_one_rejected_row(tmp_path, caplog):
-    path = tmp_path / "frame.csv"
-    path.write_text(f"date,x\n2015-01-13,{UNCLOSED_QUOTE_CELL}\n2015-01-14,1\n2015-01-16,2\n",
-                    encoding="utf-8")
-    report = LoadReport()
-    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
-        frame = read_frame_csv(path, strict=False, report=report)
-    assert report.rejected_rows == 1
-    assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
-        f"line 2: column 'x': cannot parse {bounded(UNCLOSED_QUOTE_CELL)} as a point-decimal real"
-    ]
-    assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-16"]
-    assert frame.data.ravel().tolist() == [1.0, 2.0]
+def test_refused_record_spanning_lines_is_one_rejected_row(tmp_path):
+    _refused_then_rest(
+        tmp_path / "frame.csv",
+        f"date,x\n2015-01-13,{UNCLOSED_QUOTE_CELL}\n2015-01-14,1\n2015-01-16,2\n",
+        f"column 'x': cannot parse {bounded(UNCLOSED_QUOTE_CELL)} as a point-decimal real",
+        ["2015-01-14", "2015-01-16"],
+    )
 
 
 # A long cell with a '"' inside it ends at its line.
@@ -294,32 +295,25 @@ STRAY_QUOTE_RECORD = f"2015-01-13,{STRAY_QUOTE_CELL}\n"
 AFTER_STRAY_QUOTE = "2015-01-14,1\n2015-01-15,2\n2015-01-16,3\n2015-01-17,4\n"
 
 
-def test_refused_record_with_a_stray_quote_ends_at_its_line(tmp_path, caplog):
-    path = tmp_path / "frame.csv"
-    path.write_text("date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE, encoding="utf-8")
-    report = LoadReport()
-    with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
-        frame = read_frame_csv(path, strict=False, report=report)
-    assert report.rejected_rows == 1
-    assert [r.getMessage().split(": ", 2)[2] for r in caplog.records] == [
-        f"line 2: column 'x': cannot parse {bounded(STRAY_QUOTE_CELL)} as a point-decimal real"
-    ]
-    assert [str(d) for d in frame.dates] == ["2015-01-14", "2015-01-15", "2015-01-16",
-                                             "2015-01-17"]
-    assert frame.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+def test_refused_record_with_a_stray_quote_ends_at_its_line(tmp_path):
+    _refused_then_rest(
+        tmp_path / "frame.csv",
+        "date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE,
+        f"column 'x': cannot parse {bounded(STRAY_QUOTE_CELL)} as a point-decimal real",
+        ["2015-01-14", "2015-01-15", "2015-01-16", "2015-01-17"],
+    )
 
 
 def test_refused_record_with_a_stray_quote_fails_strict_at_its_line(tmp_path):
     path = tmp_path / "frame.csv"
-    path.write_text("date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE + "2015-01-18,x\n",
-                    encoding="utf-8")
+    text = "date,x\n" + STRAY_QUOTE_RECORD + AFTER_STRAY_QUOTE + "2015-01-18,x\n"
+    path.write_text(text, encoding="utf-8")
     message = f"line 2: column 'x': cannot parse {bounded(STRAY_QUOTE_CELL)}"
     with pytest.raises(ParseError, match=re.escape(message)):
         read_frame_csv(path)
-    report = LoadReport()
-    frame = read_frame_csv(path, strict=False, report=report)
-    assert report.rejected_rows == 2  # the refused record and line 7
-    assert len(frame.dates) == 4
+    path.write_text("date,x\n\n" + text.split("\n", 2)[2], encoding="utf-8")
+    with pytest.raises(ParseError, match="line 7: column 'x': cannot parse 'x'"):
+        read_frame_csv(path)  # the next refused record
 
 
 # A block of 1024 lines is read in one np.loadtxt call.  A record that fails
@@ -336,21 +330,23 @@ def cell_reads(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("line_500, rows, rejected, reads", [
-    (BLOCK_LINES[499], 1024, 0, 0),
-    (BLOCK_LINES[499] + ",7", 1023, 1, 1),  # an extra cell
-    ("", 1023, 0, 0),
+@pytest.mark.parametrize("line_500, rows, reads", [
+    (BLOCK_LINES[499], 1024, 0),
+    (BLOCK_LINES[499] + ",7", None, 1),  # an extra cell: refused at line 501
+    ("", 1023, 0),
 ], ids=["clean", "extra cell", "blank line"])
-def test_only_a_failing_record_is_read_cell_by_cell(
-    tmp_path, cell_reads, line_500, rows, rejected, reads
-):
+def test_only_a_failing_record_is_read_cell_by_cell(tmp_path, cell_reads, line_500, rows, reads):
     assert ingestion._BLOCK_ROWS == len(BLOCK_LINES)
     path = tmp_path / "frame.csv"
     lines = [*BLOCK_LINES[:499], line_500, *BLOCK_LINES[500:]]
     path.write_text("date,x,y\n" + "\n".join(lines) + "\n", encoding="utf-8")
-    report = LoadReport()
-    frame = read_frame_csv(path, strict=False, report=report)
-    assert (len(frame.dates), report.rejected_rows, len(cell_reads)) == (rows, rejected, reads)
+    if rows is None:
+        with pytest.raises(ParseError, match="line 501: expected 3 cells, got 4$"):
+            read_frame_csv(path)
+        assert len(cell_reads) == reads
+        return
+    frame = read_frame_csv(path)
+    assert (len(frame.dates), len(cell_reads)) == (rows, reads)
     assert frame.data[:3].tolist() == [[0.5, -0.0], [1.5, -1.0], [2.5, -2.0]]
 
 
@@ -447,8 +443,10 @@ def test_unknown_panel_indicator_names_its_line(tmp_path):
 
 
 @pytest.mark.parametrize("rows, message", [
-    ("2015-01-13,IPCA,2015,6.25\n2015-01-13,IPCA,2015,6.5\n", "duplicate panel cell"),
-    ("2015-01-13,IPCA,2014,6.25\n", "reference year 2014 precedes survey date 2015-01-13"),
+    ("2015-01-13,IPCA,2015,6.25\n2015-01-13,IPCA,2016,6.0\n2015-01-13, IPCA ,2015,6.5\n",
+     "line 4: duplicate panel cell 2015-01-13,IPCA,2015 (first on line 2)"),
+    ("2015-01-13,IPCA,2015,6.25\n2015-01-13,IPCA,2014,6.25\n",
+     "line 3: reference year 2014 precedes survey date 2015-01-13"),
 ], ids=["duplicate", "past-year"])
 def test_panel_cell_error_names_the_file(tmp_path, rows, message):
     path = tmp_path / "panel.csv"

@@ -444,7 +444,7 @@ class TestReshapeHorizons:
             [15.00, 12.00, 10.50, 9.50],
         )
 
-    def test_incomplete_date_dropped_and_counted(self):
+    def test_incomplete_date_dropped_and_counted(self, caplog):
         complete = full_panel_for(
             D0, {ind: (1.0, 2.0, 3.0, 4.0) for ind in
                  ("IPCA", "Selic", "PIB", "Primario", "Nominal")}
@@ -456,9 +456,11 @@ class TestReshapeHorizons:
         )
         partial = [r for r in partial if not (r.indicator == "PIB" and r.reference_year == 2007)]
         report = LoadReport()
-        frame = reshape_horizons(FocusPanel(tuple(complete + partial)), report)
+        with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
+            frame = reshape_horizons(FocusPanel(tuple(complete + partial)), report)
         assert frame.dates.tolist() == [D0]
         assert report.dropped_dates == 1
+        assert [r.getMessage() for r in caplog.records] == ["dropped 1 incomplete survey dates"]
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ParseError):
@@ -481,16 +483,6 @@ class TestMarketCsv:
         path.write_text('date,DI5Y\n2015-01-13,"12,50"\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 2"):
             load_market_csv(path, columns=("DI5Y",))
-
-    def test_lenient_mode_counts_rejections(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text(
-            'date,DI5Y\n2015-01-13,"12,50"\n2015-01-14,12.60\n', encoding="utf-8"
-        )
-        report = LoadReport()
-        dataset = load_market_csv(path, columns=("DI5Y",), strict=False, report=report)
-        assert report.rejected_rows == 1
-        assert len(dataset["DI5Y"]) == 1
 
     def test_unsorted_rows_are_sorted(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -548,14 +540,15 @@ class TestMarketCsv:
 
     def test_rejected_row_does_not_claim_its_date(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text(
-            "date,DI5Y\n2015-01-13,oops\n2015-01-13,12.50\n2015-01-13,12.60\n",
-            encoding="utf-8",
-        )
-        report = LoadReport()
-        s = load_market_csv(path, columns=("DI5Y",), strict=False, report=report)["DI5Y"]
-        assert report.rejected_rows == 2
-        np.testing.assert_array_equal(s.values, [12.50])
+        lines = ["date,DI5Y", "2015-01-13,oops", "2015-01-13,12.50", "2015-01-13,12.60", ""]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: column 'DI5Y': cannot parse 'oops'"):
+            load_market_csv(path, columns=("DI5Y",))
+        lines[1] = ""
+        path.write_text("\n".join(lines), encoding="utf-8")
+        # line 3 holds the date, so line 4 repeats it
+        with pytest.raises(ParseError, match="line 4: duplicate date 2015-01-13$"):
+            load_market_csv(path, columns=("DI5Y",))
 
     def test_empty_cells_mean_missing_observation(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -36,10 +36,13 @@ from di_decomp.ingestion import (
     HORIZON_COLUMNS,
     INDICATOR_QUERY_NAMES,
     INDICATORS,
+    FocusPanel,
+    FocusRecord,
     MarketDataset,
     frame_to_csv,
     horizon_column,
     read_frame_csv,
+    write_focus_panel_csv,
     write_market_csv,
 )
 from di_decomp.pipeline import (
@@ -211,9 +214,9 @@ def test_factor_design_peaks_near_its_own_bytes(bundled, tmp_path, monkeypatch):
     seen = {}
     transform = pipeline._transform_market
 
-    def transform_then_reset(market, end):
+    def transform_then_reset(market, end, columns):
         seen["market"] = market  # held here, so dropping it frees nothing
-        result = transform(market, end)
+        result = transform(market, end, columns)
         tracemalloc.reset_peak()
         seen["before"] = tracemalloc.get_traced_memory()[0]
         return result
@@ -241,31 +244,26 @@ def test_factor_design_peaks_near_its_own_bytes(bundled, tmp_path, monkeypatch):
     assert seen["peak"] <= 1.5 * seen["bytes"]
 
 
+def write_panel_of(horizon_csv: Path, panel_csv: Path) -> None:
+    """Write the focus panel whose reshape is the horizon CSV's frame."""
+    horizon = read_frame_csv(horizon_csv)
+    records = []
+    for i, d in enumerate(horizon.dates.tolist()):
+        for ind in INDICATORS:
+            for k in range(4):
+                median = float(horizon.column(horizon_column(ind, k))[i])
+                records.append(FocusRecord(d, ind, d.year + k, median))
+    write_focus_panel_csv(FocusPanel(tuple(records)), panel_csv)
+
+
 class TestFocusPanelSource:
     def test_panel_cache_reproduces_horizon_csv_run(self, tmp_path):
         """A panel and the reshaped horizon CSV, each as data.expectations_csv,
-        write the same files but report.json."""
-        from di_decomp.ingestion import (
-            FocusPanel,
-            FocusRecord,
-            INDICATORS,
-            read_frame_csv,
-            write_focus_panel_csv,
-        )
-
+        write the same files; report.json differs only in the echoed output directory."""
         fixture_dir = tmp_path / "fx"
         generate_fixture(6, 300, path=fixture_dir)
-        horizon = read_frame_csv(fixture_dir / EXPECTATIONS_FILE)
-        records = []
-        for i, d in enumerate(horizon.dates.tolist()):
-            for ind in INDICATORS:
-                for k in range(4):
-                    col = f"{ind}_year" if k == 0 else f"{ind}_year_{k}"
-                    records.append(
-                        FocusRecord(d, ind, d.year + k, float(horizon.column(col)[i]))
-                    )
         panel_path = tmp_path / "panel.csv"
-        write_focus_panel_csv(FocusPanel(tuple(records)), panel_path)
+        write_panel_of(fixture_dir / EXPECTATIONS_FILE, panel_path)
 
         outputs = []
         for expectations in (fixture_dir / EXPECTATIONS_FILE, panel_path):
@@ -274,33 +272,30 @@ class TestFocusPanelSource:
                                         expectations_csv=expectations, out_dir=out))
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()
                             if p.name != REPORT_FILE})
-        assert len(outputs[0]) == 8
+            report = json.loads((out / REPORT_FILE).read_text(encoding="utf-8"))
+            assert report["config"].pop("out_dir") == str(out)
+            outputs[-1][REPORT_FILE] = report
+        assert len(outputs[0]) == 9
         assert outputs[0] == outputs[1]
-
-    def test_panel_is_read_strictly_under_lenient(self, tmp_path):
-        fixture_dir = tmp_path / "fx"
-        generate_fixture(6, 300, path=fixture_dir)
-        panel = tmp_path / "panel.csv"
-        panel.write_text("survey_date,indicator,reference_year,median\n"
-                         "2015-01-13,IPCA,2015,x\n", encoding="utf-8")
-        config = PipelineConfig(market_csv=fixture_dir / MARKET_FILE, expectations_csv=panel,
-                                strict=False, out_dir=tmp_path / "out")
-        with pytest.raises(StageError, match="line 2: cannot parse 'x'"):
-            run_pipeline(config)
 
 
 class TestStagedEquivalence:
-    @pytest.mark.parametrize("window", [
-        {},
-        {"start": dt.date(2015, 3, 2), "end": dt.date(2016, 1, 29)},
-    ], ids=["no-window", "window"])
-    def test_staged_run_reproduces_full_run(self, tmp_path, window):
+    # the horizon CSV's cases keep their plain ids
+    @pytest.mark.parametrize("source, window", [
+        (source, window) for source in ("horizon", "panel") for window in (
+            {}, {"start": dt.date(2015, 3, 2), "end": dt.date(2016, 1, 29)})
+    ], ids=["no-window", "window", "panel-no-window", "panel-window"])
+    def test_staged_run_reproduces_full_run(self, tmp_path, source, window):
         """Every file matches; report.json differs only in the echoed output directory."""
         fixture_dir = tmp_path / "fx"
         generate_fixture(5, 400, path=fixture_dir)
+        expectations = fixture_dir / EXPECTATIONS_FILE
+        if source == "panel":
+            expectations = tmp_path / "panel.csv"
+            write_panel_of(fixture_dir / EXPECTATIONS_FILE, expectations)
         base = dict(
             market_csv=fixture_dir / MARKET_FILE,
-            expectations_csv=fixture_dir / EXPECTATIONS_FILE,
+            expectations_csv=expectations,
             **window,
         )
         full_out = tmp_path / "full"
@@ -555,10 +550,12 @@ class TestPipelineErrors:
 
 # Each failure with the step it is reported under, its cause and the commands
 # that meet it: a step's label does not depend on the command that runs it.
+# Each command transforms only the market columns it reads, so the others
+# succeed.
 STEP_FAILURES = {
     "unparsable-market-row": ("ingest", ParseError,
                               ("run", "build-factors", "split-cds", "decompose")),
-    "non-positive-cds": ("transform", DomainError, ("run", "build-factors", "split-cds")),
+    "non-positive-cds": ("transform", DomainError, ("run", "split-cds")),
     "no-macro-factor-file": ("ingest", ParseError, ("decompose",)),
     "one-di5y-observation": ("transform", InsufficientDataError,
                              ("run", "build-factors", "decompose")),
@@ -568,7 +565,7 @@ ENTRY_POINTS = {"run": run_pipeline, "build-factors": run_build_factors,
 
 
 @pytest.mark.parametrize("failure, command", [
-    (failure, command) for failure, (*_, commands) in STEP_FAILURES.items() for command in commands
+    (failure, command) for failure in STEP_FAILURES for command in ENTRY_POINTS
 ])
 def test_each_failure_is_reported_under_its_step(tmp_path, failure, command):
     config = _small_run(tmp_path)
@@ -589,9 +586,12 @@ def test_each_failure_is_reported_under_its_step(tmp_path, failure, command):
         (config.out_dir / FACTOR_FILE).unlink()
     config.market_csv.write_text("\n".join([header, *map(",".join, rows)]) + "\n",
                                  encoding="utf-8")
+    label, cause, commands = STEP_FAILURES[failure]
+    if command not in commands:
+        ENTRY_POINTS[command](config)
+        return
     with pytest.raises(StageError) as err:
         ENTRY_POINTS[command](config)
-    label, cause, _ = STEP_FAILURES[failure]
     assert (err.value.stage, type(err.value.cause)) == (label, cause)
     assert str(err.value).startswith(f"stage '{err.value.stage}' failed: ")
 
@@ -610,9 +610,8 @@ class TestConfigLayering:
         assert len(str(err.value)) < 300
 
     @pytest.mark.parametrize("key, value", [
-        ("sample.start", "01/13/2015"), ("fixture.r2", "0.00_1"),
-        ("output.strict", "maybe"), ("fixture.n", "2_741"),
-    ], ids=["date", "real", "boolean", "count"])
+        ("sample.start", "01/13/2015"), ("fixture.r2", "0.00_1"), ("fixture.n", "2_741"),
+    ], ids=["date", "real", "count"])
     def test_bad_value_is_shown_once(self, key, value):
         section, name = key.split(".")
         with pytest.raises(ConfigError, match=f"^bad value for {key}: ") as err:
@@ -642,7 +641,7 @@ class TestConfigLayering:
         ini.write_text(
             "[data]\nmarket_csv = file_market.csv\n\n"
             "[sample]\nstart = 2015-01-13\nend = 2020-01-01\n\n"
-            "[output]\ndir = file_out\nstrict = true\n",
+            "[output]\ndir = file_out\n",
             encoding="utf-8",
         )
         env = {

@@ -7,7 +7,6 @@ Calendars are drawn from 1900-2100, so many dates lie before 1970, where
 """
 
 import datetime as dt
-import logging
 import math
 import re
 
@@ -20,7 +19,6 @@ import di_decomp.ingestion as ingestion
 from di_decomp import (
     DailySeries,
     Frame,
-    LoadReport,
     MarketDataset,
     accumulate,
     contributions,
@@ -37,7 +35,7 @@ from di_decomp.decomposition import (
     fit_decomposition_frame,
     join_decomposition_inputs,
 )
-from di_decomp.errors import SingularDesignError
+from di_decomp.errors import ParseError, SingularDesignError
 from di_decomp.ingestion import frame_to_csv, load_market_csv, read_frame_csv, write_market_csv
 
 from oracles import normal_equations_ols
@@ -203,10 +201,10 @@ def _reference_load(text, names):
     """The same grammar read line by line: the loop the column-wise parser replaces.
 
     Each physical line is a record, cut into cells at every comma, so a
-    quoted cell is rejected.  Returns each column's (dates, values) and the
-    rejection messages, which name the record's line.
+    quoted cell is rejected.  Returns each column's (dates, values) and
+    None, or None and the first rejection's message, which names its line.
     """
-    accepted, errors = {}, []
+    accepted = {}
     for no, line in enumerate(text.removesuffix("\n").split("\n"), start=1):
         cells = line.split(",")
         if no == 1 or not any(c.strip(" \t") for c in cells):
@@ -217,14 +215,13 @@ def _reference_load(text, names):
                 raise ingestion._RowError(f"duplicate date {date}")
         except ingestion._RowError as exc:
             duplicate = exc.date is not None and exc.date in accepted
-            errors.append(f"line {no}: " + (f"duplicate date {exc.date}" if duplicate else str(exc)))
-            continue
+            return None, f"line {no}: " + (f"duplicate date {exc.date}" if duplicate else str(exc))
         accepted[date] = values
     columns = []
     for j in range(len(names)):
         kept = [(d, v[j]) for d, v in sorted(accepted.items()) if not math.isnan(v[j])]
         columns.append(([d.item() for d, _ in kept], np.array([v for _, v in kept]).tobytes()))
-    return columns, errors
+    return columns, None
 
 
 @PROPERTY_SETTINGS
@@ -239,32 +236,27 @@ def _reference_load(text, names):
     ),
     block=st.sampled_from([1, 2, 3, 8192]),
 )
-def test_lenient_parse_matches_line_by_line_reference(tmp_path_factory, rows, block):
-    """Rejections, duplicates and warnings come out as if read line by line,
-    whatever the block size."""
+def test_strict_parse_matches_line_by_line_reference(tmp_path_factory, rows, block):
+    """The columns, or the first rejection or duplicate, come out as if read
+    line by line, whatever the block size."""
     names = ("A", "B")
     lines = ["date,A,B"] + [r if r == "" else ",".join([r[0], *r[1]]) for r in rows]
     text = "\n".join(lines) + "\n"
     path = tmp_path_factory.mktemp("blocks") / "m.csv"
     path.write_text(text, encoding="utf-8")
 
-    report, records = LoadReport(), []
-    handler = logging.Handler()
-    handler.emit = records.append
-    log = logging.getLogger("di_decomp.ingestion")
-    log.addHandler(handler)
+    columns, error = _reference_load(text, names)
     mp = pytest.MonkeyPatch()
     mp.setattr(ingestion, "_BLOCK_ROWS", block)
     try:
-        dataset = load_market_csv(path, columns=names, strict=False, report=report)
+        if error is not None:
+            with pytest.raises(ParseError, match=re.escape(f"{path}: {error}") + "$"):
+                load_market_csv(path, columns=names)
+            return
+        dataset = load_market_csv(path, columns=names)
     finally:
         mp.undo()
-        log.removeHandler(handler)
-
-    columns, errors = _reference_load(text, names)
     assert [(s.dates.tolist(), s.values.tobytes()) for s in dataset.series] == columns
-    assert report.rejected_rows == len(errors)
-    assert [r.getMessage() for r in records] == [f"{path}: rejected row: {e}" for e in errors]
 
 
 def _trading_days(n):
