@@ -39,7 +39,8 @@ from .ingestion import (
     HORIZON_COLUMNS,
     MARKET_COLUMNS,
     MarketDataset,
-    _write_json,
+    _json_text,
+    _write_text,
     frame_to_csv,
     horizon_column,
     write_market_csv,
@@ -254,5 +255,5 @@ def generate_fixture(
         "cds_gamma": {k: float(v) for k, v in gamma.items()},
         "macro_scale_post_window": float(np.std(m[n_pre:], ddof=1)),
     }
-    _write_json(out_dir / TRUTH_FILE, truth)
+    _write_text(out_dir / TRUTH_FILE, _json_text(truth))
     return truth

@@ -620,14 +620,13 @@ def load_market_csv(path: Path | str, columns: Sequence[str] = MARKET_COLUMNS) -
     return MarketDataset(tuple(series))
 
 
-def _write_columns_csv(
-    path: Path | str,
+def _columns_csv(
     names: Sequence[str],
     dates: np.ndarray,
     data: np.ndarray,
     cell: str = "{!r}",
-) -> None:
-    """Write ``date`` and ``names`` as the header, then one row per date.
+) -> str:
+    """CSV text: ``date`` and ``names`` as the header, then one row per date.
 
     ``data`` has one column per name.  Every value goes through the format
     field ``cell``: the default ``repr`` round-trips floats exactly, and
@@ -636,20 +635,24 @@ def _write_columns_csv(
     break would not read back, so it is a SchemaError.
     """
     if any(sep in name for name in names for sep in ",\n\r"):
-        raise SchemaError(f"{path}: a column name holds a comma or line break: {list(names)}")
+        raise SchemaError(f"a column name holds a comma or line break: {list(names)}")
     row = "{}" + f",{cell}" * len(names) + "\n"
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["date", *names]) + "\n")
-        for lo in range(0, len(dates), _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            days = np.datetime_as_string(dates[block]).tolist()
-            text = "".join(map(row.format, days, *data[block].T.tolist()))
-            fh.write(text.replace("nan", ""))
+    blocks = [",".join(["date", *names]) + "\n"]
+    for lo in range(0, len(dates), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        days = np.datetime_as_string(dates[block]).tolist()
+        blocks.append("".join(map(row.format, days, *data[block].T.tolist())).replace("nan", ""))
+    return "".join(blocks)
 
 
-def _write_json(path: Path | str, payload: dict) -> None:
+def _json_text(payload: dict) -> str:
     """``payload`` as 2-space indented JSON with a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write_text(path: Path | str, text: str) -> None:
+    """``text`` as the UTF-8 file ``path``, its newlines written as they are."""
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def write_market_csv(dataset: MarketDataset, path: Path | str) -> None:
@@ -660,12 +663,12 @@ def write_market_csv(dataset: MarketDataset, path: Path | str) -> None:
     data = np.full((len(dates), len(dataset.series)), np.nan)
     for j, s in enumerate(dataset.series):
         data[np.searchsorted(dates, s.dates), j] = s.values
-    _write_columns_csv(path, dataset.names, dates, data)
+    _write_text(path, _columns_csv(dataset.names, dates, data))
 
 
 def frame_to_csv(frame: Frame, path: Path | str) -> None:
     """Write a frame as date + point-decimal columns (exact float round trip)."""
-    _write_columns_csv(path, frame.names, frame.dates, frame.data)
+    _write_text(path, _columns_csv(frame.names, frame.dates, frame.data))
 
 
 def read_frame_csv(path: Path | str) -> Frame:
@@ -679,12 +682,16 @@ def read_frame_csv(path: Path | str) -> Frame:
     return Frame(dates, names, values)
 
 
+def _panel_csv(panel: FocusPanel) -> str:
+    """A focus panel's CSV text, one record per line."""
+    return "survey_date,indicator,reference_year,median\n" + "".join(
+        f"{r.survey_date.isoformat()},{r.indicator},{r.reference_year},{float(r.median)!r}\n"
+        for r in panel.records
+    )
+
+
 def write_focus_panel_csv(panel: FocusPanel, path: Path | str) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("survey_date,indicator,reference_year,median\n")
-        for r in panel.records:
-            fh.write(f"{r.survey_date.isoformat()},{r.indicator},{r.reference_year},"
-                     f"{float(r.median)!r}\n")
+    _write_text(path, _panel_csv(panel))
 
 
 def read_focus_panel_csv(path: Path | str) -> FocusPanel:

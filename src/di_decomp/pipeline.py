@@ -5,7 +5,7 @@ The full run is a fixed sequence of stages: ingest -> transform -> factors
 through the CLI, consuming the previous stage's emitted files, so a run can
 be resumed and audited piecewise.
 
-Each stage has one body, which writes its files into the output directory:
+Each stage has one body, which emits its files for the output directory:
 ``_factors`` macro_factor.csv and pls_model.json, ``_split``
 cds_components.csv and cds_model.json, and ``_final`` contributions.csv,
 cumulative.csv, models.json, report.json and decomposition.svg.  ``run``
@@ -25,6 +25,12 @@ Outputs are deterministic: identical inputs, configuration and software
 version produce byte-identical files.  A stage holds a ``flock`` on its
 output directory, which ends with its process, even a killed one, and its
 files replace the previous run's only once the whole stage has succeeded.
+
+A stage uses a second core through one helper, ``_forked``: a forked child
+parses the market file while the factor stage parses the expectations, and
+formats about half of the files' text at the end of every stage.  Only the
+stage's own process holds the lock and writes in the output directory; the
+child sends back what it made over a pipe, and makes no BLAS or LAPACK call.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ import datetime as dt
 import fcntl
 import json
 import os
+import pickle
+import signal
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -63,23 +71,28 @@ from .ingestion import (
     MARKET_COLUMNS,
     MarketDataset,
     fetch_focus,
-    frame_to_csv,
     load_market_csv,
     read_focus_panel_csv,
     read_frame_csv,
     reshape_horizons,
+    _columns_csv,
+    _json_text,
     _open_text,
+    _panel_csv,
     _read_date,
     _read_real,
     _shown,
-    _write_columns_csv,
-    _write_json,
-    write_focus_panel_csv,
+    _write_text,
 )
 from .pls import FACTOR_NAME, PlsModel, macro_factor, pls1_fit
 from .series import DailySeries, Frame, diff, inner_join, log_return, to_bps_change
 from .series import _frozen, _require_points
-from .svg_chart import emit_svg
+from .svg_chart import render_svg
+
+# perfbench/tracing.py wraps these file writers under this module's names; the
+# stages format text with _columns_csv, _panel_csv and render_svg instead.
+from .ingestion import frame_to_csv, write_focus_panel_csv  # noqa: F401
+from .svg_chart import emit_svg  # noqa: F401
 
 SURPRISE_DIFF_NAME = "SURPRISE_diff"
 
@@ -233,21 +246,121 @@ def load_config(
 
 
 class _Stage:
-    """One stage run in its output directory: its current step and files written."""
+    """One stage run in its output directory: its lock, its current step and
+    the files it writes."""
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, lock: int):
         self.out_dir = out_dir
+        self.lock = lock  # the flock descriptor, which a forked child closes first
         self.label = "ingest"  # the step a failure is reported under, set by each step
-        self.written: list[tuple[Path, Path]] = []  # (temporary, final) paths
+        self.files: list[tuple[str, int, Callable[[], str]]] = []  # (name, cells, text)
 
     def temp(self, name: str) -> Path:
         return self.out_dir / f".{name}.tmp"
 
-    def path(self, name: str) -> Path:
-        """A temporary path for ``name``, moved into place if the stage succeeds."""
-        temp = self.temp(name)
-        self.written.append((temp, self.out_dir / name))
-        return temp
+    def emit(self, name: str, cells: int, text: Callable[[], str]) -> None:
+        """Write ``text()`` as file ``name`` once every step has run; ``cells``,
+        the values it formats, weighs the work."""
+        self.files.append((name, cells, text))
+
+    def emit_frame(self, name: str, frame: Frame, cell: str = "{!r}") -> None:
+        """Write ``frame`` as the CSV file ``name``, each value formatted by ``cell``."""
+        self.emit(name, _cells(frame),
+                  lambda: _columns_csv(frame.names, frame.dates, frame.data, cell))
+
+    def emit_json(self, name: str, payload: dict) -> None:
+        self.emit(name, 1, lambda: _json_text(payload))
+
+
+def _cells(frame: Frame) -> int:
+    """The cells of ``frame`` as a table: a date and its values per row."""
+    return frame.n_rows * (len(frame.names) + 1)
+
+
+@contextmanager
+def _forked(lock: int, work: Callable[[], list]) -> Iterator[Callable[[], Iterator]]:
+    """Run ``work`` in a forked child while the ``with`` block runs here.
+
+    The child first closes ``lock``, so only this process holds the stage's
+    lock, and writes nothing but a pipe.  It pickles each item of the list
+    ``work`` returns, one at a time, or the exception ``work`` raised, into
+    the pipe, then leaves through ``os._exit``.  The block gets a function
+    whose generator yields those items, reaps the child once the pipe is
+    read to its end, and raises the child's exception here; a child that
+    ends without an answer is a ``ChildProcessError`` naming its signal or
+    status.  Leaving the block before that kills the child and reaps it.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child: it never returns
+        status = 1
+        try:
+            os.close(lock)
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    answers = [("item", item) for item in work()] + [("end", None)]
+                except BaseException as exc:  # the parent raises it
+                    answers = [("raise", exc)]
+                for answer in answers:
+                    pickle.dump(answer, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    reaped = False
+
+    def items() -> Iterator:
+        nonlocal reaped
+        with pipe:  # read to its end before reaping, or a full pipe stalls the child
+            try:
+                while (answer := pickle.load(pipe))[0] == "item":
+                    yield answer[1]
+            except EOFError:
+                answer = ("died", None)
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if answer[0] == "raise":
+            raise answer[1]
+        if answer[0] == "died":
+            code = os.waitstatus_to_exitcode(status)
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with status {code}")
+            raise ChildProcessError(f"the forked child {how} before it answered")
+
+    try:
+        yield items
+    finally:
+        if not reaped:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _write_files(stage: _Stage) -> None:
+    """Format the stage's files in two groups of near-equal cells, the second
+    in a forked child, and write each here under its temporary name.
+
+    Largest first, each file joins the group with fewer cells so far.
+    """
+    groups: tuple[list, list] = ([], [])
+    cells = [0, 0]
+    for name, n, text in sorted(stage.files, key=lambda file: -file[1]):
+        lighter = cells.index(min(cells))
+        groups[lighter].append((name, text))
+        cells[lighter] += n
+    mine, theirs = groups
+    with _forked(stage.lock, lambda: [(name, text()) for name, text in theirs]) as answers:
+        for name, text in mine:
+            _write_text(stage.temp(name), text())
+        for name, text in answers():
+            _write_text(stage.temp(name), text)
 
 
 @contextmanager
@@ -255,11 +368,12 @@ def _stage(config: PipelineConfig) -> Iterator[_Stage]:
     """Run a stage with exclusive ownership of the output directory.
 
     An invalid config, failing to create the directory, or finding it
-    locked raises ``ConfigError`` as is.  Files are written under temporary
-    names, after those a killed run left are removed, and renamed into place
-    once the stage succeeds.  Any other failure removes the temporary files
-    and those renamed so far, and is re-raised as a ``StageError`` under the
-    label of the step that failed.
+    locked raises ``ConfigError`` as is.  After the temporary files a
+    killed run left are removed, the steps run; then, as the ``emit`` step,
+    the files they emitted are written under temporary names and renamed
+    into place.  Any other failure removes the temporary files and those
+    renamed so far, and is re-raised as a ``StageError`` under the label of
+    the step that failed.
     """
     config.validate()
     out = Path(config.out_dir)
@@ -275,17 +389,19 @@ def _stage(config: PipelineConfig) -> Iterator[_Stage]:
         if isinstance(exc, BlockingIOError):
             raise ConfigError(f"output directory is locked by another run: {out}") from None
         raise
-    stage = _Stage(out)
+    stage = _Stage(out, lock)
     renamed: list[Path] = []
     try:
         for name in _STAGE_FILES:
             stage.temp(name).unlink(missing_ok=True)
         yield stage
-        for temp, final in stage.written:
-            os.replace(temp, final)
-            renamed.append(final)
+        stage.label = "emit"
+        _write_files(stage)
+        for name, *_ in stage.files:
+            os.replace(stage.temp(name), out / name)
+            renamed.append(out / name)
     except Exception as exc:
-        for p in renamed + [temp for temp, _ in stage.written]:
+        for p in renamed + [stage.temp(name) for name, *_ in stage.files]:
             with suppress(OSError):
                 p.unlink()
         raise StageError(stage.label, exc) from exc
@@ -396,13 +512,21 @@ def _factors(
     stage: _Stage, config: PipelineConfig, columns: Sequence[str]
 ) -> tuple[MarketDataset, PlsModel, DailySeries]:
     """Load the inputs, transform the market ``columns`` (the factor's and any
-    a later step reads), fit the macro factor and write its files.
+    a later step reads), fit the macro factor and emit its files.
 
-    Writes macro_factor.csv and pls_model.json, and returns the transformed
-    market set, the model and the factor.
+    A forked child parses the market file while this process parses the
+    larger expectations file.  If the expectations fail, the child's verdict
+    is awaited, so a broken market file's error wins as if it were read
+    first.  Emits macro_factor.csv and pls_model.json, and returns the
+    transformed market set, the model and the factor.
     """
-    market = _load_market(config)
-    expectations = _load_expectations(config)
+    with _forked(stage.lock, lambda: [_load_market(config)]) as child:
+        try:
+            expectations = _load_expectations(config)
+        except Exception:
+            list(child())
+            raise
+        market, = child()
 
     stage.label = "transform"
     transformed = _transform_market(market, config.end, columns)
@@ -414,20 +538,19 @@ def _factors(
     model = pls1_fit(x, y)
     factor = macro_factor(model, x)
     del x, y
-    factor_frame = Frame(factor.dates, (FACTOR_NAME,), factor.values.reshape(-1, 1))
-    frame_to_csv(factor_frame, stage.path(FACTOR_FILE))
-    _write_json(stage.path(PLS_MODEL_FILE), model.to_dict())
+    stage.emit_frame(FACTOR_FILE, Frame(factor.dates, (FACTOR_NAME,), factor.values.reshape(-1, 1)))
+    stage.emit_json(PLS_MODEL_FILE, model.to_dict())
     return transformed, model, factor
 
 
 def _split(stage: _Stage, transformed: MarketDataset) -> tuple[CdsSplitModel, Frame]:
-    """Split CDS moves; write cds_components.csv (the returned frame) and cds_model.json."""
+    """Split CDS moves; emit cds_components.csv (the returned frame) and cds_model.json."""
     stage.label = "cds-split"
     model, components = split_cds(transformed["CDS"], *(transformed[n] for n in REGRESSOR_ORDER))
     data = np.column_stack([components.glob.values, components.dom.values])
     frame = Frame(components.glob.dates, (GLOBAL_NAME, DOMESTIC_NAME), data)
-    frame_to_csv(frame, stage.path(COMPONENTS_FILE))
-    _write_json(stage.path(CDS_MODEL_FILE), model.to_dict())
+    stage.emit_frame(COMPONENTS_FILE, frame)
+    stage.emit_json(CDS_MODEL_FILE, model.to_dict())
     return model, frame
 
 
@@ -441,7 +564,7 @@ def _final(
 ) -> dict:
     """The final regression with its contributions and cumulative sums.
 
-    ``components`` is the frame in cds_components.csv.  Writes contributions.csv,
+    ``components`` is the frame in cds_components.csv.  Emits contributions.csv,
     cumulative.csv, models.json (``models_payload`` and the decomposition),
     report.json and decomposition.svg, and returns report.json's content.
     """
@@ -466,11 +589,11 @@ def _final(
         "version": __version__,
         "config": config.echo(),
     }
-    for name, frame in ((CONTRIBUTIONS_FILE, contribs), (CUMULATIVE_FILE, cum)):
-        _write_columns_csv(stage.path(name), frame.names, frame.dates, frame.data, "{:.4f}")
-    _write_json(stage.path(MODELS_FILE), {**models_payload, "decomposition": model.to_dict()})
-    _write_json(stage.path(REPORT_FILE), report)
-    emit_svg(cum, stage.path(SVG_FILE))
+    stage.emit_frame(CONTRIBUTIONS_FILE, contribs, "{:.4f}")
+    stage.emit_frame(CUMULATIVE_FILE, cum, "{:.4f}")
+    stage.emit_json(MODELS_FILE, {**models_payload, "decomposition": model.to_dict()})
+    stage.emit_json(REPORT_FILE, report)
+    stage.emit(SVG_FILE, _cells(cum), lambda: render_svg(cum))  # an x and six y per row
     return report
 
 
@@ -490,10 +613,9 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
         panel = fetch_focus(INDICATORS, (config.fetch_start, config.end or dt.date.today()),
                             config.endpoint, transport=transport, report=counts)
         horizon = reshape_horizons(panel, counts)
-        stage.label = "emit"
-        write_focus_panel_csv(panel, stage.path(FOCUS_PANEL_FILE))
-        frame_to_csv(horizon, stage.path(EXPECTATIONS_OUT_FILE))
-        _write_json(stage.path(LOAD_REPORT_FILE), counts.to_dict())
+        stage.emit(FOCUS_PANEL_FILE, 4 * len(panel), lambda: _panel_csv(panel))
+        stage.emit_frame(EXPECTATIONS_OUT_FILE, horizon)
+        stage.emit_json(LOAD_REPORT_FILE, counts.to_dict())
     return counts
 
 

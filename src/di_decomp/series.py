@@ -11,7 +11,8 @@ values can be shared freely across threads.
 
 Arrays are held once.  A constructor keeps, uncopied, an array that nothing
 can write: a read-only array that owns its memory, or a view of one such as
-a window or column of another container.  It copies any other array.
+a window or column of another container, or a read-only view of an
+immutable ``bytes`` object, as unpickling makes.  It copies any other array.
 Functions that allocate a result freeze it with ``_frozen`` to hand it over.
 """
 
@@ -47,8 +48,10 @@ __all__ = [
 def _shared(values, dtype: str) -> np.ndarray:
     """``values`` as a read-only ``dtype`` array, uncopied if nothing can write it."""
     if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
-        owner = values if values.base is None else values.base
-        if type(owner) is np.ndarray and owner.flags.owndata and not owner.flags.writeable:
+        owner = values
+        while type(owner.base) is np.ndarray:  # down to the array over the memory
+            owner = owner.base
+        if not owner.flags.writeable and (owner.flags.owndata or type(owner.base) is bytes):
             return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -92,6 +95,12 @@ def _window_slice(
     return slice(lo, max(lo, hi))
 
 
+def _unpickled_series(name: str, dates: np.ndarray, values: np.ndarray) -> "DailySeries":
+    """A pickled series rebuilt through the constructor.  Its arrays are new
+    and nothing else holds them, so freezing them lets it keep them."""
+    return DailySeries(name, _frozen(dates), _frozen(values))
+
+
 @dataclass(frozen=True, eq=False)
 class DailySeries:
     """A named, date-indexed sequence of finite float observations.
@@ -123,6 +132,9 @@ class DailySeries:
 
     def __len__(self) -> int:
         return len(self.dates)
+
+    def __reduce__(self):
+        return _unpickled_series, (self.name, self.dates, self.values)
 
     def with_name(self, name: str) -> "DailySeries":
         return dataclasses.replace(self, name=name)

@@ -31,7 +31,7 @@ SERIES_STYLE = tuple((name, *style) for name, style in zip(CUMULATIVE_COLUMNS, (
     ("Residual", "#9467bd", 1.4),
 ), strict=True))
 
-__all__ = ["emit_svg", "SERIES_STYLE"]
+__all__ = ["emit_svg", "render_svg", "SERIES_STYLE"]
 
 
 def _nice_step(span: float) -> float:
@@ -55,7 +55,12 @@ def _axis_ticks(lo: float, hi: float) -> list[float]:
 
 
 def emit_svg(cum: Frame, path: Path | str) -> None:
-    """Render the six cumulative series to a well-formed standalone SVG file.
+    """Write :func:`render_svg`'s chart of ``cum`` to the file ``path``."""
+    Path(path).write_text(render_svg(cum), encoding="utf-8")
+
+
+def render_svg(cum: Frame) -> str:
+    """The six cumulative series as a well-formed standalone SVG document.
 
     ``cum`` is a frame with the columns named in :data:`SERIES_STYLE`, as
     returned by :func:`di_decomp.decomposition.accumulate`.
@@ -65,7 +70,7 @@ def emit_svg(cum: Frame, path: Path | str) -> None:
     """
     if cum.n_rows < 2:
         raise InsufficientDataError(
-            f"emit_svg: need at least 2 rows, got {cum.n_rows}"
+            f"render_svg: need at least 2 rows, got {cum.n_rows}"
         )
     validate_cumulative(cum)
 
@@ -157,5 +162,4 @@ def emit_svg(cum: Frame, path: Path | str) -> None:
         )
 
     parts.append("</svg>")
-    with Path(path).open("w", encoding="utf-8") as fh:  # one part at a time
-        fh.writelines(part + "\n" for part in parts)
+    return "\n".join(parts) + "\n"

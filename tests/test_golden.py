@@ -9,6 +9,10 @@ BLAS builds.  Entries that are zero up to rounding (the orthogonal CDS
 components' correlation, ~5e-16) are compared with an absolute floor of
 1e-12 instead.
 
+A cold ``python -m di_decomp.cli run`` on the default fixture must write
+the same five pinned files: that is a fresh interpreter forking its
+stages' children, the path a user's run takes.
+
 ``golden/stress_fixture.json`` pins the same five digests at seed 1,
 n=20000.  A change of rounding order can move the last bits of a ``{!r}``
 cell there and not at n=2741: one stacked-right-hand-side solve in
@@ -20,6 +24,9 @@ a run of the new code and say why in the change log.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +58,19 @@ def golden_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def cli_run(golden_run):
+    """The CLI run as a subprocess over ``golden_run``'s fixture files."""
+    fixture, out = golden_run.parent / "fixture", golden_run.parent / "cli"
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "di_decomp.cli", "run",
+                    "--market", str(fixture / MARKET_FILE),
+                    "--expectations", str(fixture / EXPECTATIONS_FILE), "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    return out
+
+
+@pytest.fixture(scope="module")
 def stress_run(tmp_path_factory):
     return _run(tmp_path_factory.mktemp("stress"), STRESS["fixture"])
 
@@ -73,6 +93,12 @@ def _assert_close(actual, expected, where="$"):
 @pytest.mark.parametrize("name", sorted(GOLDEN["sha256"]))
 def test_output_digest(golden_run, name):
     digest = hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN["sha256"][name], name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["sha256"]))
+def test_cli_output_digest(cli_run, name):
+    digest = hashlib.sha256((cli_run / name).read_bytes()).hexdigest()
     assert digest == GOLDEN["sha256"][name], name
 
 

@@ -8,23 +8,27 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import urllib.parse
 import xml.etree.ElementTree as ET
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from di_decomp import DailySeries, Frame
-from di_decomp import pipeline
+from di_decomp import cli, pipeline
 from di_decomp.errors import (
     ConfigError,
     DataError,
     DomainError,
     InsufficientDataError,
     ParseError,
+    SchemaError,
     StageError,
+    exit_code_for,
 )
 from di_decomp.fixture import (
     DEFAULT_FIXTURE_SEED,
@@ -368,18 +372,22 @@ def _small_run(tmp_path) -> PipelineConfig:
     )
 
 
-# A CLI run whose chart writer writes part of the chart, says so on stdout
+# A CLI run whose file writer writes part of the chart, says so on stdout
 # and then stalls, so that the run can be killed while it emits.
 _STALLED_RUN = """
 import sys, time
 from di_decomp import cli, pipeline
 
-def stalled(cum, path):
+write = pipeline._write_text
+
+def stalled(path, text):
+    if path.name != ".decomposition.svg.tmp":
+        return write(path, text)
     path.write_text("<svg", encoding="utf-8")
     print("emitting", flush=True)
     time.sleep(120)
 
-pipeline.emit_svg = stalled
+pipeline._write_text = stalled
 cli.main(sys.argv[1:])
 """
 
@@ -509,11 +517,15 @@ class TestPipelineErrors:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(before) == 9
 
-        def disk_full(cum, path):
+        write = pipeline._write_text
+
+        def disk_full(path, text):
+            if path.name != f".{SVG_FILE}.tmp":
+                return write(path, text)
             path.write_text("<svg", encoding="utf-8")  # a partial chart
             raise OSError("disk full")
 
-        monkeypatch.setattr(pipeline, "emit_svg", disk_full)
+        monkeypatch.setattr(pipeline, "_write_text", disk_full)
         with pytest.raises(StageError, match="emit"):
             run_pipeline(config)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -594,6 +606,170 @@ def test_each_failure_is_reported_under_its_step(tmp_path, failure, command):
         ENTRY_POINTS[command](config)
     assert (err.value.stage, type(err.value.cause)) == (label, cause)
     assert str(err.value).startswith(f"stage '{err.value.stage}' failed: ")
+
+
+# ---------------------------------------------------------------------------
+# The forked child: a stage parses the market file and formats about half of
+# its files in a child process
+# ---------------------------------------------------------------------------
+
+
+def _assert_no_child_left() -> None:
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_by_process(in_child, here):
+    """A stand-in that calls ``in_child`` in a forked child and ``here`` in this process."""
+    pid = os.getpid()
+    return lambda *args: (here if os.getpid() == pid else in_child)(*args)
+
+
+def _break_market(config: PipelineConfig, how: str) -> PipelineConfig:
+    if how == "no-market-source":
+        return PipelineConfig(expectations_csv=config.expectations_csv, out_dir=config.out_dir)
+    header, *lines = config.market_csv.read_text(encoding="utf-8").splitlines()
+    if how == "bad-cell":
+        lines[5] = lines[5].replace(",", ",x", 1)
+    else:  # a column name misspelt
+        header = header.replace("DI5Y", "DI5", 1)
+    config.market_csv.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return config
+
+
+def _run_argv(config: PipelineConfig) -> list[str]:
+    argv = ["run", "--expectations", str(config.expectations_csv), "--out", str(config.out_dir)]
+    return argv + (["--market", str(config.market_csv)] if config.market_csv else [])
+
+
+class TestForkedChild:
+    @pytest.mark.parametrize("how, cause", [
+        ("bad-cell", ParseError), ("bad-header", SchemaError), ("no-market-source", ConfigError),
+    ])
+    def test_market_error_reaches_the_user_as_if_read_here(self, tmp_path, how, cause, capsys):
+        config = _break_market(_small_run(tmp_path), how)
+        with pytest.raises(cause) as here:  # what this process raises reading it
+            pipeline._load_market(config)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == "ingest"
+        assert (type(err.value.cause), str(err.value.cause)) == (cause, str(here.value))
+        assert cli.main(_run_argv(config)) == exit_code_for(here.value)
+        assert capsys.readouterr().err == f"error: stage 'ingest' failed: {here.value}\n"
+        _assert_no_child_left()
+
+    def test_market_error_wins_over_expectations_error(self, tmp_path):
+        config = _break_market(_small_run(tmp_path), "bad-cell")
+        config.expectations_csv.write_text("date,x\n2015-01-13,y\n", encoding="utf-8")
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert str(err.value.cause).startswith(f"{config.market_csv}: line 7: ")
+        _assert_no_child_left()
+
+    def test_expectations_error_reaps_the_child(self, tmp_path):
+        config = _small_run(tmp_path)
+        config.expectations_csv.write_text("date,x\n2015-01-13,y\n", encoding="utf-8")
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert (err.value.stage, type(err.value.cause)) == ("ingest", ParseError)
+        assert str(err.value.cause).startswith(f"{config.expectations_csv}: line 2: ")
+        _assert_no_child_left()
+
+    # An expectations error waits for the market's verdict instead, which
+    # the two tests above check.
+    @pytest.mark.parametrize("step, failure", [
+        ("ingest", KeyboardInterrupt), ("emit", KeyboardInterrupt), ("emit", OSError),
+    ])
+    def test_failure_here_kills_the_working_child(self, tmp_path, monkeypatch, step, failure):
+        """The child would work for a minute; the stage unwinds at once and reaps it."""
+        def stall(*args):
+            time.sleep(60)
+
+        def fail(*args):
+            raise failure("failed here")
+
+        if step == "ingest":
+            monkeypatch.setattr(pipeline, "load_market_csv", _split_by_process(stall, fail))
+            monkeypatch.setattr(pipeline, "_load_expectations", fail)
+        else:  # each process formats at least one CSV or the chart
+            for name in ("_columns_csv", "render_svg"):
+                monkeypatch.setattr(pipeline, name, _split_by_process(stall, fail))
+        start = time.monotonic()
+        with pytest.raises(StageError if failure is OSError else failure) as err:
+            run_pipeline(_small_run(tmp_path))
+        assert time.monotonic() - start < 30
+        if failure is OSError:
+            assert (err.value.stage, str(err.value.cause)) == (step, "failed here")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("step", ["ingest", "emit"])
+    def test_child_killed_before_it_answers(self, tmp_path, monkeypatch, step):
+        def die(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def not_here(*args):
+            raise AssertionError("the child's work ran in this process")
+
+        if step == "ingest":
+            monkeypatch.setattr(pipeline, "load_market_csv", _split_by_process(die, not_here))
+        else:
+            real = pipeline._columns_csv
+            monkeypatch.setattr(pipeline, "_columns_csv", _split_by_process(die, real))
+        with pytest.raises(StageError) as err:
+            run_pipeline(_small_run(tmp_path))
+        assert (err.value.stage, type(err.value.cause)) == (step, ChildProcessError)
+        assert str(err.value) == (f"stage '{step}' failed: "
+                                  "the forked child was killed by SIGKILL before it answered")
+        _assert_no_child_left()
+
+
+# A CLI run whose forked child, parsing the market file, prints its pid and
+# waits until its parent has died and the file named first exists.
+_CHILD_STALLED_RUN = """
+import os, sys, time
+from di_decomp import cli, pipeline
+
+load = pipeline.load_market_csv
+
+def stalled(*args):
+    parent = os.getppid()
+    print(os.getpid(), flush=True)
+    deadline = time.monotonic() + 60
+    while os.getppid() == parent or not os.path.exists(sys.argv[1]):
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    return load(*args)
+
+pipeline.load_market_csv = stalled
+cli.main(sys.argv[2:])
+"""
+
+
+def test_killed_run_frees_the_directory_and_its_child_exits(tmp_path):
+    """SIGKILL the run alone: the next run is accepted while the child still
+    works, and the child exits once its answer meets the broken pipe."""
+    config = _small_run(tmp_path)
+    go = tmp_path / "go"
+    src = str(Path(pipeline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", _CHILD_STALLED_RUN, str(go), *_run_argv(config)]
+    # in a session of its own, so the process group holds the run and its child
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True,
+                          start_new_session=True) as run:
+        try:
+            child = int(run.stdout.readline())
+            run.kill()
+            assert run.wait(timeout=60) == -signal.SIGKILL
+            os.kill(child, 0)  # still working
+            run_pipeline(config)  # the directory is not locked
+            go.touch()
+            assert run.stdout.read() == ""  # the child has exited: its stdout is closed
+        finally:
+            with suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+    assert {p.name for p in config.out_dir.iterdir()} == STAGE_OUTPUTS
 
 
 def readme_ini() -> str:

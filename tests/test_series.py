@@ -1,6 +1,7 @@
 """Tests for daily series containers and the standard transforms."""
 
 import datetime as dt
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,16 @@ class TestSharing:
         values[0] = 99.0
         assert s.values[0] == 0.0
         assert not s.values.flags.writeable
+
+    @pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+    def test_unpickled_series_is_read_only_and_held_once(self, protocol):
+        s = pickle.loads(pickle.dumps(DailySeries("s", days(5), np.arange(5.0)), protocol))
+        assert s.name == "s" and s.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert s.dates.tolist() == list(days(5))
+        assert not s.dates.flags.writeable and not s.values.flags.writeable
+        window = s.window(dt.date(2020, 1, 2))
+        assert np.shares_memory(window.values, s.values)
+        assert np.shares_memory(window.dates, s.dates)
 
     def test_inner_join_on_one_calendar_allocates_about_its_output(self):
         n, k = 20000, 21
