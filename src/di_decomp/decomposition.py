@@ -25,7 +25,7 @@ from .errors import DegenerateColumnError, InsufficientDataError, NumericalError
 from .pls import FACTOR_NAME
 from .cds import DOMESTIC_NAME, GLOBAL_NAME
 from .regression import OlsFit, ols_fit
-from .series import DailySeries, Frame, _frozen, _shared, inner_join
+from .series import DailySeries, Frame, _Container, _frozen, _shared, inner_join
 
 TARGET_NAME = "d_di5y_bps"
 FACTOR_ORDER = (FACTOR_NAME, DOMESTIC_NAME, GLOBAL_NAME)
@@ -97,7 +97,7 @@ class DecompositionModel:
 
 
 @dataclass(frozen=True, eq=False)
-class VarianceShares:
+class VarianceShares(_Container):
     """Explained-variance split of the three contributions, with correlations."""
 
     labels: tuple[str, ...]

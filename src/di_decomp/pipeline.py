@@ -199,7 +199,8 @@ def load_config(
         path = Path(config_file)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        # values are literal, as from every source, and [DEFAULT] is an unknown section
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             with path.open(encoding="utf-8") as fh:  # read() would skip an unreadable file
                 parser.read_file(fh)
@@ -278,17 +279,16 @@ def _cells(frame: Frame) -> int:
 
 
 @contextmanager
-def _forked(lock: int, work: Callable[[], list]) -> Iterator[Callable[[], Iterator]]:
+def _forked(lock: int, work: Callable[[], object]) -> Iterator[Callable[[], object]]:
     """Run ``work`` in a forked child while the ``with`` block runs here.
 
-    The child first closes ``lock``, so only this process holds the stage's
-    lock, and writes nothing but a pipe.  It pickles each item of the list
-    ``work`` returns, one at a time, or the exception ``work`` raised, into
-    the pipe, then leaves through ``os._exit``.  The block gets a function
-    whose generator yields those items, reaps the child once the pipe is
-    read to its end, and raises the child's exception here; a child that
-    ends without an answer is a ``ChildProcessError`` naming its signal or
-    status.  Leaving the block before that kills the child and reaps it.
+    The child closes ``lock`` first, so only this process holds the stage's
+    lock, and writes nothing but one pickled answer into a pipe:
+    ``(True, value)`` with what ``work`` returned, or ``(False, exc)`` with
+    what it raised.  The block gets a function that reads the answer, reaps
+    the child, and returns the value or raises the exception here; a child
+    that dies without an answer is a ``ChildProcessError`` naming its signal
+    or status.  Leaving the block before that kills the child and reaps it.
     """
     read_end, write_end = os.pipe()
     try:
@@ -298,44 +298,39 @@ def _forked(lock: int, work: Callable[[], list]) -> Iterator[Callable[[], Iterat
         os.close(write_end)
         raise
     if pid == 0:  # the child: it never returns
-        status = 1
         try:
             os.close(lock)
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 try:
-                    answers = [("item", item) for item in work()] + [("end", None)]
+                    answer = (True, work())
                 except BaseException as exc:  # the parent raises it
-                    answers = [("raise", exc)]
-                for answer in answers:
-                    pickle.dump(answer, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
+                    answer = (False, exc)
+                pickle.dump(answer, pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
         finally:
-            os._exit(status)
+            os._exit(1)
     os.close(write_end)
     pipe = open(read_end, "rb")
     reaped = False
 
-    def items() -> Iterator:
+    def answer():
         nonlocal reaped
-        with pipe:  # read to its end before reaping, or a full pipe stalls the child
+        with pipe:  # read before reaping, or a full pipe stalls the child
             try:
-                while (answer := pickle.load(pipe))[0] == "item":
-                    yield answer[1]
-            except EOFError:
-                answer = ("died", None)
-        _, status = os.waitpid(pid, 0)
+                ok, value = pickle.load(pipe)
+            except EOFError:  # the child died without an answer
+                ok, value = False, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped = True
-        if answer[0] == "raise":
-            raise answer[1]
-        if answer[0] == "died":
-            code = os.waitstatus_to_exitcode(status)
-            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
-                   else f"exited with status {code}")
-            raise ChildProcessError(f"the forked child {how} before it answered")
+        if ok:
+            return value
+        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+               else f"exited with status {code}")
+        raise value or ChildProcessError(f"the forked child {how} before it answered")
 
     try:
-        yield items
+        yield answer
     finally:
         if not reaped:
             pipe.close()
@@ -356,10 +351,10 @@ def _write_files(stage: _Stage) -> None:
         groups[lighter].append((name, text))
         cells[lighter] += n
     mine, theirs = groups
-    with _forked(stage.lock, lambda: [(name, text()) for name, text in theirs]) as answers:
+    with _forked(stage.lock, lambda: [(name, text()) for name, text in theirs]) as texts:
         for name, text in mine:
             _write_text(stage.temp(name), text())
-        for name, text in answers():
+        for name, text in texts():
             _write_text(stage.temp(name), text)
 
 
@@ -520,13 +515,13 @@ def _factors(
     first.  Emits macro_factor.csv and pls_model.json, and returns the
     transformed market set, the model and the factor.
     """
-    with _forked(stage.lock, lambda: [_load_market(config)]) as child:
+    with _forked(stage.lock, lambda: _load_market(config)) as answer:
         try:
             expectations = _load_expectations(config)
         except Exception:
-            list(child())
+            answer()
             raise
-        market, = child()
+        market = answer()
 
     stage.label = "transform"
     transformed = _transform_market(market, config.end, columns)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTargetError, InsufficientDataError
-from .series import DailySeries, Frame, StandardizationParams, _frozen, _shared, standardize
+from .series import DailySeries, Frame, StandardizationParams, _Container, _frozen, _shared
+from .series import standardize
 
 FACTOR_NAME = "macro_factor"
 
@@ -23,7 +24,7 @@ __all__ = ["PlsModel", "pls1_fit", "anchor_sign", "macro_factor", "FACTOR_NAME"]
 
 
 @dataclass(frozen=True, eq=False)
-class PlsModel:
+class PlsModel(_Container):
     """Frozen single-component PLS projection.
 
     ``weights`` has unit Euclidean norm and one entry per input column;

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError, SingularDesignError
-from .series import Frame, _frozen, _shared
+from .series import Frame, _Container, _frozen, _shared
 
 RANK_RTOL = 1e-10
 # Continued fraction: smallest magnitude a Lentz denominator may take, the
@@ -31,7 +31,7 @@ __all__ = ["OlsFit", "ols_fit", "student_t_two_sided_p"]
 
 
 @dataclass(frozen=True, eq=False)
-class OlsFit:
+class OlsFit(_Container):
     """Coefficients and inference statistics of one OLS estimation.
 
     ``coefficients`` is ordered intercept-first; ``column_names`` carries

@@ -12,8 +12,8 @@ values can be shared freely across threads.
 Arrays are held once.  A constructor keeps, uncopied, an array that nothing
 can write: a read-only array that owns its memory, or a view of one such as
 a window or column of another container, or a read-only view of an
-immutable ``bytes`` object, as unpickling makes.  It copies any other array.
-Functions that allocate a result freeze it with ``_frozen`` to hand it over.
+immutable ``bytes`` object.  It copies any other array.  Functions that
+allocate a result, and unpickling, freeze it with ``_frozen`` to hand it over.
 """
 
 from __future__ import annotations
@@ -95,14 +95,20 @@ def _window_slice(
     return slice(lo, max(lo, hi))
 
 
-def _unpickled_series(name: str, dates: np.ndarray, values: np.ndarray) -> "DailySeries":
-    """A pickled series rebuilt through the constructor.  Its arrays are new
-    and nothing else holds them, so freezing them lets it keep them."""
-    return DailySeries(name, _frozen(dates), _frozen(values))
+class _Container:
+    """The base of every frozen dataclass that holds arrays.  It unpickles
+    through its constructor, which checks it and keeps the new arrays frozen."""
+
+    def __reduce__(self):
+        return type(self)._unpickled, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    @classmethod
+    def _unpickled(cls, *values):
+        return cls(*(_frozen(v) if isinstance(v, np.ndarray) else v for v in values))
 
 
 @dataclass(frozen=True, eq=False)
-class DailySeries:
+class DailySeries(_Container):
     """A named, date-indexed sequence of finite float observations.
 
     Dates are strictly increasing with no duplicates; values contain no
@@ -133,9 +139,6 @@ class DailySeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def __reduce__(self):
-        return _unpickled_series, (self.name, self.dates, self.values)
-
     def with_name(self, name: str) -> "DailySeries":
         return dataclasses.replace(self, name=name)
 
@@ -151,7 +154,7 @@ class DailySeries:
 
 
 @dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(_Container):
     """Named columns of equal length on a shared, strictly increasing date index."""
 
     dates: np.ndarray  # datetime64[D], read-only
@@ -216,7 +219,7 @@ class Frame:
 
 
 @dataclass(frozen=True, eq=False)
-class StandardizationParams:
+class StandardizationParams(_Container):
     """Per-column sample mean and sample standard deviation (n-1 denominator)."""
 
     names: tuple[str, ...]

@@ -16,19 +16,28 @@ from di_decomp import DailySeries, ingestion
 from di_decomp.cli import build_parser, main
 from di_decomp.errors import ConfigError
 from di_decomp.fixture import DEFAULT_FIXTURE_SEED, EXPECTATIONS_FILE, MARKET_FILE, TRUTH_FILE
-from di_decomp.ingestion import MarketDataset, write_market_csv
+from di_decomp.ingestion import (
+    MarketDataset,
+    read_focus_panel_csv,
+    read_frame_csv,
+    write_market_csv,
+)
 from di_decomp.pipeline import (
     CDS_MODEL_FILE,
     COMPONENTS_FILE,
     CONTRIBUTIONS_FILE,
     CUMULATIVE_FILE,
+    EXPECTATIONS_OUT_FILE,
     FACTOR_FILE,
+    FOCUS_PANEL_FILE,
+    LOAD_REPORT_FILE,
     MODELS_FILE,
     PLS_MODEL_FILE,
     REPORT_FILE,
     SVG_FILE,
     load_config,
 )
+from test_pipeline import focus_transport
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +187,25 @@ class TestStagedCommands:
             outputs.append({**files, REPORT_FILE: report})
         assert len(outputs[0]) == 9
         assert outputs[0] == outputs[1]
+
+    def test_fetch_focus_writes_its_three_files(self, tmp_path, monkeypatch, capsys):
+        """Recorded payloads stand in for the network at the default transport."""
+        monkeypatch.setattr(ingestion, "_urllib_transport", focus_transport())
+        out = tmp_path / "fetched"
+        argv = ["fetch-focus", "--fetch-start", "2004-01-01", "--end", "2004-01-02"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "fetched 20 records (0 deduplicated, 0 incomplete dates dropped)",
+            f"outputs written to {out}",
+        ]
+        assert {p.name for p in out.iterdir()} == {
+            FOCUS_PANEL_FILE, EXPECTATIONS_OUT_FILE, LOAD_REPORT_FILE}
+        assert json.loads((out / LOAD_REPORT_FILE).read_text(encoding="utf-8")) == {
+            "fetched": 20, "deduplicated": 0, "dropped_dates": 0}
+        panel = read_focus_panel_csv(out / FOCUS_PANEL_FILE)
+        assert len(panel) == 20
+        horizon = read_frame_csv(out / EXPECTATIONS_OUT_FILE)
+        assert horizon.n_rows == 1 and horizon.column("IPCA_year")[0] == 6.00
 
     def test_decompose_without_stage_files_is_data_error(self, fixture_dir, tmp_path):
         rc = main(

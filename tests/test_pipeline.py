@@ -863,6 +863,44 @@ class TestConfigLayering:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.ini", env={})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "market_csv", "m%20.csv"),
+        ("fetch", "endpoint", "https://example.test/odata/Expectativas%28x%29?a=%(b)s"),
+    ], ids=["path", "endpoint"])
+    def test_percent_is_literal_in_every_source(self, tmp_path, section, key, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        from_file = load_config(ini, env={})
+        from_env = load_config(None, env={f"DI_DECOMP_{section.upper()}_{key.upper()}": value})
+        from_flag = load_config(None, env={}, overrides={(section, key): value})
+        assert from_file == from_env == from_flag
+        assert str(from_file.market_csv if key == "market_csv" else from_file.endpoint) == value
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\ndir = elsewhere\n",
+        "[DEFAULT]\ndir = elsewhere\n\n[output]\n",
+        "[DEFAULT]\nstart = 2015-01-13\n\n[sample]\n\n[data]\nmarket_csv = m.csv\n",
+    ], ids=["alone", "beside-output", "beside-sample-and-data"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\] in "):
+            load_config(ini, env={})
+
+    @pytest.mark.parametrize("text, message", [
+        ("[sample]\nend = 2020%\n", "bad value for sample.end: "),
+        ("[DEFAULT]\ndir = elsewhere\n", "unknown config section [DEFAULT] in "),
+    ], ids=["percent", "default-section"])
+    def test_config_file_error_through_the_cli(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith(f"error: {message}")
+        assert "Traceback" not in printed.out + printed.err
+        assert not out.exists()
+
 
 def focus_transport():
     """Recorded one-date payloads for all five indicators."""
@@ -921,6 +959,17 @@ class TestFetchFocusStage:
         assert header.split(",")[:2] == ["date", "IPCA_year"]
         assert row.split(",")[0] == "2004-01-02"
         assert float(row.split(",")[1]) == 6.00
+
+    def test_reference_year_before_the_survey_date_fails_the_ingest(self, tmp_path):
+        ipca = INDICATOR_QUERY_NAMES["IPCA"]
+        record = {"Indicador": ipca, "Data": "2004-01-02", "DataReferencia": "2003",
+                  "Mediana": 6.0}
+        config = PipelineConfig(out_dir=tmp_path / "out", end=dt.date(2004, 1, 2))
+        with pytest.raises(StageError) as err:
+            run_fetch_focus(config, transport=recorded_transport({ipca: [record]}))
+        assert (err.value.stage, exit_code_for(err.value)) == ("ingest", 3)
+        assert str(err.value.cause) == "reference year 2003 precedes survey date 2004-01-02"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_fetched_expectations_reproduce_the_fixture_run(self, tmp_path):
         """fetch-focus writes the fixture's own expectations.csv, which a run then reads."""

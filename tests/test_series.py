@@ -1,5 +1,6 @@
 """Tests for daily series containers and the standard transforms."""
 
+import dataclasses
 import datetime as dt
 import pickle
 import tracemalloc
@@ -10,9 +11,12 @@ import pytest
 from di_decomp import (
     DailySeries,
     Frame,
+    VarianceShares,
     diff,
     inner_join,
     log_return,
+    ols_fit,
+    pls1_fit,
     standardize,
     to_bps_change,
 )
@@ -241,6 +245,32 @@ class TestFrame:
             Frame(days(2), ("a", "b", "c"), np.zeros(shape))
 
 
+def _containers():
+    """One of each frozen dataclass that holds arrays."""
+    frame = Frame(days(6), ("a", "b"), [[1.0, 2.0], [2.0, 1.0], [4.0, 3.0],
+                                        [3.0, 5.0], [6.0, 4.0], [5.0, 7.0]])
+    y = np.array([1.0, 0.5, 2.0, 2.5, 3.0, 4.5])
+    shares = VarianceShares(("macro", "global"), [0.25, 0.75], [[1.0, 0.1], [0.1, 1.0]])
+    return [series([1.0, 2.0, 4.0]), frame, standardize(frame)[1], ols_fit(y, frame),
+            pls1_fit(frame, y), shares]
+
+
+def _assert_same(back, value):
+    """``back`` equals ``value`` field by field; each array is read-only and
+    kept uncopied when ``back``'s fields build the container again."""
+    rebuilt = type(back)(*(getattr(back, f.name) for f in dataclasses.fields(back)))
+    for f in dataclasses.fields(value):
+        got, want = getattr(back, f.name), getattr(value, f.name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and not got.flags.writeable, f.name
+            assert getattr(rebuilt, f.name) is got, f.name
+        elif dataclasses.is_dataclass(want):
+            _assert_same(got, want)
+        else:
+            assert got == want, f.name
+
+
 class TestSharing:
     """Containers hold each array once: views of frozen arrays are kept,
     anything a caller could still write is copied."""
@@ -281,7 +311,7 @@ class TestSharing:
         assert s.values[0] == 0.0
         assert not s.values.flags.writeable
 
-    @pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+    @pytest.mark.parametrize("protocol", [2, 4, pickle.HIGHEST_PROTOCOL])
     def test_unpickled_series_is_read_only_and_held_once(self, protocol):
         s = pickle.loads(pickle.dumps(DailySeries("s", days(5), np.arange(5.0)), protocol))
         assert s.name == "s" and s.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
@@ -290,6 +320,18 @@ class TestSharing:
         window = s.window(dt.date(2020, 1, 2))
         assert np.shares_memory(window.values, s.values)
         assert np.shares_memory(window.dates, s.dates)
+        # every container comes back equal, read-only, and kept by its constructor
+        for value in _containers():
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value)
+            _assert_same(back, value)
+
+    def test_unpickling_runs_the_constructor_checks(self):
+        data = np.arange(3.0).reshape(3, 1)
+        pickled = pickle.dumps(Frame(days(3), ("a",), data), 4)
+        tampered = pickled.replace(data.tobytes(), np.array([0.0, np.inf, 2.0]).tobytes())
+        with pytest.raises(DomainError, match="non-finite"):
+            pickle.loads(tampered)
 
     def test_inner_join_on_one_calendar_allocates_about_its_output(self):
         n, k = 20000, 21

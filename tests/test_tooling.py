@@ -1,8 +1,17 @@
-"""Checks on the test configuration itself."""
+"""Checks on the test configuration and on rules the whole package keeps."""
 
+import dataclasses
+import importlib
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
+
+import numpy as np
+
+import di_decomp
+from di_decomp.series import _Container
 
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
@@ -24,3 +33,20 @@ def test_failing_property_test_is_reported_as_a_failure(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     assert "1 failed" in result.stdout
     assert "INTERNALERROR" not in result.stdout + result.stderr
+
+
+def test_every_container_of_arrays_unpickles_through_the_shared_rule():
+    """A dataclass with an array field rebuilds through its constructor and
+    freezes its arrays when unpickled, so none can come back writable."""
+    holders = set()
+    for info in pkgutil.iter_modules(di_decomp.__path__, "di_decomp."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == info.name
+                    and dataclasses.is_dataclass(cls)
+                    and np.ndarray in typing.get_type_hints(cls).values()):
+                holders.add(cls.__name__)
+                assert issubclass(cls, _Container), cls.__name__
+                assert cls.__reduce__ is _Container.__reduce__, cls.__name__
+    assert holders >= {"DailySeries", "Frame", "StandardizationParams", "OlsFit",
+                       "PlsModel", "VarianceShares"}
