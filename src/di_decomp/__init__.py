@@ -33,7 +33,6 @@ from .decomposition import (  # noqa: F401
 )
 from .ingestion import (  # noqa: F401
     FocusPanel,
-    FocusRecord,
     LoadReport,
     MarketDataset,
     fetch_focus,

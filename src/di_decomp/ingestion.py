@@ -71,7 +71,6 @@ __all__ = [
     "HORIZONS",
     "MARKET_COLUMNS",
     "DEFAULT_ENDPOINT",
-    "FocusRecord",
     "FocusPanel",
     "LoadReport",
     "MarketDataset",
@@ -96,39 +95,8 @@ def horizon_column(indicator: str, k: int) -> str:
 HORIZON_COLUMNS = tuple(horizon_column(ind, k) for ind in INDICATORS for k in HORIZONS)
 
 
-@dataclass(frozen=True)
-class FocusRecord:
-    survey_date: dt.date
-    indicator: str
-    reference_year: int
-    median: float
-
-
-@dataclass(frozen=True)
-class FocusPanel:
-    """Unique (survey_date, indicator, reference_year) -> median expectations."""
-
-    records: tuple[FocusRecord, ...]
-
-    def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.records, key=lambda r: (r.survey_date, r.indicator, r.reference_year))
-        )
-        object.__setattr__(self, "records", ordered)
-        seen = set()
-        for r in ordered:
-            key = (r.survey_date, r.indicator, r.reference_year)
-            if key in seen:
-                raise SchemaError(f"duplicate panel cell {key}")
-            seen.add(key)
-            if r.reference_year < r.survey_date.year:
-                raise SchemaError(
-                    f"reference year {r.reference_year} precedes survey date "
-                    f"{r.survey_date}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.records)
+_Cell = tuple[dt.date, str, int]  # (survey_date, indicator, reference_year)
+FocusPanel = dict[_Cell, float]  # each cell's median expectation
 
 
 @dataclass
@@ -211,7 +179,8 @@ def _fetch_page(url: str, transport: Transport, sleep: Callable[[float], None]) 
     raise FetchError(f"GET {url} failed after {_MAX_ATTEMPTS} attempts (last: {detail})")
 
 
-def _parse_record(item: object, reverse_names: Mapping[str, str]) -> FocusRecord:
+def _parse_record(item: object, reverse_names: Mapping[str, str]) -> tuple[_Cell, float]:
+    """One OData record as its panel cell and median."""
     if not isinstance(item, dict):
         raise ParseError(f"malformed expectations record (not an object): {_shown(item)}")
     try:
@@ -233,7 +202,9 @@ def _parse_record(item: object, reverse_names: Mapping[str, str]) -> FocusRecord
         median = _read_real(raw_median if isinstance(raw_median, str) else repr(raw_median))
     except ValueError as exc:
         raise ParseError(f"malformed expectations record ({exc}): {_shown(item)}") from exc
-    return FocusRecord(survey_date, reverse_names[raw_ind], reference_year, median)
+    if reference_year < survey_date.year:
+        raise SchemaError(f"reference year {reference_year} precedes survey date {survey_date}")
+    return (survey_date, reverse_names[raw_ind], reference_year), median
 
 
 def fetch_focus(
@@ -267,10 +238,10 @@ def fetch_focus(
         Optional counter sink for fetched / deduplicated records.
 
     Duplicate (date, indicator, year) cells keep the last occurrence and
-    log a warning.  Paging that returns to a URL already requested for the
-    same indicator, or runs past ``_MAX_PAGES``, raises ``FetchError``.  The
-    merged panel is sorted by date, indicator and reference year, so the
-    result is deterministic for fixed server data.
+    log a warning.  A record whose reference year precedes its survey date
+    is a ``SchemaError`` as soon as it is read.  Paging that returns to a
+    URL already requested for the same indicator, or runs past
+    ``_MAX_PAGES``, raises ``FetchError``.
     """
     start, end = date_range
     if start > end:
@@ -281,7 +252,7 @@ def fetch_focus(
     transport = transport or _urllib_transport
     reverse_names = {v: k for k, v in INDICATOR_QUERY_NAMES.items()}
 
-    cells: dict[tuple[dt.date, str, int], FocusRecord] = {}
+    cells: FocusPanel = {}
     duplicates = 0
     fetched = 0
     for indicator in indicators:
@@ -309,12 +280,11 @@ def fetch_focus(
             payload = _fetch_page(url, transport, sleep)
             items = payload["value"]
             for item in items:
-                record = _parse_record(item, reverse_names)
-                key = (record.survey_date, record.indicator, record.reference_year)
+                key, median = _parse_record(item, reverse_names)
                 if key in cells:
                     duplicates += 1
                     log.warning("duplicate expectations cell %s, keeping last", key)
-                cells[key] = record
+                cells[key] = median
                 fetched += 1
             next_link = payload.get("@odata.nextLink")
             if next_link:
@@ -327,7 +297,7 @@ def fetch_focus(
     if report is not None:
         report.fetched += fetched
         report.deduplicated += duplicates
-    return FocusPanel(tuple(cells.values()))
+    return cells
 
 
 def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Frame:
@@ -337,18 +307,14 @@ def reshape_horizons(panel: FocusPanel, report: LoadReport | None = None) -> Fra
     reference years ``year(date) + k`` for k in 0..3; incomplete dates are
     dropped, counted in ``report.dropped_dates`` and logged as one warning.
     """
-    if not panel.records:
+    if not panel:
         raise ParseError("reshape_horizons: empty panel")
-    by_date: dict[dt.date, dict[tuple[str, int], float]] = {}
-    for r in panel.records:
-        by_date.setdefault(r.survey_date, {})[(r.indicator, r.reference_year)] = r.median
     dates: list[dt.date] = []
     rows: list[list[float]] = []
     dropped = 0
-    for d in sorted(by_date):
-        cells = by_date[d]
+    for d in sorted({d for d, _, _ in panel}):
         try:
-            row = [cells[(ind, d.year + k)] for ind in INDICATORS for k in HORIZONS]
+            row = [panel[(d, ind, d.year + k)] for ind in INDICATORS for k in HORIZONS]
         except KeyError:
             dropped += 1
             continue
@@ -556,14 +522,14 @@ def _read_table(
         first = fh.readline()
         header = first.removesuffix("\n").split(",")
         if columns is None:
-            if header[0].strip() != "date":
+            if header[0].strip(" \t") != "date":
                 raise SchemaError(f"{path}: first header column must be 'date', got {header}")
-            names = tuple(h.strip() for h in header[1:])
+            names = tuple(h.strip(" \t") for h in header[1:])
         else:
             names = tuple(columns)
             if not first:
                 raise ParseError(f"{path}: empty file")
-            if [h.strip() for h in header] != ["date", *names]:
+            if [h.strip(" \t") for h in header] != ["date", *names]:
                 raise SchemaError(
                     f"{path}: header {header} does not match expected {['date', *names]}"
                 )
@@ -683,10 +649,10 @@ def read_frame_csv(path: Path | str) -> Frame:
 
 
 def _panel_csv(panel: FocusPanel) -> str:
-    """A focus panel's CSV text, one record per line."""
+    """A focus panel's CSV text, one record per line, sorted by date, indicator and year."""
     return "survey_date,indicator,reference_year,median\n" + "".join(
-        f"{r.survey_date.isoformat()},{r.indicator},{r.reference_year},{float(r.median)!r}\n"
-        for r in panel.records
+        f"{d.isoformat()},{ind},{year},{float(median)!r}\n"
+        for (d, ind, year), median in sorted(panel.items())
     )
 
 
@@ -698,8 +664,8 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
     """Read a panel written by :func:`write_focus_panel_csv`; a bad record is an
     error naming its line."""
     path = Path(path)
-    lines: dict[tuple[dt.date, str, int], int] = {}  # each cell's line
-    records = []
+    lines: dict[_Cell, int] = {}  # each cell's line
+    panel: FocusPanel = {}
     with _open_text(path) as fh:
         header = fh.readline().removesuffix("\n").split(",")
         if header != ["survey_date", "indicator", "reference_year", "median"]:
@@ -711,19 +677,19 @@ def read_focus_panel_csv(path: Path | str) -> FocusPanel:
             if len(raw) != 4:
                 raise ParseError(f"{path}: line {no}: expected 4 cells, got {len(raw)}")
             try:
-                record = FocusRecord(_read_date(raw[0]), raw[1].strip(" \t"),
-                                     _read_year(raw[2]), _read_real(raw[3]))
+                key = (_read_date(raw[0]), raw[1].strip(" \t"), _read_year(raw[2]))
+                median = _read_real(raw[3])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {no}: {exc}") from exc
-            if record.indicator not in INDICATORS:
-                raise SchemaError(f"{path}: line {no}: unknown indicator {_shown(record.indicator)}")
-            key = (record.survey_date, record.indicator, record.reference_year)
+            date, indicator, year = key
+            if indicator not in INDICATORS:
+                raise SchemaError(f"{path}: line {no}: unknown indicator {_shown(indicator)}")
             if key in lines:
                 raise SchemaError(f"{path}: line {no}: duplicate panel cell "
                                   f"{','.join(map(str, key))} (first on line {lines[key]})")
-            if record.reference_year < record.survey_date.year:
-                raise SchemaError(f"{path}: line {no}: reference year {record.reference_year} "
-                                  f"precedes survey date {record.survey_date}")
+            if year < date.year:
+                raise SchemaError(f"{path}: line {no}: reference year {year} "
+                                  f"precedes survey date {date}")
             lines[key] = no
-            records.append(record)
-    return FocusPanel(tuple(records))
+            panel[key] = median
+    return panel

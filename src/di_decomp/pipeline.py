@@ -145,7 +145,7 @@ def _count(raw: str) -> int:
 
 
 def _reals(raw: str) -> tuple[float, ...]:
-    return tuple(_read_real(item.strip()) for item in raw.split(",") if item.strip())
+    return tuple(map(_read_real, raw.split(",")))
 
 
 def _setting(section: str, key: str, parse: Callable[[str], object], default):

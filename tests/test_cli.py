@@ -111,6 +111,14 @@ class TestRunCommand:
         rc = main(run_args(fixture_dir, tmp_path / "out", "--start", "01/13/2015"))
         assert rc == 2
 
+    def test_uncreatable_out_dir_is_config_error(self, fixture_dir, tmp_path, capsys):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        rc = main(run_args(fixture_dir, tmp_path / "afile" / "sub"))
+        assert rc == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+
     def test_unparseable_market_is_data_error(self, tmp_path, capsys):
         market = tmp_path / "market.csv"
         market.write_text('date,DI5Y\n2015-01-13,"12,50"\n', encoding="utf-8")

@@ -89,6 +89,12 @@ class TestFitDecomposition:
         assert 0.0 <= report["r_squared"] <= 1.0
         assert report["adj_r_squared"] <= report["r_squared"]
 
+    def test_disjoint_calendars_rejected(self):
+        d, m, dom, glob = synthetic_inputs(n=50)
+        later = make_series("glob", glob.values, start=dt.date(2016, 1, 13))
+        with pytest.raises(InsufficientDataError, match="joined sample is empty"):
+            fit_decomposition(d, m, dom, later)
+
     def test_swapping_dom_and_glob_swaps_betas_only(self):
         d, m, dom, glob = synthetic_inputs(n=600, seed=3)
         a = fit_decomposition(d, m, dom, glob)

@@ -194,6 +194,25 @@ def test_quoted_header_does_not_match(tmp_path):
         load_market_csv(path, columns=("DI5Y",))
 
 
+# Spaces and tabs around a header cell are ignored; no other whitespace is.
+@pytest.mark.parametrize("pad", ["\x0b", "\x0c", "　"], ids=["vt", "ff", "ideographic"])
+def test_header_cells_strip_spaces_and_tabs_only(tmp_path, pad):
+    market, frame = tmp_path / "m.csv", tmp_path / "f.csv"
+    market.write_text(f"date,DI5Y{pad}\n" + GOOD_ROW, encoding="utf-8")
+    with pytest.raises(SchemaError, match="does not match expected"):
+        load_market_csv(market, columns=("DI5Y",))
+    frame.write_text(f"{pad}date,A\n" + GOOD_ROW, encoding="utf-8")
+    with pytest.raises(SchemaError, match="first header column must be 'date'"):
+        read_frame_csv(frame)
+    frame.write_text(f"date,A{pad}\n" + GOOD_ROW, encoding="utf-8")
+    assert read_frame_csv(frame).names == (f"A{pad}",)
+
+    market.write_text("date ,\tDI5Y \n" + GOOD_ROW, encoding="utf-8")
+    assert load_market_csv(market, columns=("DI5Y",)).names == ("DI5Y",)
+    frame.write_text(" \tdate, A\t\n" + GOOD_ROW, encoding="utf-8")
+    assert read_frame_csv(frame).names == ("A",)
+
+
 # A NUL is a foreign character like any other, quoted or not.
 NUL_ROWS = {
     "value": ("2015-01-13,2\x00\n", "column 'DI5Y': cannot parse '2\\x00'"),
@@ -411,8 +430,7 @@ def test_accepted_panel_cells(tmp_path):
         "2015-01-13,IPCA, 2015 ,+.5e1\n",
         encoding="utf-8",
     )
-    (record,) = read_focus_panel_csv(path).records
-    assert (record.reference_year, record.median) == (2015, 5.0)
+    assert read_focus_panel_csv(path) == {(dt.date(2015, 1, 13), "IPCA", 2015): 5.0}
 
 
 PANEL_HEADER = "survey_date,indicator,reference_year,median\n"
@@ -534,7 +552,7 @@ def test_rejected_config_count(tmp_path, monkeypatch, capsys, source, key, value
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("cell", ["0.00_1", "nan"])
+@pytest.mark.parametrize("cell", ["0.00_1", "nan", "\u30000.001", ""])
 def test_rejected_betas_cell(cell):
     env = {"DI_DECOMP_FIXTURE_BETAS": f"{cell},0.01,0.05,300"}
     with pytest.raises(ConfigError, match="bad value for fixture.betas"):

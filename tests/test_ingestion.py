@@ -14,8 +14,6 @@ import pytest
 
 from di_decomp import (
     DailySeries,
-    FocusPanel,
-    FocusRecord,
     LoadReport,
     MarketDataset,
     fetch_focus,
@@ -96,9 +94,8 @@ class TestFetchFocus:
         )
         assert len(panel) == 4
         assert report.fetched == 4
-        first = panel.records[0]
-        assert (first.survey_date, first.indicator, first.reference_year) == (D0, "IPCA", 2004)
-        assert first.median == 6.00
+        assert min(panel) == (D0, "IPCA", 2004)
+        assert panel[(D0, "IPCA", 2004)] == 6.00
 
     def test_single_record_panel(self):
         panel = fetch_focus(
@@ -106,8 +103,7 @@ class TestFetchFocus:
             (D0, D0),
             transport=single_page_transport([record("IPCA", "2004-01-02", 2004, 6.00)]),
         )
-        assert len(panel) == 1
-        assert panel.records[0].median == 6.00
+        assert panel == {(D0, "IPCA", 2004): 6.00}
 
     def test_empty_response_gives_empty_panel(self):
         panel = fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport([]))
@@ -124,8 +120,7 @@ class TestFetchFocus:
                 ["IPCA"], (D0, D0),
                 transport=single_page_transport(records), report=report,
             )
-        assert len(panel) == 1
-        assert panel.records[0].median == 6.25
+        assert panel == {(D0, "IPCA", 2004): 6.25}
         assert report.deduplicated == 1
         assert any("duplicate" in r.message for r in caplog.records)
 
@@ -177,11 +172,34 @@ class TestFetchFocus:
             record("IPCA", "2004-01-02", 2006, " 4.5e0 "),
         ]
         panel = fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport(records))
-        assert [r.median for r in panel.records] == [6.0, 5.25, 4.5]
+        assert [panel[k] for k in sorted(panel)] == [6.0, 5.25, 4.5]
 
     def test_non_json_payload_is_parse_error(self):
         with pytest.raises(ParseError, match="JSON"):
             fetch_focus(["IPCA"], (D0, D0), transport=lambda url: (200, b"<html>oops"))
+
+    @pytest.mark.parametrize("payload", [[], {}, {"value": {}}, {"items": []}])
+    def test_payload_without_a_value_list_is_parse_error(self, payload):
+        with pytest.raises(ParseError, match="payload lacks a 'value' record list"):
+            fetch_focus(["IPCA"], (D0, D0),
+                        transport=lambda url: (200, json.dumps(payload).encode()))
+
+    @pytest.mark.parametrize("item", [["IPCA", "2004-01-02", "2004", 6.0], "IPCA", None])
+    def test_record_that_is_not_an_object_is_parse_error(self, item):
+        with pytest.raises(ParseError, match="malformed expectations record \\(not an object\\)"):
+            fetch_focus(["IPCA"], (D0, D0), transport=single_page_transport([item]))
+
+    def test_past_reference_year_fails_before_the_next_query(self):
+        ipca = [record("IPCA", "2004-01-02", 2003, 6.0)]
+        selic = [record("Selic", "2004-01-02", 2004, 16.5)]
+        transport = RecordedTransport({
+            "IPCA": [{"skip": 0, "payload": {"value": ipca}}],
+            "Selic": [{"skip": 0, "payload": {"value": selic}}],
+        })
+        message = "^reference year 2003 precedes survey date 2004-01-02$"
+        with pytest.raises(SchemaError, match=message):
+            fetch_focus(["IPCA", "Selic"], (D0, D0), transport=transport)
+        assert len(transport.calls) == 1 and "%27IPCA%27" in transport.calls[0]
 
     def test_pagination_via_next_link(self):
         page2 = {"value": [record("IPCA", "2004-01-05", 2004, 6.10)]}
@@ -368,7 +386,7 @@ class TestDefaultTransport:
         endpoint, replies, paths = loopback
         replies.append((200, json.dumps({"value": FIRST_ROW_RECORDS}).encode()))
         panel = fetch_focus(["IPCA"], (D0, D0), endpoint, sleep=lambda s: None)
-        assert [r.median for r in panel.records] == [6.0, 5.0, 4.5, 4.0]
+        assert [panel[k] for k in sorted(panel)] == [6.0, 5.0, 4.5, 4.0]
         assert len(paths) == 1 and "Indicador+eq+%27IPCA%27" in paths[0]
 
     def test_server_error_is_retried(self, loopback):
@@ -398,16 +416,16 @@ class TestDefaultTransport:
 
 
 def full_panel_for(date, values_by_indicator):
-    records = []
-    for ind, values in values_by_indicator.items():
-        for k, v in enumerate(values):
-            records.append(FocusRecord(date, ind, date.year + k, v))
-    return records
+    return {
+        (date, ind, date.year + k): v
+        for ind, values in values_by_indicator.items()
+        for k, v in enumerate(values)
+    }
 
 
 class TestReshapeHorizons:
     def test_first_survey_date_row(self):
-        records = full_panel_for(
+        panel = full_panel_for(
             D0,
             {
                 "IPCA": (6.00, 5.00, 4.50, 4.00),
@@ -417,7 +435,7 @@ class TestReshapeHorizons:
                 "Nominal": (-3.00, -2.35, -2.50, -2.20),
             },
         )
-        frame = reshape_horizons(FocusPanel(tuple(records)))
+        frame = reshape_horizons(panel)
         assert frame.names == HORIZON_COLUMNS
         assert frame.dates.tolist() == [D0]
         for col, expected in (
@@ -428,7 +446,7 @@ class TestReshapeHorizons:
 
     def test_late_sample_policy_rate_row(self):
         d = dt.date(2025, 12, 18)
-        records = full_panel_for(
+        panel = full_panel_for(
             d,
             {
                 "IPCA": (4.35, 4.09, 3.80, 3.50),
@@ -438,7 +456,7 @@ class TestReshapeHorizons:
                 "Nominal": (-8.43, -8.66, -7.84, -7.20),
             },
         )
-        frame = reshape_horizons(FocusPanel(tuple(records)))
+        frame = reshape_horizons(panel)
         np.testing.assert_allclose(
             [frame.column(f"Selic_year{'' if k == 0 else f'_{k}'}")[0] for k in range(4)],
             [15.00, 12.00, 10.50, 9.50],
@@ -454,17 +472,17 @@ class TestReshapeHorizons:
             {ind: (1.0, 2.0, 3.0, 4.0) for ind in
              ("IPCA", "Selic", "PIB", "Primario", "Nominal")},
         )
-        partial = [r for r in partial if not (r.indicator == "PIB" and r.reference_year == 2007)]
+        del partial[(dt.date(2004, 1, 5), "PIB", 2007)]
         report = LoadReport()
         with caplog.at_level(logging.WARNING, logger="di_decomp.ingestion"):
-            frame = reshape_horizons(FocusPanel(tuple(complete + partial)), report)
+            frame = reshape_horizons({**complete, **partial}, report)
         assert frame.dates.tolist() == [D0]
         assert report.dropped_dates == 1
         assert [r.getMessage() for r in caplog.records] == ["dropped 1 incomplete survey dates"]
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ParseError):
-            reshape_horizons(FocusPanel(()))
+            reshape_horizons({})
 
 
 class TestMarketCsv:
@@ -498,6 +516,14 @@ class TestMarketCsv:
         path.write_text("date,WRONG\n2015-01-13,12.50\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_market_csv(path, columns=("DI5Y",))
+
+    def test_dataset_names_are_unique_and_looked_up(self):
+        s = DailySeries("DI5Y", [D0], [12.5])
+        message = "duplicate series names in dataset: ['DI5Y', 'DI5Y']"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            MarketDataset((s, s))
+        with pytest.raises(SchemaError, match=re.escape("no series 'CDS' in dataset ['DI5Y']")):
+            MarketDataset((s,))["CDS"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
@@ -589,15 +615,19 @@ class TestMarketCsv:
         np.testing.assert_array_equal(back.data, frame.data)
 
     def test_focus_panel_csv_round_trip(self, tmp_path):
-        panel = FocusPanel(
-            tuple(
-                FocusRecord(D0, ind, 2004 + k, float(k) + 1.5)
-                for ind in ("IPCA", "Selic")
-                for k in range(4)
-            )
-        )
+        cells = [
+            ((d, ind, d.year + k), float(k) + 1.5)
+            for d in (D0, dt.date(2004, 1, 5))
+            for ind in ("IPCA", "Selic")
+            for k in range(4)
+        ]
+        panel = dict(reversed(cells))  # the writer sorts
         path = tmp_path / "panel.csv"
         write_focus_panel_csv(panel, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == ["survey_date,indicator,reference_year,median"] + [
+            f"{d},{ind},{year},{median!r}" for (d, ind, year), median in cells
+        ]
         assert read_focus_panel_csv(path) == panel
 
     @pytest.mark.parametrize("row", ["2015-01-13,IPCA,2015", "2015-01-13,IPCA,2015,5.0,junk"])

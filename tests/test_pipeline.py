@@ -41,7 +41,6 @@ from di_decomp.ingestion import (
     INDICATOR_QUERY_NAMES,
     INDICATORS,
     FocusPanel,
-    FocusRecord,
     MarketDataset,
     frame_to_csv,
     horizon_column,
@@ -251,13 +250,12 @@ def test_factor_design_peaks_near_its_own_bytes(bundled, tmp_path, monkeypatch):
 def write_panel_of(horizon_csv: Path, panel_csv: Path) -> None:
     """Write the focus panel whose reshape is the horizon CSV's frame."""
     horizon = read_frame_csv(horizon_csv)
-    records = []
+    panel: FocusPanel = {}
     for i, d in enumerate(horizon.dates.tolist()):
         for ind in INDICATORS:
             for k in range(4):
-                median = float(horizon.column(horizon_column(ind, k))[i])
-                records.append(FocusRecord(d, ind, d.year + k, median))
-    write_focus_panel_csv(FocusPanel(tuple(records)), panel_csv)
+                panel[(d, ind, d.year + k)] = float(horizon.column(horizon_column(ind, k))[i])
+    write_focus_panel_csv(panel, panel_csv)
 
 
 class TestFocusPanelSource:

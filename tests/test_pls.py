@@ -17,6 +17,7 @@ from di_decomp import (
 from di_decomp.errors import (
     DegenerateColumnError,
     DegenerateTargetError,
+    InsufficientDataError,
     SchemaError,
 )
 
@@ -98,6 +99,17 @@ class TestPls1Fit:
         with pytest.raises(DegenerateTargetError):
             pls1_fit(f, np.full(10, 2.0))
 
+    @pytest.mark.parametrize("rows, targets", [(2, 2), (10, 9)])
+    def test_short_or_mismatched_input_rejected(self, rows, targets):
+        f = frame({"x": np.arange(float(rows))})
+        with pytest.raises(InsufficientDataError, match=f"got {rows} rows and {targets} targets"):
+            pls1_fit(f, np.arange(float(targets)) % 3)
+
+    def test_target_without_covariance_rejected(self):
+        f = frame({"x": np.array([1.0, -1.0, 1.0, -1.0])})
+        with pytest.raises(DegenerateTargetError, match="zero sample covariance"):
+            pls1_fit(f, np.array([1.0, 1.0, -1.0, -1.0]))
+
     def test_degenerate_column_propagates(self):
         f = frame({"flat": np.full(10, 1.0), "x": np.arange(10.0)})
         with pytest.raises(DegenerateColumnError, match="flat"):
@@ -138,6 +150,10 @@ class TestAnchorSign:
     def test_constant_input_rejected(self):
         with pytest.raises(DegenerateTargetError):
             anchor_sign(np.full(5, 1.0), np.arange(5.0))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InsufficientDataError, match="got 5 and 4"):
+            anchor_sign(np.arange(5.0), np.arange(4.0))
 
 
 class TestMacroFactor:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import di_decomp
 from di_decomp.series import _Container
 
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
 def test_failing_property_test_is_reported_as_a_failure(tmp_path):
@@ -50,3 +52,20 @@ def test_every_container_of_arrays_unpickles_through_the_shared_rule():
                 assert cls.__reduce__ is _Container.__reduce__, cls.__name__
     assert holders >= {"DailySeries", "Frame", "StandardizationParams", "OlsFit",
                        "PlsModel", "VarianceShares"}
+
+
+def test_every_traced_name_is_wrapped_and_restored():
+    """The benchmark's tracer finds every name it wraps, and puts each back."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # the standard library only
+    names = [(tracing._resolve(path), attr) for path, attr, _, _ in tracing.TARGETS]
+    originals = [vars(owner).get(attr) for owner, attr in names]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (owner, attr), original in zip(names, originals):
+            assert getattr(owner, attr).__wrapped__ is original, attr
+    finally:
+        tracer.uninstall()
+    assert [vars(owner).get(attr) for owner, attr in names] == originals
