@@ -37,8 +37,6 @@ from .decomposition import FACTOR_ORDER
 from .errors import ConfigError
 from .ingestion import (
     HORIZON_COLUMNS,
-    MARKET_COLUMNS,
-    MarketDataset,
     _json_text,
     _write_text,
     frame_to_csv,
@@ -217,8 +215,7 @@ def generate_fixture(
         "UST10": DailySeries("UST10", post_dates, ust10),
         "SURPRISE": DailySeries("SURPRISE", full_dates, surprise),
     }
-    dataset = MarketDataset(tuple(series[name] for name in MARKET_COLUMNS))
-    write_market_csv(dataset, out_dir / MARKET_FILE)
+    write_market_csv(series, out_dir / MARKET_FILE)
 
     exp_levels = {}
     for ind, bases in _BASE_LEVELS.items():

@@ -111,26 +111,7 @@ class LoadReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class MarketDataset:
-    """Named daily series, one per market variable, independent calendars."""
-
-    series: tuple[DailySeries, ...]
-
-    def __post_init__(self) -> None:
-        names = [s.name for s in self.series]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate series names in dataset: {names}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.series)
-
-    def __getitem__(self, name: str) -> DailySeries:
-        for s in self.series:
-            if s.name == name:
-                return s
-        raise SchemaError(f"no series '{name}' in dataset {list(self.names)}")
+MarketDataset = dict[str, DailySeries]  # each market column's series, on its own calendar
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +553,21 @@ def _read_table(
 
 
 def load_market_csv(path: Path | str, columns: Sequence[str] = MARKET_COLUMNS) -> MarketDataset:
-    """Load a market CSV into one series per column.
+    """Load a market CSV into one series per column, keyed by its name.
 
-    The header must be exactly ``date`` followed by ``columns``.  Rows are
-    sorted by date on load; a cell that does not parse is an error naming
-    its line; empty cells simply omit that date from the affected series.
+    The header must be exactly ``date`` followed by ``columns``, which may
+    not repeat a name.  Rows are sorted by date on load; a cell that does
+    not parse is an error naming its line; empty cells simply omit that
+    date from the affected series.
     """
+    if len(set(columns)) != len(columns):
+        raise SchemaError(f"duplicate series names in dataset: {list(columns)}")
     names, dates, values = _read_table(path, columns)
-    series = []
+    market: MarketDataset = {}
     for j, name in enumerate(names):
         present = ~np.isnan(values[:, j])
-        series.append(DailySeries(name, _frozen(dates[present]), _frozen(values[present, j])))
-    return MarketDataset(tuple(series))
+        market[name] = DailySeries(name, _frozen(dates[present]), _frozen(values[present, j]))
+    return market
 
 
 def _columns_csv(
@@ -621,15 +605,15 @@ def _write_text(path: Path | str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def write_market_csv(dataset: MarketDataset, path: Path | str) -> None:
-    """Serialize a dataset to the market CSV contract (exact float round trip)."""
-    dates = np.unique(
-        np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in dataset.series)])
-    )
-    data = np.full((len(dates), len(dataset.series)), np.nan)
-    for j, s in enumerate(dataset.series):
+def write_market_csv(market: MarketDataset, path: Path | str) -> None:
+    """Serialize a market set to the market CSV contract (exact float round
+    trip); its keys, in insertion order, are the header after ``date``."""
+    dates = np.unique(np.concatenate([np.empty(0, "datetime64[D]"),
+                                      *(s.dates for s in market.values())]))
+    data = np.full((len(dates), len(market)), np.nan)
+    for j, s in enumerate(market.values()):
         data[np.searchsorted(dates, s.dates), j] = s.values
-    _write_text(path, _columns_csv(dataset.names, dates, data))
+    _write_text(path, _columns_csv(list(market), dates, data))
 
 
 def frame_to_csv(frame: Frame, path: Path | str) -> None:

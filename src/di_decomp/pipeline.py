@@ -454,7 +454,7 @@ def _transform_market(
             return diff(series).with_name(SURPRISE_DIFF_NAME)
         return diff(series) if name == "UST10" else log_return(series)
 
-    return MarketDataset(tuple(map(moves, columns)))
+    return {s.name: s for s in map(moves, columns)}
 
 
 def _factor_design(
@@ -601,11 +601,15 @@ def run_fetch_focus(config: PipelineConfig, transport=None) -> LoadReport:
     """Fetch expectations, emit focus_panel.csv + expectations.csv + load_report.json.
 
     ``transport`` is forwarded to :func:`di_decomp.ingestion.fetch_focus`;
-    tests inject recorded payloads there.
+    tests inject recorded payloads there.  A fetch start after the end (by
+    default today) is a ConfigError before the output directory is made.
     """
+    end = config.end or dt.date.today()
+    if config.fetch_start > end:
+        raise ConfigError(f"fetch start {config.fetch_start} is after end {end}")
     counts = LoadReport()
     with _stage(config) as stage:
-        panel = fetch_focus(INDICATORS, (config.fetch_start, config.end or dt.date.today()),
+        panel = fetch_focus(INDICATORS, (config.fetch_start, end),
                             config.endpoint, transport=transport, report=counts)
         horizon = reshape_horizons(panel, counts)
         stage.emit(FOCUS_PANEL_FILE, 4 * len(panel), lambda: _panel_csv(panel))

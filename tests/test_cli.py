@@ -17,7 +17,6 @@ from di_decomp.cli import build_parser, main
 from di_decomp.errors import ConfigError
 from di_decomp.fixture import DEFAULT_FIXTURE_SEED, EXPECTATIONS_FILE, MARKET_FILE, TRUTH_FILE
 from di_decomp.ingestion import (
-    MarketDataset,
     read_focus_panel_csv,
     read_frame_csv,
     write_market_csv,
@@ -139,11 +138,8 @@ class TestRunCommand:
         dataset = load_market_csv(fixture_dir / MARKET_FILE)
         dxy = dataset["DXY"]
         clone = DailySeries("CRB", dxy.dates, 2.0 * np.asarray(dxy.values))
-        datum = MarketDataset(
-            tuple(clone if s.name == "CRB" else s for s in dataset.series)
-        )
         market = tmp_path / "market.csv"
-        write_market_csv(datum, market)
+        write_market_csv({**dataset, "CRB": clone}, market)
         rc = main(
             [
                 "run",
@@ -214,6 +210,19 @@ class TestStagedCommands:
         assert len(panel) == 20
         horizon = read_frame_csv(out / EXPECTATIONS_OUT_FILE)
         assert horizon.n_rows == 1 and horizon.column("IPCA_year")[0] == 6.00
+
+    def test_inverted_fetch_range_is_config_error(self, tmp_path, offline, capsys):
+        out = tmp_path / "fetched"
+        argv = ["fetch-focus", "--fetch-start", "2020-01-01", "--end", "2019-01-01"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: fetch start 2020-01-01 is after end 2019-01-01\n")
+        assert not out.exists()
+
+    def test_one_day_fetch_range_is_valid(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingestion, "_urllib_transport", focus_transport())
+        argv = ["fetch-focus", "--fetch-start", "2004-01-02", "--end", "2004-01-02"]
+        assert main([*argv, "--out", str(tmp_path / "fetched")]) == 0
 
     def test_decompose_without_stage_files_is_data_error(self, fixture_dir, tmp_path):
         rc = main(

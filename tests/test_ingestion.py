@@ -15,7 +15,6 @@ import pytest
 from di_decomp import (
     DailySeries,
     LoadReport,
-    MarketDataset,
     fetch_focus,
     ingestion,
     load_market_csv,
@@ -517,13 +516,15 @@ class TestMarketCsv:
         with pytest.raises(SchemaError):
             load_market_csv(path, columns=("DI5Y",))
 
-    def test_dataset_names_are_unique_and_looked_up(self):
-        s = DailySeries("DI5Y", [D0], [12.5])
+    def test_dataset_names_are_unique_and_looked_up(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("date,DI5Y,DI5Y\n2015-01-13,12.50,12.60\n", encoding="utf-8")
         message = "duplicate series names in dataset: ['DI5Y', 'DI5Y']"
         with pytest.raises(SchemaError, match=re.escape(message)):
-            MarketDataset((s, s))
-        with pytest.raises(SchemaError, match=re.escape("no series 'CDS' in dataset ['DI5Y']")):
-            MarketDataset((s,))["CDS"]
+            load_market_csv(path, columns=("DI5Y", "DI5Y"))
+        path.write_text("date,DI5Y\n2015-01-13,12.50\n", encoding="utf-8")
+        with pytest.raises(KeyError, match="CDS"):
+            load_market_csv(path, columns=("DI5Y",))["CDS"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
@@ -592,7 +593,7 @@ class TestMarketCsv:
         dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(7))
         a = DailySeries("DI5Y", dates, rng.standard_normal(7) * 1e-3 + 12.0)
         b = DailySeries("CDS", dates[2:], rng.standard_normal(5) * 7.3 + 180.0)
-        dataset = MarketDataset((a, b))
+        dataset = {"DI5Y": a, "CDS": b}
         path = tmp_path / "m.csv"
         write_market_csv(dataset, path)
         back = load_market_csv(path, columns=("DI5Y", "CDS"))

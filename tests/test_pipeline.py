@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import errno
 import fcntl
 import json
 import os
@@ -41,7 +42,6 @@ from di_decomp.ingestion import (
     INDICATOR_QUERY_NAMES,
     INDICATORS,
     FocusPanel,
-    MarketDataset,
     frame_to_csv,
     horizon_column,
     read_frame_csv,
@@ -348,7 +348,7 @@ def write_disjoint_market(tmp_path, expectation_dates=DATES_A):
         DailySeries("SURPRISE", dates_a, np.cumsum(rng.standard_normal(40)) * 0.15),
     ]
     market_path = tmp_path / "market.csv"
-    write_market_csv(MarketDataset(tuple(series)), market_path)
+    write_market_csv({s.name: s for s in series}, market_path)
 
     n = len(expectation_dates)
     levels = {
@@ -719,6 +719,50 @@ class TestForkedChild:
         assert (err.value.stage, type(err.value.cause)) == (step, ChildProcessError)
         assert str(err.value) == (f"stage '{step}' failed: "
                                   "the forked child was killed by SIGKILL before it answered")
+        _assert_no_child_left()
+
+    def test_fork_refused_at_ingest_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        config = _small_run(tmp_path)
+
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refuse)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert cli.main(_run_argv(config)) == 3
+        assert capsys.readouterr().err.startswith("error: stage 'ingest' failed: ")
+        assert list(config.out_dir.iterdir()) == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_fork_refused_at_emit_keeps_the_previous_files(self, tmp_path, monkeypatch, capsys):
+        config = _small_run(tmp_path)
+        run_pipeline(config)
+        before = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
+        forks, fork = [], os.fork
+
+        def refuse_the_second():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refuse_the_second)
+        assert cli.main(_run_argv(config)) == 3
+        assert capsys.readouterr().err.startswith("error: stage 'emit' failed: ")
+        assert len(before) == 9
+        assert {p.name: p.read_bytes() for p in config.out_dir.iterdir()} == before
+        _assert_no_child_left()
+
+    def test_answer_that_cannot_be_pickled(self, tmp_path):
+        """The child exits without an answer; the parent says so and reaps it."""
+        lock = os.open(tmp_path, os.O_RDONLY)
+        try:
+            with pipeline._forked(lock, lambda: (lambda: None)) as answer:
+                message = "the forked child exited with status 1 before it answered"
+                with pytest.raises(ChildProcessError, match=f"^{message}$"):
+                    answer()
+        finally:
+            os.close(lock)
         _assert_no_child_left()
 
 

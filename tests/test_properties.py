@@ -19,7 +19,6 @@ import di_decomp.ingestion as ingestion
 from di_decomp import (
     DailySeries,
     Frame,
-    MarketDataset,
     accumulate,
     contributions,
     inner_join,
@@ -146,7 +145,7 @@ def test_frame_csv_round_trip_is_exact(tmp_path_factory, dates, labels, data):
 @given(series=series_sets())
 def test_market_csv_round_trip_is_exact(tmp_path_factory, series):
     path = tmp_path_factory.mktemp("market") / "m.csv"
-    write_market_csv(MarketDataset(tuple(series)), path)
+    write_market_csv({s.name: s for s in series}, path)
     back = load_market_csv(path, columns=[s.name for s in series])
     for s in series:
         np.testing.assert_array_equal(back[s.name].dates, s.dates)
@@ -256,7 +255,7 @@ def test_strict_parse_matches_line_by_line_reference(tmp_path_factory, rows, blo
         dataset = load_market_csv(path, columns=names)
     finally:
         mp.undo()
-    assert [(s.dates.tolist(), s.values.tobytes()) for s in dataset.series] == columns
+    assert [(s.dates.tolist(), s.values.tobytes()) for s in dataset.values()] == columns
 
 
 def _trading_days(n):
