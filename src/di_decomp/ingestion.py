@@ -11,30 +11,37 @@ All tests run against recorded payloads through the injectable
 
 Market data arrives as CSV only: header row, first column ``date`` as
 YYYY-MM-DD, remaining columns point-decimal reals (the grammar is pinned
-above ``_read_table``).  An empty cell means "no observation for that
+above ``_REAL``).  An empty cell means "no observation for that
 series on that date" (series keep independent calendars); any non-empty
 cell that does not parse is an error naming its line.  A record is one
 physical line, cut into cells at every comma; there is no quoting.  A
-file's newlines are counted first, to size a date array and a value matrix
-with a row per line, so rows stay in file order.  In each block of 1024
-lines, those with k commas are read in one ``np.loadtxt`` call; only the
-lines that fail it are split into cells, up to the first that is refused.
+table is read in two pieces: ``_read_part`` parses the lines of one byte
+range, their line breaks counted first to size a date array and a value
+matrix with a row per line, and returns its first refusal as data; then
+``_merge`` applies the duplicate-date, earliest-error and sort rules once
+over every line.  The library readers parse the whole range; a stage parses
+two halves at once.  A block of up to 1024 lines with k commas a line and
+only ``_DATA_CHARS`` is read in one ``np.loadtxt`` call; only the lines that
+fail it are split into cells, up to the first that is refused.
 """
 
 from __future__ import annotations
 
+import codecs
 import datetime as dt
+import io
 import json
 import logging
 import math
+import os
 import re
 import time
 import urllib.parse
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -335,6 +342,7 @@ _YEAR = re.compile(r"[0-9]{4}")
 # alone, float() and np.loadtxt accept a cell exactly when it matches _REAL.
 _DATA_CHARS = b"0123456789eE+-. \t,"
 _EMPTY_CELL = re.compile(r",[ \t]*(?=,|$)", re.MULTILINE)
+_NEWLINE = re.compile(rb"\r\n?|\n")
 # Rows parsed or formatted at a time, which bounds the transient strings.
 _BLOCK_ROWS = 1024
 _SHOWN_CHARS = 40  # characters of a long cell or record that a message echoes
@@ -450,19 +458,27 @@ def _parse_block(lines, names, dates, values):
     """Write each accepted line to its row of ``dates`` and ``values``, a row per line.
 
     Returns the first refused line's (index in ``lines``, message, date), or
-    None.  Lines with k commas and only ``_DATA_CHARS`` are read in one
-    ``np.loadtxt`` call; the others and those it fails are split at every
-    comma and taken apart cell by cell, up to the first that is refused,
-    which also words its message.  A blank line is skipped.
+    None.  A block with k commas a line in total and only ``_DATA_CHARS`` is
+    read in one ``np.loadtxt`` call.  Otherwise, or if that call fails, the
+    lines with k commas and only ``_DATA_CHARS`` are; the others and those it
+    fails are split at every comma and taken apart cell by cell, up to the
+    first that is refused, which also words its message.  A blank line is
+    skipped.
     """
     k = len(names)
-    suspect = np.array(list(map(str.count, lines, repeat(","))), dtype=int) != k
-    if _foreign("".join(lines)):
-        suspect |= np.array(list(map(_foreign, lines)), dtype=bool)
-    fast = np.flatnonzero(~suspect)
-    rows = _to_rows([lines[i] for i in fast], k)
+    text = "".join(lines)
+    foreign = _foreign(text)
+    rows = None if foreign or text.count(",") != k * len(lines) else _to_rows(lines, k)
     if rows is not None:
-        dates[fast], values[fast] = rows
+        dates[:], values[:] = rows
+    else:  # screened line by line
+        suspect = np.array(list(map(str.count, lines, repeat(","))), dtype=int) != k
+        if foreign:
+            suspect |= np.array(list(map(_foreign, lines)), dtype=bool)
+        fast = np.flatnonzero(~suspect)
+        rows = _to_rows([lines[i] for i in fast], k)
+        if rows is not None:
+            dates[fast], values[fast] = rows
     for i in np.flatnonzero(np.isnat(dates)).tolist():
         if not lines[i].strip(" \t,"):
             continue
@@ -483,20 +499,32 @@ def _open_text(path: Path) -> Iterator[TextIO]:
         with path.open(encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ParseError(f"{path}: not UTF-8 text (byte {byte:#04x}: {exc.reason})") from exc
+        raise ParseError(f"{path}: {_not_utf8(exc)}") from exc
 
 
-def _read_table(
-    path: Path | str, columns: Sequence[str] | None
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Parse a date-indexed CSV into (column names, dates, values).
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+
+
+class _Table(NamedTuple):
+    """A date-indexed CSV whose header has been read and checked."""
+
+    path: Path
+    names: tuple[str, ...]  # the value columns
+    start: int  # the first byte after the header line
+    size: int  # the file's bytes
+
+
+# A refused line's (index among the lines read, message, date if it parsed),
+# or the message for a byte outside UTF-8.
+_Refusal = tuple[int, str, "np.datetime64 | None"] | str | None
+
+
+def _open_table(path: Path | str, columns: Sequence[str] | None) -> _Table:
+    """Read and check the header of a date-indexed CSV.
 
     ``columns`` are the expected value columns, or None to take them from
-    the header.  Dates come back sorted; ``values`` has one column per name
-    and NaN for empty cells.  A row that breaks the grammar, or repeats the
-    date of an earlier accepted row, is a ParseError naming the earliest
-    such line.  Blank lines are skipped.
+    the header.
     """
     path = Path(path)
     with _open_text(path) as fh:
@@ -514,20 +542,106 @@ def _read_table(
                 raise SchemaError(
                     f"{path}: header {header} does not match expected {['date', *names]}"
                 )
-        # a row per line after the header; an accepted line fills its row
-        start, chunks = fh.tell(), iter(lambda: fh.read(1 << 20), "")
-        values = np.empty((sum(text.count("\n") for text in chunks) + 1, len(names)))
-        dates = np.full(len(values), np.datetime64("NaT", "D"))
-        refused, lo = None, 0
-        fh.seek(start)
-        while chunk := list(islice(fh, _BLOCK_ROWS)):
-            lines = "".join(chunk).removesuffix("\n").split("\n")
-            block = slice(lo, lo + len(lines))
-            refused = _parse_block(lines, names, dates[block], values[block])
-            if refused is not None:  # no later line can hold the earliest error
-                break
-            lo += len(lines)
+    with path.open("rb") as fh:  # the header's newline: "\r\n", "\r" or "\n"
+        start = fh.seek(len(first.removesuffix("\n").encode()))
+        if first.endswith("\n"):
+            start += 2 if fh.read(2) == b"\r\n" else 1
+        return _Table(path, names, start, fh.seek(0, os.SEEK_END))
 
+
+def _cut(table: _Table) -> int:
+    """The first line start at or after the byte midpoint of the table's data."""
+    middle = (table.start + table.size) // 2
+    if middle == table.start:
+        return middle
+    with table.path.open("rb") as fh:
+        at = fh.seek(middle - 1)
+        while piece := fh.read(1 << 16):
+            if found := _NEWLINE.search(piece):
+                at = fh.seek(at + found.end())
+                return at + (found[0] == b"\r" and fh.read(1) == b"\n")
+            at += len(piece)
+    return table.size
+
+
+def _newlines(path: Path, start: int, stop: int) -> int:
+    """The line breaks ("\r\n", "\r" or "\n") in bytes ``start`` to ``stop`` of
+    ``path``, which do not cut a "\r\n"."""
+    count, last = 0, b""
+    with path.open("rb") as fh:
+        fh.seek(start)
+        for data in _pieces(fh, stop - start):
+            count += data.count(b"\n")
+            if b"\r" in data or last == b"\r":  # each "\r" not before a "\n" ends a line too
+                count += data.count(b"\r") - data.count(b"\r\n")
+                count -= last == b"\r" and data.startswith(b"\n")
+            last = data[-1:]
+    return count
+
+
+def _pieces(fh, size: int) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``fh``, a bounded piece at a time."""
+    while size > 0 and (data := fh.read(min(size, 1 << 20))):
+        size -= len(data)
+        yield data
+
+
+def _blocks(path: Path, start: int, stop: int) -> Iterator[list[str]]:
+    """The lines in bytes ``start`` to ``stop`` of ``path``, as UTF-8 with
+    universal newlines, in blocks of at most ``_BLOCK_ROWS``; the last block
+    is the text after the last line break, maybe empty."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    rest = ""
+    with path.open("rb") as fh:
+        fh.seek(start)
+        for data in chain(_pieces(fh, stop - start), [b""]):  # the empty piece ends the text
+            lines = (rest + decoder.decode(data, final=not data)).split("\n")
+            rest = lines.pop()
+            for lo in range(0, len(lines), _BLOCK_ROWS):
+                yield lines[lo:lo + _BLOCK_ROWS]
+    yield [rest]
+
+
+def _read_part(table: _Table, start: int, stop: int, rows: int | None = None):
+    """Parse the lines in bytes ``start`` to ``stop``: (dates, values, refusal).
+
+    The arrays have a row per line, ``rows`` of them if given, else one more
+    than the line breaks; a refused, blank or unread line keeps NaT.  The
+    refusal is the first refused line's (index among these lines, message,
+    date), or the message for a byte outside UTF-8, which is looked for up to
+    ``stop`` even after a refused line; or None.
+    """
+    rows = _newlines(table.path, start, stop) + 1 if rows is None else rows
+    dates = np.full(rows, np.datetime64("NaT", "D"))
+    values = np.empty((rows, len(table.names)))
+    refused, lo = None, 0
+    try:
+        for lines in _blocks(table.path, start, stop):
+            if refused is None:  # no later line can hold the earliest error
+                block = slice(lo, lo + len(lines))
+                refused = _parse_block(lines, table.names, dates[block], values[block])
+                if refused is not None:
+                    refused = (lo + refused[0], *refused[1:])
+                lo += len(lines)
+    except UnicodeDecodeError as exc:
+        refused = _not_utf8(exc)
+    return dates, values, refused
+
+
+def _merge(
+    table: _Table, dates: np.ndarray, values: np.ndarray, refusals: Sequence[_Refusal]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table's (dates, values) from its rows, a row per line after the header.
+
+    ``refusals`` are those of the parts the rows were read in, in file order,
+    their line indices counted from the first line after the header.  A byte
+    outside UTF-8 is the error; otherwise a refused row, or one that repeats
+    the date of an earlier accepted row, is, and the earliest such line is
+    named.  Dates come back sorted, with their values.
+    """
+    for refused in refusals:
+        if isinstance(refused, str):
+            raise ParseError(f"{table.path}: {refused}")
     nos = np.flatnonzero(~np.isnat(dates)) + 2  # accepted rows, in file order
     dates = dates[nos - 2]
     # the first accepted row of each date wins, as if read line by line
@@ -535,9 +649,8 @@ def _read_table(
     repeat = np.ones(len(dates), dtype=bool)
     repeat[first] = False
     errors = [(no, f"duplicate date {d}") for no, d in zip(nos[repeat].tolist(), dates[repeat])]
-    if refused is not None:
-        i, message, date = refused
-        no = lo + i + 2
+    for i, message, date in filter(None, refusals):
+        no = i + 2
         if date is not None:  # its date was read before its cells failed
             at = int(np.searchsorted(unique, date))
             if at < len(unique) and unique[at] == date and nos[first[at]] < no:
@@ -545,11 +658,36 @@ def _read_table(
         errors.append((no, message))
     if errors:
         no, message = min(errors)
-        raise ParseError(f"{path}: line {no}: {message}")
+        raise ParseError(f"{table.path}: line {no}: {message}")
     rows = nos[first] - 2
     # a sorted file without repeated dates or gaps keeps its first rows in place
     values = values[:len(rows)] if np.array_equal(rows, np.arange(len(rows))) else values[rows]
-    return names, _frozen(unique), _frozen(values)
+    return _frozen(unique), _frozen(values)
+
+
+def _read_whole(table: _Table) -> tuple[np.ndarray, np.ndarray]:
+    """The table's (dates, values), every line read in this process."""
+    dates, values, refused = _read_part(table, table.start, table.size)
+    return _merge(table, dates, values, [refused])
+
+
+def _market(table: _Table, dates: np.ndarray, values: np.ndarray) -> MarketDataset:
+    """One series per column of a market table, keyed by its name."""
+    market: MarketDataset = {}
+    for j, name in enumerate(table.names):
+        present = ~np.isnan(values[:, j])
+        market[name] = DailySeries(name, _frozen(dates[present]), _frozen(values[present, j]))
+    return market
+
+
+def _frame(table: _Table, dates: np.ndarray, values: np.ndarray) -> Frame:
+    """A frame table's frame; a missing cell is a ParseError."""
+    gaps = np.flatnonzero(np.isnan(values).any(axis=1))
+    if gaps.size:
+        raise ParseError(
+            f"{table.path}: missing cell on {dates[gaps[0]]}; frame files allow no gaps"
+        )
+    return Frame(dates, table.names, values)
 
 
 def load_market_csv(path: Path | str, columns: Sequence[str] = MARKET_COLUMNS) -> MarketDataset:
@@ -562,12 +700,8 @@ def load_market_csv(path: Path | str, columns: Sequence[str] = MARKET_COLUMNS) -
     """
     if len(set(columns)) != len(columns):
         raise SchemaError(f"duplicate series names in dataset: {list(columns)}")
-    names, dates, values = _read_table(path, columns)
-    market: MarketDataset = {}
-    for j, name in enumerate(names):
-        present = ~np.isnan(values[:, j])
-        market[name] = DailySeries(name, _frozen(dates[present]), _frozen(values[present, j]))
-    return market
+    table = _open_table(path, columns)
+    return _market(table, *_read_whole(table))
 
 
 def _columns_csv(
@@ -623,13 +757,8 @@ def frame_to_csv(frame: Frame, path: Path | str) -> None:
 
 def read_frame_csv(path: Path | str) -> Frame:
     """Read a frame written by :func:`frame_to_csv` (all cells required)."""
-    names, dates, values = _read_table(path, None)
-    gaps = np.flatnonzero(np.isnan(values).any(axis=1))
-    if gaps.size:
-        raise ParseError(
-            f"{path}: missing cell on {dates[gaps[0]]}; frame files allow no gaps"
-        )
-    return Frame(dates, names, values)
+    table = _open_table(path, None)
+    return _frame(table, *_read_whole(table))
 
 
 def _panel_csv(panel: FocusPanel) -> str:

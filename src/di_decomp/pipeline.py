@@ -27,8 +27,9 @@ output directory, which ends with its process, even a killed one, and its
 files replace the previous run's only once the whole stage has succeeded.
 
 A stage uses a second core through one helper, ``_forked``: a forked child
-parses the market file while the factor stage parses the expectations, and
-formats about half of the files' text at the end of every stage.  Only the
+parses the second half of every market or frame CSV the stage reads while
+the stage parses the first halves, and formats about half of the files'
+text at the end of every stage.  Only the
 stage's own process holds the lock and writes in the output directory; the
 child sends back what it made over a pipe, and makes no BLAS or LAPACK call.
 """
@@ -39,6 +40,7 @@ import configparser
 import datetime as dt
 import fcntl
 import json
+import logging
 import os
 import pickle
 import signal
@@ -71,16 +73,23 @@ from .ingestion import (
     MARKET_COLUMNS,
     MarketDataset,
     fetch_focus,
-    load_market_csv,
     read_focus_panel_csv,
-    read_frame_csv,
     reshape_horizons,
+    _Table,
     _columns_csv,
+    _cut,
+    _frame,
     _json_text,
+    _market,
+    _merge,
+    _newlines,
+    _open_table,
     _open_text,
     _panel_csv,
     _read_date,
+    _read_part,
     _read_real,
+    _read_whole,
     _shown,
     _write_text,
 )
@@ -89,9 +98,11 @@ from .series import DailySeries, Frame, diff, inner_join, log_return, to_bps_cha
 from .series import _frozen, _require_points
 from .svg_chart import render_svg
 
-# perfbench/tracing.py wraps these file writers under this module's names; the
-# stages format text with _columns_csv, _panel_csv and render_svg instead.
-from .ingestion import frame_to_csv, write_focus_panel_csv  # noqa: F401
+# perfbench/tracing.py wraps these readers and file writers under this module's
+# names; the stages read tables in halves, and format text with _columns_csv,
+# _panel_csv and render_svg, instead.
+from .ingestion import frame_to_csv, load_market_csv, read_frame_csv  # noqa: F401
+from .ingestion import write_focus_panel_csv  # noqa: F401
 from .svg_chart import emit_svg  # noqa: F401
 
 SURPRISE_DIFF_NAME = "SURPRISE_diff"
@@ -115,6 +126,8 @@ _STAGE_FILES = (CONTRIBUTIONS_FILE, CUMULATIVE_FILE, MODELS_FILE, REPORT_FILE, S
 _GATHER_ROWS = 256  # factor design rows gathered at a time: bounds the temporaries
 
 _ENV_PREFIX = "DI_DECOMP_"
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "PipelineConfig",
@@ -289,6 +302,7 @@ def _forked(lock: int, work: Callable[[], object]) -> Iterator[Callable[[], obje
     the child, and returns the value or raises the exception here; a child
     that dies without an answer is a ``ChildProcessError`` naming its signal
     or status.  Leaving the block before that kills the child and reaps it.
+    Reaping logs the child's CPU time and peak memory at DEBUG.
     """
     read_end, write_end = os.pipe()
     try:
@@ -314,15 +328,21 @@ def _forked(lock: int, work: Callable[[], object]) -> Iterator[Callable[[], obje
     pipe = open(read_end, "rb")
     reaped = False
 
-    def answer():
+    def reap() -> int:
         nonlocal reaped
+        _, status, usage = os.wait4(pid, 0)
+        reaped = True
+        log.debug("forked child %d: %.3f s CPU, %d KiB peak resident", pid,
+                  usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+        return os.waitstatus_to_exitcode(status)
+
+    def answer():
         with pipe:  # read before reaping, or a full pipe stalls the child
             try:
                 ok, value = pickle.load(pipe)
             except EOFError:  # the child died without an answer
                 ok, value = False, None
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
+        code = reap()
         if ok:
             return value
         how = (f"was killed by {signal.Signals(-code).name}" if code < 0
@@ -335,7 +355,7 @@ def _forked(lock: int, work: Callable[[], object]) -> Iterator[Callable[[], obje
         if not reaped:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            reap()
 
 
 def _write_files(stage: _Stage) -> None:
@@ -415,21 +435,101 @@ def _joined(n_rows: int, what: str, inputs: Sequence[tuple[str, np.ndarray]]) ->
         raise DataError(f"{what} join produced 0 rows ({detail})")
 
 
-def _load_expectations(config: PipelineConfig) -> Frame:
-    """A horizon CSV's frame, or a focus panel CSV's if its header says so."""
+# An input file of a stage, opened: (table, make), a CSV table read in two
+# halves and made into its value by make(table, dates, values), or (None,
+# read), a file this process reads whole with read().
+_Input = tuple[_Table | None, Callable]
+
+
+def _market_input(config: PipelineConfig) -> _Input:
+    if config.market_csv is None:
+        raise ConfigError("no market data source: set data.market_csv")
+    return _open_table(config.market_csv, MARKET_COLUMNS), _market
+
+
+def _load_market(config: PipelineConfig) -> MarketDataset:
+    """The market set read whole in this process, as a stage's two halves read it."""
+    table, make = _market_input(config)
+    return make(table, *_read_whole(table))
+
+
+def _expectations_input(config: PipelineConfig) -> _Input:
+    """A horizon CSV, or a focus panel CSV, read whole, if its header says so."""
     path = config.expectations_csv
     if path is None:
         raise ConfigError("no expectations source: set data.expectations_csv")
     with _open_text(Path(path)) as fh:
         if not fh.readline().startswith("survey_date,"):  # the panel header's first cell
-            return read_frame_csv(path)
-    return reshape_horizons(read_focus_panel_csv(path))
+            return _open_table(path, None), _frame
+    return None, lambda: reshape_horizons(read_focus_panel_csv(path))
 
 
-def _load_market(config: PipelineConfig) -> MarketDataset:
-    if config.market_csv is None:
-        raise ConfigError("no market data source: set data.market_csv")
-    return load_market_csv(config.market_csv)
+def _read_tails(halves: Sequence[tuple[_Table | None, int]]) -> list:
+    """What the forked child reads: each table's lines from its cut on, as
+    ``_read_part`` gives them; None where there are none."""
+    return [_read_part(table, cut, table.size) if table and cut < table.size else None
+            for table, cut in halves]
+
+
+def _read_head(table: _Table, cut: int):
+    """The table's rows, a row per line of the whole table, with its lines
+    before ``cut`` parsed: (lines before the cut, dates, values, refusal)."""
+    lines = _newlines(table.path, table.start, cut)
+    rows = lines + _newlines(table.path, cut, table.size) + 1
+    return lines, *_read_part(table, table.start, cut, rows)
+
+
+def _join(head, tail) -> tuple[np.ndarray, np.ndarray, list]:
+    """A table's (dates, values, refusals), its tail's rows copied in after its head's."""
+    lines, dates, values, refused = head
+    if tail is None:  # the cut is the end of the file, maybe within its last line
+        return dates, values, [refused]
+    dates[lines:], values[lines:], tail_refused = tail
+    if isinstance(tail_refused, tuple):  # its index counted from the table's first line
+        tail_refused = (lines + tail_refused[0], *tail_refused[1:])
+    return dates, values, [refused, tail_refused]
+
+
+def _read_inputs(stage: _Stage, inputs: Sequence[Callable[[], _Input]]) -> list:
+    """Each input's value, read with both cores as if the files were read in turn.
+
+    Each input first opens its file, which checks its header.  A table is
+    cut at the first line start at or after the byte midpoint of its data:
+    this process parses the lines before the cut, and one forked child those
+    after it, for every table at once.  A file read whole is read here, in
+    its turn.  Each table's halves are then merged in file order.  The first
+    input whose opening, reading or merge fails raises, once the inputs
+    before it are read, so an earlier file's error wins.
+    """
+    opened, failure = [], None
+    for open_input in inputs:
+        try:
+            opened.append(open_input())
+        except Exception as exc:
+            failure = exc
+            break
+    if not opened:
+        raise failure
+    halves = [(table, table and _cut(table)) for table, _ in opened]
+    with _forked(stage.lock, lambda: _read_tails(halves)) as answer:
+        heads = []
+        for (table, read), (_, cut) in zip(opened, halves):
+            try:
+                heads.append(read() if table is None else _read_head(table, cut))
+            except Exception as exc:  # the inputs before it are still read
+                failure = exc
+                break
+        tails = answer()
+    for i, (table, _) in enumerate(opened[:len(heads)]):  # each tail freed before any merge
+        if table is not None:
+            heads[i] = _join(heads[i], tails[i])
+        tails[i] = None
+    values = []
+    for (table, make), head in zip(opened, heads):
+        values.append(head if table is None else make(table, *_merge(table, *head)))
+    if failure is not None:
+        raise failure
+    return values
 
 
 # The market columns each fit reads; a stage transforms only those its fits read.
@@ -509,19 +609,12 @@ def _factors(
     """Load the inputs, transform the market ``columns`` (the factor's and any
     a later step reads), fit the macro factor and emit its files.
 
-    A forked child parses the market file while this process parses the
-    larger expectations file.  If the expectations fail, the child's verdict
-    is awaited, so a broken market file's error wins as if it were read
-    first.  Emits macro_factor.csv and pls_model.json, and returns the
-    transformed market set, the model and the factor.
+    Emits macro_factor.csv and pls_model.json, and returns the transformed
+    market set, the model and the factor.
     """
-    with _forked(stage.lock, lambda: _load_market(config)) as answer:
-        try:
-            expectations = _load_expectations(config)
-        except Exception:
-            answer()
-            raise
-        market = answer()
+    market, expectations = _read_inputs(
+        stage, [lambda: _market_input(config), lambda: _expectations_input(config)]
+    )
 
     stage.label = "transform"
     transformed = _transform_market(market, config.end, columns)
@@ -627,7 +720,7 @@ def run_build_factors(config: PipelineConfig) -> PlsModel:
 def run_split_cds(config: PipelineConfig) -> CdsSplitModel:
     """Split CDS moves, emit cds_components.csv + cds_model.json."""
     with _stage(config) as stage:
-        market = _load_market(config)
+        [market] = _read_inputs(stage, [lambda: _market_input(config)])
         stage.label = "transform"
         return _split(stage, _transform_market(market, config.end, _CDS_COLUMNS))[0]
 
@@ -636,9 +729,12 @@ def run_decompose(config: PipelineConfig) -> dict:
     """Final regression from the four stage files in the output directory, all
     required; returns report.json's content."""
     with _stage(config) as stage:
-        market = _load_market(config)
-        factor = read_frame_csv(stage.out_dir / FACTOR_FILE).series(FACTOR_NAME)
-        components = read_frame_csv(stage.out_dir / COMPONENTS_FILE)
+        market, factor, components = _read_inputs(stage, [
+            lambda: _market_input(config),
+            *(lambda name=name: (_open_table(stage.out_dir / name, None), _frame)
+              for name in (FACTOR_FILE, COMPONENTS_FILE)),
+        ])
+        factor = factor.series(FACTOR_NAME)
         models_payload = {}
         for key, name in (("pls", PLS_MODEL_FILE), ("cds_split", CDS_MODEL_FILE)):
             with _open_text(stage.out_dir / name) as fh:

@@ -5,7 +5,9 @@ import datetime as dt
 import errno
 import fcntl
 import json
+import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -41,9 +43,11 @@ from di_decomp.ingestion import (
     HORIZON_COLUMNS,
     INDICATOR_QUERY_NAMES,
     INDICATORS,
+    MARKET_COLUMNS,
     FocusPanel,
     frame_to_csv,
     horizon_column,
+    _open_table,
     read_frame_csv,
     write_focus_panel_csv,
     write_market_csv,
@@ -607,8 +611,8 @@ def test_each_failure_is_reported_under_its_step(tmp_path, failure, command):
 
 
 # ---------------------------------------------------------------------------
-# The forked child: a stage parses the market file and formats about half of
-# its files in a child process
+# The forked child: a stage parses the second half of each input table and
+# formats about half of its files in a child process
 # ---------------------------------------------------------------------------
 
 
@@ -688,8 +692,8 @@ class TestForkedChild:
             raise failure("failed here")
 
         if step == "ingest":
-            monkeypatch.setattr(pipeline, "load_market_csv", _split_by_process(stall, fail))
-            monkeypatch.setattr(pipeline, "_load_expectations", fail)
+            monkeypatch.setattr(pipeline, "_read_tails", _split_by_process(stall, fail))
+            monkeypatch.setattr(pipeline, "_read_part", fail)
         else:  # each process formats at least one CSV or the chart
             for name in ("_columns_csv", "render_svg"):
                 monkeypatch.setattr(pipeline, name, _split_by_process(stall, fail))
@@ -710,7 +714,7 @@ class TestForkedChild:
             raise AssertionError("the child's work ran in this process")
 
         if step == "ingest":
-            monkeypatch.setattr(pipeline, "load_market_csv", _split_by_process(die, not_here))
+            monkeypatch.setattr(pipeline, "_read_tails", _split_by_process(die, not_here))
         else:
             real = pipeline._columns_csv
             monkeypatch.setattr(pipeline, "_columns_csv", _split_by_process(die, real))
@@ -765,14 +769,89 @@ class TestForkedChild:
             os.close(lock)
         _assert_no_child_left()
 
+    def test_each_child_logs_its_cpu_and_peak_memory(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="di_decomp.pipeline"):
+            run_pipeline(_small_run(tmp_path))
+        costs = [r.getMessage() for r in caplog.records if r.name == "di_decomp.pipeline"]
+        assert len(costs) == 2  # the ingest's child and the emit's
+        for message in costs:
+            assert re.fullmatch(r"forked child \d+: \d+\.\d{3} s CPU, \d+ KiB peak resident",
+                                message)
 
-# A CLI run whose forked child, parsing the market file, prints its pid and
-# waits until its parent has died and the file named first exists.
+
+# ---------------------------------------------------------------------------
+# A stage reads each input table in two halves, cut at the first line start at
+# or after the byte midpoint of its data; the errors come out as if each file
+# were read whole, in turn
+# ---------------------------------------------------------------------------
+
+
+def _break_lines(path: Path, *nos: int, how=lambda line: line.replace(b",", b",x", 1)) -> int:
+    """Break the lines ``nos`` of a CSV (1 is its header; -1 its last line);
+    returns the number of its last line."""
+    lines = path.read_bytes().splitlines()
+    for no in nos:
+        lines[no - 1 if no > 0 else no] = how(lines[no - 1 if no > 0 else no])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return len(lines)
+
+
+def _after_cut(path: Path, no: int, columns=None) -> bool:
+    """Whether line ``no`` of a CSV starts after the cut a stage makes in it."""
+    start = sum(len(line) + 1 for line in path.read_bytes().splitlines()[:no - 1])
+    return start >= pipeline._cut(_open_table(path, columns))
+
+
+def _run_error(config: PipelineConfig) -> str:
+    with pytest.raises(StageError) as err:
+        run_pipeline(config)
+    assert err.value.stage == "ingest"
+    _assert_no_child_left()
+    return str(err.value.cause)
+
+
+class TestInputHalves:
+    def test_errors_in_both_halves_name_the_head_line(self, tmp_path):
+        config = _small_run(tmp_path)
+        last = _break_lines(config.expectations_csv, 3, -1)
+        assert not _after_cut(config.expectations_csv, 3)
+        assert _after_cut(config.expectations_csv, last)
+        assert _run_error(config).startswith(f"{config.expectations_csv}: line 3: ")
+
+    def test_tail_row_repeating_a_head_date_is_named(self, tmp_path):
+        config = _small_run(tmp_path)
+        lines = config.expectations_csv.read_bytes().splitlines()
+        date = lines[1].split(b",")[0]
+        last = _break_lines(config.expectations_csv, -1,
+                            how=lambda line: date + line[len(date):])
+        assert _after_cut(config.expectations_csv, last)
+        assert _run_error(config) == (f"{config.expectations_csv}: line {last}: "
+                                      f"duplicate date {date.decode()}")
+
+    def test_byte_outside_utf8_in_the_tail_wins_over_a_head_line(self, tmp_path):
+        config = _small_run(tmp_path)
+        _break_lines(config.expectations_csv, 3)
+        last = _break_lines(config.expectations_csv, -1, how=lambda line: line + b"\xff")
+        assert _after_cut(config.expectations_csv, last)
+        assert _run_error(config) == (f"{config.expectations_csv}: "
+                                      "not UTF-8 text (byte 0xff: invalid start byte)")
+
+    def test_market_tail_wins_over_the_expectations_head(self, tmp_path):
+        config = _small_run(tmp_path)
+        last = _break_lines(config.market_csv, -1)
+        _break_lines(config.expectations_csv, 3)
+        assert _after_cut(config.market_csv, last, MARKET_COLUMNS)
+        assert _run_error(config).startswith(f"{config.market_csv}: line {last}: ")
+
+
+# A CLI run whose forked child, reading the second halves of the input files,
+# prints its pid and waits until its parent has died and the file named first
+# exists.
 _CHILD_STALLED_RUN = """
 import os, sys, time
 from di_decomp import cli, pipeline
 
-load = pipeline.load_market_csv
+load = pipeline._read_tails
 
 def stalled(*args):
     parent = os.getppid()
@@ -784,7 +863,7 @@ def stalled(*args):
         time.sleep(0.01)
     return load(*args)
 
-pipeline.load_market_csv = stalled
+pipeline._read_tails = stalled
 cli.main(sys.argv[2:])
 """
 

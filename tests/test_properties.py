@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import di_decomp.ingestion as ingestion
+from di_decomp import pipeline
 from di_decomp import (
     DailySeries,
     Frame,
@@ -34,7 +35,7 @@ from di_decomp.decomposition import (
     fit_decomposition_frame,
     join_decomposition_inputs,
 )
-from di_decomp.errors import ParseError, SingularDesignError
+from di_decomp.errors import ParseError, SchemaError, SingularDesignError
 from di_decomp.ingestion import frame_to_csv, load_market_csv, read_frame_csv, write_market_csv
 
 from oracles import normal_equations_ols
@@ -256,6 +257,82 @@ def test_strict_parse_matches_line_by_line_reference(tmp_path_factory, rows, blo
     finally:
         mp.undo()
     assert [(s.dates.tolist(), s.values.tobytes()) for s in dataset.values()] == columns
+
+
+# The table readers, each as (columns, make, whole-file read).
+TABLE_READERS = {
+    "market": (("A", "B"), ingestion._market, lambda path: load_market_csv(path, ("A", "B"))),
+    "frame": (None, ingestion._frame, read_frame_csv),
+}
+
+
+@st.composite
+def table_files(draw):
+    """A table's bytes: rows on few dates, so that dates repeat, among blank
+    lines and bad cells, with one kind of line break, maybe no final one, and
+    maybe a byte outside UTF-8.  A long blank line may stand among the rows,
+    so that a bad byte after it is not met while the header is read."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    row = st.tuples(st.sampled_from(ROW_DATES[:3] * 3 + ROW_DATES[3:]),
+                    st.lists(st.sampled_from(CELLS[:5] * 3 + CELLS[5:]), min_size=2, max_size=2))
+    rows = draw(st.lists(st.one_of(st.sampled_from(["", " \t", ",,"]), row, row), max_size=12))
+    lines = ["date,A,B"] + [r if isinstance(r, str) else ",".join([r[0], *r[1]]) for r in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), " " * 70_000)
+    data = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(len(lines[0]), len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _read_outcome(read):
+    """What a table read gives: its names, dates and value bytes, or its error."""
+    try:
+        value = read()
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, Frame):
+        return value.names, value.dates.tobytes(), value.data.tobytes()
+    return [(s.name, s.dates.tobytes(), s.values.tobytes()) for s in value.values()]
+
+
+@PROPERTY_SETTINGS
+@given(data=table_files(), reader=st.sampled_from(sorted(TABLE_READERS)),
+       block=st.sampled_from([1, 2, 1024]))
+# a bad cell in the head and a byte outside UTF-8 in the tail, past the header's read
+@example(data=b"date,A,B\n2015-01-13,x,1\n" + b" " * 70_000 + b"\n2015-01-14,1,\xff\n",
+         reader="market", block=1024)
+def test_two_halves_read_as_the_whole_file(tmp_path_factory, data, reader, block):
+    """Parted at any line start, the halves a stage reads merge to what the
+    whole-file read gives, error for error; the stage's cut is the first line
+    start at or after the byte midpoint of the data."""
+    path = tmp_path_factory.mktemp("halves") / "t.csv"
+    path.write_bytes(data)
+    columns, make, read_whole = TABLE_READERS[reader]
+    mp = pytest.MonkeyPatch()
+    mp.setattr(ingestion, "_BLOCK_ROWS", block)
+    try:
+        whole = _read_outcome(lambda: read_whole(path))
+        try:
+            table = ingestion._open_table(path, columns)
+        except (ParseError, SchemaError) as exc:  # raised before any half is read
+            assert whole == (type(exc), str(exc))
+            return
+        starts = {table.start, table.size} | {
+            m.end() for m in re.finditer(rb"\r\n|\r|\n", data) if m.end() > table.start
+        }
+        middle = (table.start + table.size) // 2
+        assert pipeline._cut(table) == min(at for at in starts if at >= middle)
+        for cut in sorted(starts):
+            def read_in_halves():
+                head = pipeline._read_head(table, cut)
+                [tail] = pipeline._read_tails([(table, cut)])
+                return make(table, *ingestion._merge(table, *pipeline._join(head, tail)))
+
+            assert _read_outcome(read_in_halves) == whole, f"cut at byte {cut}"
+    finally:
+        mp.undo()
 
 
 def _trading_days(n):
