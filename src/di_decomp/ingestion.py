@@ -16,13 +16,13 @@ series on that date" (series keep independent calendars); any non-empty
 cell that does not parse is an error naming its line.  A record is one
 physical line, cut into cells at every comma; there is no quoting.  A
 table is read in two pieces: ``_read_part`` parses the lines of one byte
-range, their line breaks counted first to size a date array and a value
-matrix with a row per line, and returns its first refusal as data; then
-``_merge`` applies the duplicate-date, earliest-error and sort rules once
-over every line.  The library readers parse the whole range; a stage parses
-two halves at once.  A block of up to 1024 lines with k commas a line and
-only ``_DATA_CHARS`` is read in one ``np.loadtxt`` call; only the lines that
-fail it are split into cells, up to the first that is refused.
+range in one pass, into a date array and a value matrix with a row per
+line, and returns its first refusal as data; then ``_merge`` takes the
+parts in file order and applies the duplicate-date, earliest-error and sort
+rules once over every line.  The library readers parse the whole range; a
+stage parses two halves at once.  A block of up to 1024 lines with k commas
+a line and only ``_DATA_CHARS`` is read in one ``np.loadtxt`` call; only the
+lines that fail it are split into cells, up to the first that is refused.
 """
 
 from __future__ import annotations
@@ -515,11 +515,6 @@ class _Table(NamedTuple):
     size: int  # the file's bytes
 
 
-# A refused line's (index among the lines read, message, date if it parsed),
-# or the message for a byte outside UTF-8.
-_Refusal = tuple[int, str, "np.datetime64 | None"] | str | None
-
-
 def _open_table(path: Path | str, columns: Sequence[str] | None) -> _Table:
     """Read and check the header of a date-indexed CSV.
 
@@ -564,21 +559,6 @@ def _cut(table: _Table) -> int:
     return table.size
 
 
-def _newlines(path: Path, start: int, stop: int) -> int:
-    """The line breaks ("\r\n", "\r" or "\n") in bytes ``start`` to ``stop`` of
-    ``path``, which do not cut a "\r\n"."""
-    count, last = 0, b""
-    with path.open("rb") as fh:
-        fh.seek(start)
-        for data in _pieces(fh, stop - start):
-            count += data.count(b"\n")
-            if b"\r" in data or last == b"\r":  # each "\r" not before a "\n" ends a line too
-                count += data.count(b"\r") - data.count(b"\r\n")
-                count -= last == b"\r" and data.startswith(b"\n")
-            last = data[-1:]
-    return count
-
-
 def _pieces(fh, size: int) -> Iterator[bytes]:
     """The next ``size`` bytes of ``fh``, a bounded piece at a time."""
     while size > 0 and (data := fh.read(min(size, 1 << 20))):
@@ -588,8 +568,8 @@ def _pieces(fh, size: int) -> Iterator[bytes]:
 
 def _blocks(path: Path, start: int, stop: int) -> Iterator[list[str]]:
     """The lines in bytes ``start`` to ``stop`` of ``path``, as UTF-8 with
-    universal newlines, in blocks of at most ``_BLOCK_ROWS``; the last block
-    is the text after the last line break, maybe empty."""
+    universal newlines, in blocks of at most ``_BLOCK_ROWS``; a line is the
+    text before each line break, and the text after the last one if any."""
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
     rest = ""
     with path.open("rb") as fh:
@@ -599,49 +579,55 @@ def _blocks(path: Path, start: int, stop: int) -> Iterator[list[str]]:
             rest = lines.pop()
             for lo in range(0, len(lines), _BLOCK_ROWS):
                 yield lines[lo:lo + _BLOCK_ROWS]
-    yield [rest]
+    if rest:
+        yield [rest]
 
 
-def _read_part(table: _Table, start: int, stop: int, rows: int | None = None):
+def _read_part(table: _Table, start: int, stop: int):
     """Parse the lines in bytes ``start`` to ``stop``: (dates, values, refusal).
 
-    The arrays have a row per line, ``rows`` of them if given, else one more
-    than the line breaks; a refused, blank or unread line keeps NaT.  The
-    refusal is the first refused line's (index among these lines, message,
-    date), or the message for a byte outside UTF-8, which is looked for up to
-    ``stop`` even after a refused line; or None.
+    The arrays have a row per line; a refused, blank or unread line keeps
+    NaT.  The refusal is the first refused line's (index among these lines,
+    message, date if it parsed), or the message for a byte outside UTF-8,
+    which is looked for up to ``stop`` even after a refused line; or None.
     """
-    rows = _newlines(table.path, start, stop) + 1 if rows is None else rows
-    dates = np.full(rows, np.datetime64("NaT", "D"))
-    values = np.empty((rows, len(table.names)))
+    k = len(table.names)
+    dates, values = [np.empty(0, "datetime64[D]")], [np.empty((0, k))]
     refused, lo = None, 0
     try:
         for lines in _blocks(table.path, start, stop):
+            dates.append(np.full(len(lines), np.datetime64("NaT", "D")))
+            values.append(np.empty((len(lines), k)))
             if refused is None:  # no later line can hold the earliest error
-                block = slice(lo, lo + len(lines))
-                refused = _parse_block(lines, table.names, dates[block], values[block])
+                refused = _parse_block(lines, table.names, dates[-1], values[-1])
                 if refused is not None:
                     refused = (lo + refused[0], *refused[1:])
-                lo += len(lines)
+            lo += len(lines)
     except UnicodeDecodeError as exc:
         refused = _not_utf8(exc)
-    return dates, values, refused
+    return np.concatenate(dates), np.concatenate(values), refused
 
 
-def _merge(
-    table: _Table, dates: np.ndarray, values: np.ndarray, refusals: Sequence[_Refusal]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The table's (dates, values) from its rows, a row per line after the header.
+def _merge(table: _Table, parts: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The table's (dates, values) from the ``_read_part`` results of its
+    lines after the header, in file order.
 
-    ``refusals`` are those of the parts the rows were read in, in file order,
-    their line indices counted from the first line after the header.  A byte
-    outside UTF-8 is the error; otherwise a refused row, or one that repeats
-    the date of an earlier accepted row, is, and the earliest such line is
-    named.  Dates come back sorted, with their values.
+    A byte outside UTF-8 is the error; otherwise a refused row, or one that
+    repeats the date of an earlier accepted row, is, and the earliest such
+    line is named.  Dates come back sorted, with their values.
     """
-    for refused in refusals:
+    refusals, lo = [], 0
+    for dates, _, refused in parts:
         if isinstance(refused, str):
             raise ParseError(f"{table.path}: {refused}")
+        if refused is not None:  # its index counted from the table's first line
+            refusals.append((lo + refused[0], *refused[1:]))
+        lo += len(dates)
+    if len(parts) == 1:
+        [(dates, values, _)] = parts
+    else:
+        dates = np.concatenate([part[0] for part in parts])
+        values = np.concatenate([part[1] for part in parts])
     nos = np.flatnonzero(~np.isnat(dates)) + 2  # accepted rows, in file order
     dates = dates[nos - 2]
     # the first accepted row of each date wins, as if read line by line
@@ -649,7 +635,7 @@ def _merge(
     repeat = np.ones(len(dates), dtype=bool)
     repeat[first] = False
     errors = [(no, f"duplicate date {d}") for no, d in zip(nos[repeat].tolist(), dates[repeat])]
-    for i, message, date in filter(None, refusals):
+    for i, message, date in refusals:
         no = i + 2
         if date is not None:  # its date was read before its cells failed
             at = int(np.searchsorted(unique, date))
@@ -667,8 +653,7 @@ def _merge(
 
 def _read_whole(table: _Table) -> tuple[np.ndarray, np.ndarray]:
     """The table's (dates, values), every line read in this process."""
-    dates, values, refused = _read_part(table, table.start, table.size)
-    return _merge(table, dates, values, [refused])
+    return _merge(table, [_read_part(table, table.start, table.size)])
 
 
 def _market(table: _Table, dates: np.ndarray, values: np.ndarray) -> MarketDataset:

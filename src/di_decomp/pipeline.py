@@ -82,14 +82,12 @@ from .ingestion import (
     _json_text,
     _market,
     _merge,
-    _newlines,
     _open_table,
     _open_text,
     _panel_csv,
     _read_date,
     _read_part,
     _read_real,
-    _read_whole,
     _shown,
     _write_text,
 )
@@ -447,12 +445,6 @@ def _market_input(config: PipelineConfig) -> _Input:
     return _open_table(config.market_csv, MARKET_COLUMNS), _market
 
 
-def _load_market(config: PipelineConfig) -> MarketDataset:
-    """The market set read whole in this process, as a stage's two halves read it."""
-    table, make = _market_input(config)
-    return make(table, *_read_whole(table))
-
-
 def _expectations_input(config: PipelineConfig) -> _Input:
     """A horizon CSV, or a focus panel CSV, read whole, if its header says so."""
     path = config.expectations_csv
@@ -466,28 +458,9 @@ def _expectations_input(config: PipelineConfig) -> _Input:
 
 def _read_tails(halves: Sequence[tuple[_Table | None, int]]) -> list:
     """What the forked child reads: each table's lines from its cut on, as
-    ``_read_part`` gives them; None where there are none."""
-    return [_read_part(table, cut, table.size) if table and cut < table.size else None
-            for table, cut in halves]
-
-
-def _read_head(table: _Table, cut: int):
-    """The table's rows, a row per line of the whole table, with its lines
-    before ``cut`` parsed: (lines before the cut, dates, values, refusal)."""
-    lines = _newlines(table.path, table.start, cut)
-    rows = lines + _newlines(table.path, cut, table.size) + 1
-    return lines, *_read_part(table, table.start, cut, rows)
-
-
-def _join(head, tail) -> tuple[np.ndarray, np.ndarray, list]:
-    """A table's (dates, values, refusals), its tail's rows copied in after its head's."""
-    lines, dates, values, refused = head
-    if tail is None:  # the cut is the end of the file, maybe within its last line
-        return dates, values, [refused]
-    dates[lines:], values[lines:], tail_refused = tail
-    if isinstance(tail_refused, tuple):  # its index counted from the table's first line
-        tail_refused = (lines + tail_refused[0], *tail_refused[1:])
-    return dates, values, [refused, tail_refused]
+    ``_read_part`` gives them (no rows if the cut is the end of the file);
+    None for a file read whole."""
+    return [_read_part(table, cut, table.size) if table else None for table, cut in halves]
 
 
 def _read_inputs(stage: _Stage, inputs: Sequence[Callable[[], _Input]]) -> list:
@@ -515,18 +488,16 @@ def _read_inputs(stage: _Stage, inputs: Sequence[Callable[[], _Input]]) -> list:
         heads = []
         for (table, read), (_, cut) in zip(opened, halves):
             try:
-                heads.append(read() if table is None else _read_head(table, cut))
+                heads.append(read() if table is None else _read_part(table, table.start, cut))
             except Exception as exc:  # the inputs before it are still read
                 failure = exc
                 break
         tails = answer()
-    for i, (table, _) in enumerate(opened[:len(heads)]):  # each tail freed before any merge
-        if table is not None:
-            heads[i] = _join(heads[i], tails[i])
-        tails[i] = None
     values = []
-    for (table, make), head in zip(opened, heads):
-        values.append(head if table is None else make(table, *_merge(table, *head)))
+    for i, (table, make) in enumerate(opened[:len(heads)]):
+        head, tail = heads[i], tails[i]
+        heads[i] = tails[i] = None  # each part dropped once its table is merged
+        values.append(head if table is None else make(table, *_merge(table, [head, tail])))
     if failure is not None:
         raise failure
     return values

@@ -48,6 +48,7 @@ from di_decomp.ingestion import (
     frame_to_csv,
     horizon_column,
     _open_table,
+    _read_whole,
     read_frame_csv,
     write_focus_panel_csv,
     write_market_csv,
@@ -652,7 +653,8 @@ class TestForkedChild:
     def test_market_error_reaches_the_user_as_if_read_here(self, tmp_path, how, cause, capsys):
         config = _break_market(_small_run(tmp_path), how)
         with pytest.raises(cause) as here:  # what this process raises reading it
-            pipeline._load_market(config)
+            table, make = pipeline._market_input(config)
+            make(table, *_read_whole(table))
         with pytest.raises(StageError) as err:
             run_pipeline(config)
         assert err.value.stage == "ingest"
